@@ -56,14 +56,23 @@ class OsCostMoments:
                              self.variance * factor * factor)
 
 
+def _repair_bill(s: Scenario, counts: np.ndarray) -> float:
+    """Per-period unit repair cost times expected failures, summed."""
+    return float(np.dot(np.asarray(s.cost.repair_costs(s.grid.z_periods)), counts))
+
+
+def _delay_bill(s: Scenario, counts: np.ndarray) -> float:
+    """Delay probability times expected failures times the unit delay cost."""
+    return s.cost.delay_probability * float(np.sum(counts)) * s.cost.unit_delay_cost
+
+
 def expected_repair_cost(m: int, s: Scenario, internal: RateSeries) -> float:
     """Expected repair cost over the horizon under m maintenance actions.
 
     Sum of per-period unit repair cost times expected failures; the learning
     multiplier is applied downstream, not here.
     """
-    costs = np.asarray(s.cost.repair_costs(s.grid.z_periods))
-    return float(np.dot(costs, expected_failures(m, s, internal)))
+    return _repair_bill(s, expected_failures(m, s, internal))
 
 
 def maintenance_cost(m: int, c_bar: float) -> float:
@@ -83,8 +92,19 @@ def expected_delay_cost(m: int, s: Scenario, internal: RateSeries) -> float:
     Delays are rare, externally driven events; ``delay_probability``
     keeps them a minor cost component.
     """
-    total_failures = float(np.sum(expected_failures(m, s, internal)))
-    return s.cost.delay_probability * total_failures * s.cost.unit_delay_cost
+    return _delay_bill(s, expected_failures(m, s, internal))
+
+
+def contract_costs(m: int, s: Scenario, internal: RateSeries) -> CostBreakdown:
+    """Repair, maintenance and delay bills under m maintenance actions, from
+    one set of expected failure counts: no learning multiplier, no training."""
+    counts = expected_failures(m, s, internal)
+    return CostBreakdown(
+        repair=_repair_bill(s, counts),
+        maintenance=maintenance_cost(m, s.cost.avg_maintenance_cost),
+        delay=_delay_bill(s, counts),
+        training=0.0,
+    )
 
 
 def os_cost_moments(s: Scenario, internal: RateSeries) -> OsCostMoments:
@@ -96,10 +116,9 @@ def os_cost_moments(s: Scenario, internal: RateSeries) -> OsCostMoments:
     """
     counts = expected_failures(s.cost.m0_os, s, internal)
     costs = np.asarray(s.cost.repair_costs(s.grid.z_periods))
-    repair_mean = float(np.dot(costs, counts))
     variance = float(np.dot(counts, costs**2 + s.cost.repair_cost_sd**2))
     return OsCostMoments(
-        repair_mean=repair_mean,
+        repair_mean=_repair_bill(s, counts),
         maintenance=maintenance_cost(s.cost.m0_os, s.cost.avg_maintenance_cost),
         variance=variance,
     )

@@ -116,11 +116,10 @@ def expected_failures(m: int, s: Scenario, internal: RateSeries) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("maintenance count must be >= 1")
-    f, grid = s.failure, s.grid
-    t = np.asarray(grid.t_j)
-    phi = internal.as_array()
-    prev = np.concatenate(([f.phi0_int], phi[:-1]))
-    delta = phi - prev
+    f = s.failure
+    t = np.asarray(s.grid.t_j)
+    delta = rate_increments(f, s.grid, internal)
+    prev = internal.as_array() - delta
     start_rate = f.phi0_int + (1.0 - f.rho) * (prev - f.phi0_int)
     counts = start_rate * t + (t * delta / 2.0) * ((1.0 - f.rho) + f.rho / m)
     return np.maximum(counts, 0.0)
@@ -134,9 +133,9 @@ def expected_failures_in_period(j: int, m: int, s: Scenario, internal: RateSerie
 
 
 def _repair_plus_maintenance(m: int, s: Scenario, internal: RateSeries) -> float:
-    costs = np.asarray(s.cost.repair_costs(s.grid.z_periods))
-    repair = float(np.dot(costs, expected_failures(m, s, internal)))
-    return repair + s.cost.avg_maintenance_cost * (m - 1)
+    from .costs import expected_repair_cost, maintenance_cost  # costs imports this module
+
+    return expected_repair_cost(m, s, internal) + maintenance_cost(m, s.cost.avg_maintenance_cost)
 
 
 def optimal_pm_count(s: Scenario, internal: RateSeries) -> MaintenancePlan:

@@ -32,19 +32,27 @@ silently flooring it would corrupt the optimizer.
 Total contract cost
 -------------------
 cost(lf) = repair(m) * A(lf) + c_M (m - 1) + delay(m) + l * t_l(lf).
-The A-term falls in lf while the training bill rises linearly, so the cost
-is convex with an interior minimum; its lf-derivative has the closed form
-used by the optimizer's tests.
+Once the maintenance count m and the rate series are fixed, everything but
+lf is a constant: the aggregates R - S - Q - U, S, Q, U and V, the
+cumulative repair time, and the repair, maintenance and delay bills before
+learning.  :class:`LfProblem` collects them once, and cost, time budget,
+derivative and feasible interval become scalar functions of lf.  The
+feasible interval is (edge, 1), where the edge is the root of t_l - t_f.
+On it the A-term falls in lf while the training bill rises linearly, so the
+cost has an interior minimum, which the optimizer finds by golden section
+over the whole interval.  The lf-derivative has a closed form that serves
+as the optimality oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostBreakdown, expected_delay_cost, expected_repair_cost, maintenance_cost
+from .costs import CostBreakdown, contract_costs
 from .scenario import PeriodGrid, LearningParams, RateSeries, Scenario
 
 
@@ -81,11 +89,10 @@ class LearningState:
 
 @dataclass(frozen=True)
 class FsCostResult:
-    """Total contract cost with its learning state and reduced terms."""
+    """Total contract cost with its learning state."""
 
     breakdown: CostBreakdown
     state: LearningState
-    terms: ReducedTerms
 
 
 def total_repair_time(internal: RateSeries, grid: PeriodGrid, repair_hours: float = 1.0) -> float:
@@ -97,69 +104,6 @@ def maintenance_allocation(m: int, grid: PeriodGrid, maintenance_hours: float) -
     """Per-period maintenance hours: m/Z visits per period of fixed length."""
     per_period = (m / grid.z_periods) * maintenance_hours
     return np.full(grid.z_periods, per_period)
-
-
-def _interruption_hours(m: int, s: Scenario, internal: RateSeries, external: RateSeries):
-    """Per-period internal repair, external repair and maintenance hours."""
-    t = np.asarray(s.grid.t_j)
-    r_hours = s.learning.repair_hours
-    internal_h = internal.as_array() * t * r_hours
-    external_h = external.as_array() * t * r_hours
-    maint_h = maintenance_allocation(m, s.grid, s.learning.maintenance_hours)
-    return internal_h, external_h, maint_h
-
-
-def reduced_terms(m: int, s: Scenario, internal: RateSeries, external: RateSeries) -> ReducedTerms:
-    """The q/r/s/u/v aggregates for m maintenance actions."""
-    internal_h, external_h, maint_h = _interruption_hours(m, s, internal, external)
-    t = np.asarray(s.grid.t_j)
-    eps = s.learning.epsilon
-    v = 2.0 * float(np.sum(
-        (internal.as_array() / 2.0) ** (1.0 - eps) * (t - external_h) ** (1.0 - 2.0 * eps)
-    ))
-    return ReducedTerms(
-        q=float(np.sum(internal_h)),
-        r=float(np.sum(t)),
-        s=float(np.sum(external_h)),
-        u=float(np.sum(maint_h)),
-        v=v,
-    )
-
-
-def training_time(lf: float, m: int, s: Scenario, internal: RateSeries,
-                  external: RateSeries) -> float:
-    """Total training hours: surplus time times lf.
-
-    Raises :class:`InfeasibleTrainingError` if any period has no surplus
-    left after repairs and maintenance.
-    """
-    if not 0.0 < lf < 1.0:
-        raise ValueError("lf must lie in (0, 1)")
-    internal_h, external_h, maint_h = _interruption_hours(m, s, internal, external)
-    surplus = np.asarray(s.grid.t_j) - internal_h - external_h - maint_h
-    if np.any(surplus <= 0.0):
-        j = int(np.argmax(surplus <= 0.0)) + 1
-        raise InfeasibleTrainingError(f"no surplus time left for training in period {j}")
-    return float(np.sum(surplus)) * lf
-
-
-def forgetting_time(lf: float, s: Scenario, internal: RateSeries, external: RateSeries,
-                    m: int) -> float:
-    """Training hours lost to forgetting.
-
-    The simple variant forgets every interrupted hour (repairs internal and
-    external plus maintenance).  The revised variant keeps the external term
-    but lets on-site rework recover part of the internally interrupted
-    training, leaving S + V lf^(1-2 eps).
-    """
-    internal_h, external_h, maint_h = _interruption_hours(m, s, internal, external)
-    if s.learning.forgetting_model == "simple":
-        return float(np.sum(internal_h + external_h + maint_h))
-    eps = s.learning.epsilon
-    t = np.asarray(s.grid.t_j)
-    rework = 2.0 * (internal.as_array() / 2.0) ** (1.0 - eps) \
-        * ((t - external_h) * lf) ** (1.0 - 2.0 * eps)
-    return float(np.sum(external_h + rework))
 
 
 def learning_effect(t_r: float, t_eff: float, lp: LearningParams) -> float:
@@ -175,6 +119,167 @@ def learning_effect(t_r: float, t_eff: float, lp: LearningParams) -> float:
     return t_r ** -lp.alpha_auto * t_eff ** -lp.alpha_indu
 
 
+@dataclass(frozen=True)
+class LfProblem:
+    """Total contract cost as a scalar function of lf, for one maintenance
+    count and one pair of rate series (see the module docstring).
+
+    ``base`` holds the repair, maintenance and delay bills before learning,
+    with no training.  ``short_period`` is the first period (1-based) that
+    has no surplus time left for training, or 0 if every period has some.
+    """
+
+    terms: ReducedTerms
+    t_repair: float
+    base: CostBreakdown
+    learning: LearningParams
+    short_period: int = 0
+
+    @property
+    def vertex_hint(self) -> float:
+        """Turning-point guess v / (2 (r - s - q - u)); reported, not searched."""
+        net = self.terms.net
+        return self.terms.v / (2.0 * net) if net > 0 else float("nan")
+
+    def t_training(self, lf: float) -> float:
+        """Total training hours: surplus time times lf."""
+        if not 0.0 < lf < 1.0:
+            raise ValueError("lf must lie in (0, 1)")
+        if self.short_period:
+            raise InfeasibleTrainingError(
+                f"no surplus time left for training in period {self.short_period}")
+        return self.terms.net * lf
+
+    def t_forgetting(self, lf: float) -> float:
+        """Training hours lost to forgetting: S + Q + U, or S + V lf^(1-2 eps)."""
+        terms = self.terms
+        if self.learning.forgetting_model == "simple":
+            return terms.s + terms.q + terms.u
+        return terms.s + terms.v * lf ** (1.0 - 2.0 * self.learning.epsilon)
+
+    def state(self, lf: float) -> LearningState:
+        """The time budget and efficiency multiplier at lf."""
+        t_l = self.t_training(lf)
+        t_f = self.t_forgetting(lf)
+        t_eff = t_l - t_f
+        return LearningState(
+            t_repair=self.t_repair,
+            t_training=t_l,
+            t_forgetting=t_f,
+            effective_training=t_eff,
+            a_factor=learning_effect(self.t_repair, t_eff, self.learning),
+            training_cost=self.learning.unit_training_cost * t_l,
+        )
+
+    def evaluate(self, lf: float) -> FsCostResult:
+        """Cost breakdown (dollars) and learning state at lf."""
+        state = self.state(lf)
+        base = self.base
+        breakdown = CostBreakdown(base.repair * state.a_factor, base.maintenance, base.delay,
+                                  state.training_cost)
+        return FsCostResult(breakdown, state)
+
+    def cost(self, lf: float) -> float:
+        """Total contract cost in dollars at lf: the optimizer's objective."""
+        return self.evaluate(lf).breakdown.total
+
+    def derivative(self, lf: float) -> float:
+        """Analytic d(cost)/d(lf); see :func:`fs_cost_lf_derivative`."""
+        lp, net = self.learning, self.terms.net
+        state = self.state(lf)
+        if lp.forgetting_model == "simple":
+            d_eff = net
+        else:
+            d_eff = net - (1.0 - 2.0 * lp.epsilon) * self.terms.v * lf ** (-2.0 * lp.epsilon)
+        d_repair = self.base.repair * state.t_repair ** -lp.alpha_auto * (-lp.alpha_indu) \
+            * state.effective_training ** (-lp.alpha_indu - 1.0) * d_eff
+        return d_repair + lp.unit_training_cost * net
+
+    def feasible_range(self) -> tuple[float, float]:
+        """Open interval of lf values with positive effective training time.
+
+        The lower edge is the root of t_l(lf) - t_f(lf) = 0, found by
+        geometric bisection; the upper edge is the lf < 1 limit.  Raises
+        :class:`InfeasibleTrainingError` when forgetting exceeds training
+        everywhere.
+        """
+        net = self.terms.net
+
+        def effective(lf: float) -> float:
+            return net * lf - self.t_forgetting(lf)
+
+        hi = 1.0 - 1e-12
+        if net <= 0.0 or effective(hi) <= 0.0:
+            raise InfeasibleTrainingError("forgetting exceeds training for every lf in (0, 1)")
+        lo = 1e-15
+        if effective(lo) > 0.0:
+            return lo, hi
+        root = hi
+        for _ in range(200):
+            mid = math.sqrt(lo * root)
+            if effective(mid) > 0.0:
+                root = mid
+            else:
+                lo = mid
+            if root / lo < 1.0 + 1e-12:
+                break
+        return root, hi
+
+
+def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries) -> LfProblem:
+    """Collect the lf-independent part of the contract cost for m
+    maintenance actions and the given rate series."""
+    lp = s.learning
+    t = np.asarray(s.grid.t_j)
+    phi = internal.as_array()
+    internal_h = phi * t * lp.repair_hours
+    external_h = external.as_array() * t * lp.repair_hours
+    maint_h = maintenance_allocation(m, s.grid, lp.maintenance_hours)
+    short = np.flatnonzero(t - internal_h - external_h - maint_h <= 0.0)
+    eps = lp.epsilon
+    terms = ReducedTerms(
+        q=float(np.sum(internal_h)),
+        r=float(np.sum(t)),
+        s=float(np.sum(external_h)),
+        u=float(np.sum(maint_h)),
+        v=2.0 * float(np.sum((phi / 2.0) ** (1.0 - eps) * (t - external_h) ** (1.0 - 2.0 * eps))),
+    )
+    return LfProblem(
+        terms=terms,
+        t_repair=total_repair_time(internal, s.grid, lp.repair_hours),
+        base=contract_costs(m, s, internal),
+        learning=lp,
+        short_period=int(short[0]) + 1 if short.size else 0,
+    )
+
+
+def reduced_terms(m: int, s: Scenario, internal: RateSeries, external: RateSeries) -> ReducedTerms:
+    """The q/r/s/u/v aggregates for m maintenance actions."""
+    return lf_problem(m, s, internal, external).terms
+
+
+def training_time(lf: float, m: int, s: Scenario, internal: RateSeries,
+                  external: RateSeries) -> float:
+    """Total training hours: surplus time times lf.
+
+    Raises :class:`InfeasibleTrainingError` if any period has no surplus
+    left after repairs and maintenance.
+    """
+    return lf_problem(m, s, internal, external).t_training(lf)
+
+
+def forgetting_time(lf: float, s: Scenario, internal: RateSeries, external: RateSeries,
+                    m: int) -> float:
+    """Training hours lost to forgetting.
+
+    The simple variant forgets every interrupted hour (repairs internal and
+    external plus maintenance).  The revised variant keeps the external term
+    but lets on-site rework recover part of the internally interrupted
+    training, leaving S + V lf^(1-2 eps).
+    """
+    return lf_problem(m, s, internal, external).t_forgetting(lf)
+
+
 def training_cost(lf: float, m: int, s: Scenario, internal: RateSeries,
                   external: RateSeries) -> float:
     """Training bill in dollars: hourly cost times total training hours."""
@@ -184,32 +289,13 @@ def training_cost(lf: float, m: int, s: Scenario, internal: RateSeries,
 def learning_state(lf: float, m: int, s: Scenario, internal: RateSeries,
                    external: RateSeries) -> LearningState:
     """Evaluate the full time budget and multiplier at one lf."""
-    t_r = total_repair_time(internal, s.grid, s.learning.repair_hours)
-    t_l = training_time(lf, m, s, internal, external)
-    t_f = forgetting_time(lf, s, internal, external, m)
-    t_eff = t_l - t_f
-    a = learning_effect(t_r, t_eff, s.learning)
-    return LearningState(
-        t_repair=t_r,
-        t_training=t_l,
-        t_forgetting=t_f,
-        effective_training=t_eff,
-        a_factor=a,
-        training_cost=s.learning.unit_training_cost * t_l,
-    )
+    return lf_problem(m, s, internal, external).state(lf)
 
 
 def total_fs_cost(lf: float, m: int, s: Scenario, internal: RateSeries,
                   external: RateSeries) -> FsCostResult:
     """Total full-service contract cost (dollars) at training frequency lf."""
-    state = learning_state(lf, m, s, internal, external)
-    breakdown = CostBreakdown(
-        repair=expected_repair_cost(m, s, internal) * state.a_factor,
-        maintenance=maintenance_cost(m, s.cost.avg_maintenance_cost),
-        delay=expected_delay_cost(m, s, internal),
-        training=state.training_cost,
-    )
-    return FsCostResult(breakdown, state, reduced_terms(m, s, internal, external))
+    return lf_problem(m, s, internal, external).evaluate(lf)
 
 
 def fs_cost_lf_derivative(lf: float, m: int, s: Scenario, internal: RateSeries,
@@ -225,14 +311,4 @@ def fs_cost_lf_derivative(lf: float, m: int, s: Scenario, internal: RateSeries,
     where t_eff' = T - (1 - 2 eps) V lf^(-2 eps) for the revised forgetting
     model and T for the simple one.
     """
-    lp = s.learning
-    terms = reduced_terms(m, s, internal, external)
-    state = learning_state(lf, m, s, internal, external)
-    if lp.forgetting_model == "simple":
-        d_eff = terms.net
-    else:
-        d_eff = terms.net - (1.0 - 2.0 * lp.epsilon) * terms.v * lf ** (-2.0 * lp.epsilon)
-    repair = expected_repair_cost(m, s, internal)
-    d_repair = repair * state.t_repair ** -lp.alpha_auto * (-lp.alpha_indu) \
-        * state.effective_training ** (-lp.alpha_indu - 1.0) * d_eff
-    return d_repair + lp.unit_training_cost * terms.net
+    return lf_problem(m, s, internal, external).derivative(lf)

@@ -23,6 +23,20 @@ argmax of the quadratic market-profit objective; with learning it passes
 cost changes through one-for-one, which is what keeps total profit flat
 across training frequencies.
 
+Cost side and market side
+-------------------------
+Pricing one scenario splits in two.  The cost side (:class:`CostSide`) is
+all that does not depend on the market parameters: the internal and
+external rate series, the maintenance plan, the pay-per-repair cost
+moments, the scalar lf problem with its optimum lf*, and each variant's
+cost breakdown.  Its parts are computed on first use and kept for the life
+of the object (one pricing call, one comparison or one sweep), so a
+``bench`` price never runs the lf search and a second variant reuses the
+first one's work.  The market side (:meth:`CostSide.price`) turns one cost
+breakdown and the cost moments into the interior price, its bounds, the
+market share and the profit.  It is cheap, and a sweep over the mark-up
+reruns only this half.
+
 This module works in report units (thousands of dollars); cost-side inputs
 are converted once on entry.
 """
@@ -30,23 +44,12 @@ are converted once on entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .costs import (
-    CostBreakdown,
-    OsCostMoments,
-    expected_delay_cost,
-    expected_repair_cost,
-    maintenance_cost,
-    os_cost_moments,
-)
-from .failure import internal_rate_series, optimal_pm_count
-from .learning import (
-    InfeasibleTrainingError,
-    learning_state,
-    reduced_terms,
-    total_fs_cost,
-)
+from .costs import CostBreakdown, OsCostMoments, contract_costs, os_cost_moments
+from .failure import MaintenancePlan, internal_rate_series, optimal_pm_count
+from .learning import InfeasibleTrainingError, LfProblem, lf_problem
 from .scenario import (
     DOLLARS_PER_REPORT_UNIT,
     MarketParams,
@@ -139,70 +142,26 @@ def feasible_lf_range(m: int, s: Scenario, internal: RateSeries,
     the lf < 1 limit.  Raises :class:`InfeasibleTrainingError` when
     forgetting exceeds training everywhere.
     """
-    terms = reduced_terms(m, s, internal, external)
-    lp = s.learning
-
-    def effective(lf: float) -> float:
-        if lp.forgetting_model == "simple":
-            return terms.net * lf - (terms.s + terms.q + terms.u)
-        return terms.net * lf - terms.s - terms.v * lf ** (1.0 - 2.0 * lp.epsilon)
-
-    hi = 1.0 - 1e-12
-    if terms.net <= 0.0 or effective(hi) <= 0.0:
-        raise InfeasibleTrainingError("forgetting exceeds training for every lf in (0, 1)")
-    lo = 1e-15
-    if effective(lo) > 0.0:
-        return lo, hi
-    root = hi
-    for _ in range(200):
-        mid = math.sqrt(lo * root)
-        if effective(mid) > 0.0:
-            root = mid
-        else:
-            lo = mid
-        if root / lo < 1.0 + 1e-12:
-            break
-    return root, hi
+    return lf_problem(m, s, internal, external).feasible_range()
 
 
 def optimize_lf(m: int, s: Scenario, internal: RateSeries,
                 external: RateSeries) -> LfSolution:
     """Minimize total contract cost over the feasible training frequencies.
 
-    Bracketed golden-section search seeded around the turning-point hint
-    v / (2 (r - s - q - u)), refined to absolute lf tolerance 1e-6.
+    Golden-section search on the scalar cost of :class:`LfProblem` over the
+    whole feasible interval (edge, 1), refined to absolute lf tolerance
+    1e-6; about 30 iterations.  The turning-point hint v / (2 (r - s - q -
+    u)) is reported in the solution but does not steer the search.
     """
-    terms = reduced_terms(m, s, internal, external)
-    lo_edge, hi_edge = feasible_lf_range(m, s, internal, external)
-    hint = terms.v / (2.0 * terms.net) if terms.net > 0 else float("nan")
-
-    lo = lo_edge * (1.0 + 1e-9) + 1e-15
-    hi = hi_edge
-
-    def objective(lf: float) -> float:
-        return total_fs_cost(lf, m, s, internal, external).breakdown.total
-
-    # Expand a window around the hint until the minimum is interior.
-    left = min(max(lo, hint / 8.0), hi)
-    right = max(min(hi, hint * 8.0), lo)
-    for _ in range(64):
-        mid = math.sqrt(left * right)
-        interior = objective(mid)
-        grew = False
-        if objective(left) < interior and left > lo:
-            left = max(lo, left / 8.0)
-            grew = True
-        if objective(right) < interior and right < hi:
-            right = min(hi, right * 8.0)
-            grew = True
-        if not grew:
-            break
-
-    lf_star, cost_star, iterations = golden_section(objective, left, right, tol=1e-6)
+    problem = lf_problem(m, s, internal, external)
+    lo_edge, hi_edge = problem.feasible_range()
+    lf_star, cost_star, iterations = golden_section(
+        problem.cost, lo_edge * (1.0 + 1e-9) + 1e-15, hi_edge, tol=1e-6)
     return LfSolution(
         lf_star=lf_star,
         cost_at_star=cost_star,
-        vertex_hint=hint,
+        vertex_hint=problem.vertex_hint,
         iterations=iterations,
         feasible_range=(lo_edge, hi_edge),
     )
@@ -275,72 +234,107 @@ def _interior_price(fs_cost: CostBreakdown, osm: OsCostMoments, mk: MarketParams
             + fs_cost.training)
 
 
+class CostSide:
+    """The market-independent half of pricing one scenario.
+
+    The rate series are drawn on construction, or taken as given.  The
+    maintenance plan, cost moments, lf problem, lf search and variant costs
+    are computed on first use and then kept.  Nothing outlives the object.
+    """
+
+    def __init__(self, s: Scenario, internal: RateSeries | None = None,
+                 external: RateSeries | None = None):
+        self.scenario = s
+        self.internal = internal_rate_series(s.failure, s.grid) if internal is None else internal
+        self.external = simulate_external_rates(s) if external is None else external
+        self._variant_costs: dict = {}
+
+    @cached_property
+    def plan(self) -> MaintenancePlan:
+        return optimal_pm_count(self.scenario, self.internal)
+
+    @cached_property
+    def os_moments(self) -> OsCostMoments:
+        """Pay-per-repair cost moments, in report units."""
+        return os_cost_moments(self.scenario, self.internal).scaled(1.0 / DOLLARS_PER_REPORT_UNIT)
+
+    @cached_property
+    def problem(self) -> LfProblem:
+        """The lf problem at the optimal maintenance count."""
+        return lf_problem(self.plan.m_count, self.scenario, self.internal, self.external)
+
+    @cached_property
+    def lf_solution(self) -> LfSolution:
+        return optimize_lf(self.plan.m_count, self.scenario, self.internal, self.external)
+
+    def variant_cost(self, variant: str,
+                     lf: float | None = None) -> tuple[CostBreakdown, int, float | None]:
+        """One variant's cost breakdown (report units), maintenance count
+        and training frequency.
+
+        ``bench`` prices with no learning, the pay-per-repair maintenance
+        plan and no training; ``auto`` applies the cumulative experience
+        multiplier Z^(-alpha_auto) at the optimized maintenance count;
+        ``full`` adds training at the optimized (or given) frequency lf.
+        """
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        key = (variant, lf)
+        if key not in self._variant_costs:
+            s = self.scenario
+            lf_star = None
+            if variant == "bench":
+                m = s.cost.m0_os
+                breakdown = contract_costs(m, s, self.internal)
+            elif variant == "auto":
+                m = self.plan.m_count
+                base = self.problem.base
+                breakdown = replace(base, repair=base.repair
+                                    * s.grid.z_periods ** -s.learning.alpha_auto)
+            else:
+                m = self.plan.m_count
+                lf_star = self.lf_solution.lf_star if lf is None else lf
+                breakdown = self.problem.evaluate(lf_star).breakdown
+            self._variant_costs[key] = (breakdown.scaled(1.0 / DOLLARS_PER_REPORT_UNIT), m,
+                                        lf_star)
+        return self._variant_costs[key]
+
+    def price(self, variant: str, mk: MarketParams, lf: float | None = None) -> PricingSolution:
+        """The market side: price one variant's cost in the market ``mk``."""
+        breakdown, m, lf_star = self.variant_cost(variant, lf)
+        osm = self.os_moments
+        interior = _interior_price(breakdown, osm, mk)
+        lower, upper = price_bounds(breakdown, osm, mk)
+        if lower > upper:
+            raise InfeasiblePriceError(lower, upper)
+        price = min(max(interior, lower), upper)
+        return PricingSolution(
+            price=price,
+            lower_bound=lower,
+            upper_bound=upper,
+            interior_price=interior,
+            fs_share=fs_market_share(price, osm, mk),
+            profit=expected_profit(price, breakdown, osm, mk),
+            breakdown=breakdown,
+            variant=variant,
+            m_count=m,
+            lf_star=lf_star,
+        )
+
+
 def optimal_price(s: Scenario, variant: str = "full",
                   internal: RateSeries | None = None,
                   external: RateSeries | None = None,
                   lf: float | None = None) -> PricingSolution:
-    """Price one model variant.
+    """Price one model variant (see :meth:`CostSide.variant_cost`).
 
-    ``bench`` prices with no learning, the pay-per-repair maintenance plan
-    and no training; ``auto`` applies the cumulative experience multiplier
-    Z^(-alpha_auto) at the optimized maintenance count; ``full`` adds
-    training at the optimized (or explicitly given) frequency lf.
+    ``lf`` fixes the full model's training frequency instead of optimizing
+    it.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if internal is None:
-        internal = internal_rate_series(s.failure, s.grid)
-    if external is None:
-        external = simulate_external_rates(s)
-
-    osm = os_cost_moments(s, internal).scaled(1.0 / DOLLARS_PER_REPORT_UNIT)
-    lf_star: float | None = None
-
-    if variant == "bench":
-        m = s.cost.m0_os
-        a_factor, training = 1.0, 0.0
-    elif variant == "auto":
-        m = optimal_pm_count(s, internal).m_count
-        a_factor = s.grid.z_periods ** -s.learning.alpha_auto
-        training = 0.0
-    else:
-        m = optimal_pm_count(s, internal).m_count
-        if lf is None:
-            solution = optimize_lf(m, s, internal, external)
-            lf_star = solution.lf_star
-        else:
-            lf_star = lf
-        state = learning_state(lf_star, m, s, internal, external)
-        a_factor, training = state.a_factor, state.training_cost
-
-    breakdown = CostBreakdown(
-        repair=expected_repair_cost(m, s, internal) * a_factor,
-        maintenance=maintenance_cost(m, s.cost.avg_maintenance_cost),
-        delay=expected_delay_cost(m, s, internal),
-        training=training,
-    ).scaled(1.0 / DOLLARS_PER_REPORT_UNIT)
-
-    interior = _interior_price(breakdown, osm, s.market)
-    lower, upper = price_bounds(breakdown, osm, s.market)
-    if lower > upper:
-        raise InfeasiblePriceError(lower, upper)
-    price = min(max(interior, lower), upper)
-    return PricingSolution(
-        price=price,
-        lower_bound=lower,
-        upper_bound=upper,
-        interior_price=interior,
-        fs_share=fs_market_share(price, osm, s.market),
-        profit=expected_profit(price, breakdown, osm, s.market),
-        breakdown=breakdown,
-        variant=variant,
-        m_count=m,
-        lf_star=lf_star,
-    )
+    return CostSide(s, internal, external).price(variant, s.market, lf)
 
 
 def price_variants(s: Scenario) -> dict[str, PricingSolution]:
-    """Price all three model variants on shared rate inputs."""
-    internal = internal_rate_series(s.failure, s.grid)
-    external = simulate_external_rates(s)
-    return {v: optimal_price(s, v, internal, external) for v in VARIANTS}
+    """Price all three model variants on one shared cost side."""
+    cost_side = CostSide(s)
+    return {v: cost_side.price(v, s.market) for v in VARIANTS}

@@ -5,6 +5,14 @@ model ("old") and pure pay-per-repair service, or trace one KPI set along a
 swept parameter.  Emitters produce CSV, markdown, plain x/y plot data and a
 dependency-free SVG line chart; all outputs are byte-deterministic for
 identical inputs.
+
+A comparison prices every row from one :class:`~fscontract.pricing.CostSide`,
+so the rates, maintenance plan, cost moments and lf search are computed
+once.  A sweep checks the scenario fields at every point.  On the axes
+that leave the cost side unchanged (the mark-up ``beta``, and a fixed
+``lf``) it builds the cost side once, checks the optimizer's assumptions
+on it once, and reruns only the market side per point.  Other axes build
+one cost side per point, shared by its checks and its price.
 """
 
 from __future__ import annotations
@@ -13,20 +21,19 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .costs import os_cost_moments
-from .failure import internal_rate_series
 from .pricing import (
+    CostSide,
     InfeasiblePriceError,
     InfeasibleTrainingError,
     PricingSolution,
     optimal_price,
 )
 from .scenario import (
-    DOLLARS_PER_REPORT_UNIT,
     Scenario,
     ScenarioValidationError,
+    _cost_side_violations,
+    _field_violations,
     scaled_to_mean,
-    validate_scenario,
 )
 
 SWEEP_PARAMS = ("beta", "phi_int_mean", "lf", "unit_training_cost")
@@ -84,10 +91,10 @@ def compare_models(s: Scenario) -> list[KpiRecord]:
     The pay-per-repair row prices at cost plus mark-up; its market share is
     not applicable and reported as NaN.
     """
-    full = optimal_price(s, "full")
-    auto = optimal_price(s, "auto")
-    osm = os_cost_moments(s, internal_rate_series(s.failure, s.grid))
-    osm = osm.scaled(1.0 / DOLLARS_PER_REPORT_UNIT)
+    cost_side = CostSide(s)
+    full = cost_side.price("full", s.market)
+    auto = cost_side.price("auto", s.market)
+    osm = cost_side.os_moments
     beta = s.market.beta
     os_row = KpiRecord(
         variant="os",
@@ -111,6 +118,16 @@ def _swept_scenario(s: Scenario, param: str, value: float) -> Scenario:
     return replace(s, learning=replace(s.learning, unit_training_cost=value))
 
 
+#: Sweep axes that leave the cost side unchanged: the mark-up is a market
+#: parameter, and a fixed lf is priced on the shared lf problem.
+_COST_SIDE_FIXED = ("beta", "lf")
+
+
+def _raise_on(violations) -> None:
+    if violations:
+        raise ScenarioValidationError(violations)
+
+
 def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
     """Evaluate the KPI set at each swept value, everything else held fixed.
 
@@ -121,14 +138,16 @@ def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
     flagged NaN record and the sweep continues.
     """
     records = []
+    cost_side = None
     for value in spec.values:
         scenario = _swept_scenario(s, spec.param, value)
-        violations = validate_scenario(scenario)
-        if violations:
-            raise ScenarioValidationError(violations)
+        _raise_on(_field_violations(scenario))
+        if cost_side is None or spec.param not in _COST_SIDE_FIXED:
+            cost_side = CostSide(scenario)
+            _raise_on(_cost_side_violations(cost_side.problem.terms))
         lf = value if spec.param == "lf" and spec.variant == "full" else None
         try:
-            sol = optimal_price(scenario, spec.variant, lf=lf)
+            sol = cost_side.price(spec.variant, scenario.market, lf)
             records.append(_record(sol, spec.param, value))
         except (InfeasibleTrainingError, InfeasiblePriceError):
             nan = float("nan")

@@ -27,7 +27,8 @@ workers; RNGs are created per call from the seed and never shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -293,12 +294,54 @@ def validate_scenario(s: Scenario, dominance_factor: float = 10.0) -> list[Viola
     """Check every field invariant plus the standing assumptions of the
     training-frequency optimizer.
 
-    Returns an empty list iff the scenario is valid.  The optimizer
-    assumptions require the net trainable-time coefficient R-S-Q-U to be
-    positive and to dominate the external interruption time S by
-    ``dominance_factor``.
+    Returns an empty list iff the scenario is valid.  Every numeric field
+    must be finite.  The optimizer assumptions require the net
+    trainable-time coefficient R-S-Q-U to be positive and to dominate the
+    external interruption time S by ``dominance_factor``; they are checked
+    only once the fields are valid.
     """
-    v: list[Violation] = []
+    v = _field_violations(s)
+    if v:
+        return v
+    from .pricing import CostSide
+
+    return _cost_side_violations(CostSide(s).problem.terms, dominance_factor)
+
+
+#: Config keys of the dataclass fields whose key differs from the field name.
+_CONFIG_NAMES = {"t_jm": "t_jM", "internal_series_override": "internal_series"}
+#: (section, field, config key) of every parameter field.
+_PARAM_FIELDS = tuple(
+    (section, f.name, f"{section}.{_CONFIG_NAMES.get(f.name, f.name)}")
+    for section, params in (("grid", PeriodGrid), ("failure", FailureParams),
+                            ("cost", CostParams), ("learning", LearningParams),
+                            ("market", MarketParams))
+    for f in fields(params)
+)
+
+
+def _non_finite_violations(s: Scenario) -> list[Violation]:
+    """One violation per numeric field (or tuple field) holding NaN or +-inf.
+
+    A tuple is checked through its sum, which is non-finite if any element
+    is (or if it overflows, as the model's own sums over it would).
+    """
+    v = []
+    for section, name, key in _PARAM_FIELDS:
+        value = getattr(getattr(s, section), name)
+        if isinstance(value, tuple):
+            value = sum(value)
+        if isinstance(value, float) and not math.isfinite(value):
+            v.append(Violation(key, "must be finite"))
+    return v
+
+
+def _field_violations(s: Scenario) -> list[Violation]:
+    """The field invariants of :func:`validate_scenario`: no rate series,
+    maintenance plan or lf problem is needed to check them."""
+    v = _non_finite_violations(s)
+    if v:
+        return v
     g, f, c, lp, mk = s.grid, s.failure, s.cost, s.learning, s.market
     z = g.z_periods
 
@@ -383,30 +426,22 @@ def validate_scenario(s: Scenario, dominance_factor: float = 10.0) -> list[Viola
             v.append(Violation("market.price_ceiling", "must be > 0"))
     except ValueError:
         v.append(Violation("market.price_ceiling", "need price_ceiling or (tco, c_lease, c_ops)"))
-
-    if v:
-        return v
-
-    # Optimizer standing assumptions, evaluated on the actual rate series.
-    from . import failure as failure_model
-    from . import learning as learning_model
-
-    internal = failure_model.internal_rate_series(f, g)
-    external = simulate_external_rates(s)
-    plan = failure_model.optimal_pm_count(s, internal)
-    terms = learning_model.reduced_terms(plan.m_count, s, internal, external)
-    net = terms.r - terms.s - terms.q - terms.u
-    if net <= 0:
-        v.append(Violation("learning.lf", "no surplus time is left for training (R-S-Q-U <= 0)"))
-    elif net < dominance_factor * terms.s:
-        v.append(
-            Violation(
-                "failure.ext_mean",
-                f"external interruptions too large: R-S-Q-U = {net:.3f} "
-                f"< {dominance_factor:g} * S = {dominance_factor * terms.s:.3f}",
-            )
-        )
     return v
+
+
+def _cost_side_violations(terms, dominance_factor: float = 10.0) -> list[Violation]:
+    """The optimizer's standing assumptions, on the reduced terms of the
+    actual rate series at the optimal maintenance count."""
+    net = terms.net
+    if net <= 0:
+        return [Violation("learning.lf", "no surplus time is left for training (R-S-Q-U <= 0)")]
+    if net < dominance_factor * terms.s:
+        return [Violation(
+            "failure.ext_mean",
+            f"external interruptions too large: R-S-Q-U = {net:.3f} "
+            f"< {dominance_factor:g} * S = {dominance_factor * terms.s:.3f}",
+        )]
+    return []
 
 
 # ---------------------------------------------------------------------------

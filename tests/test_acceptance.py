@@ -339,4 +339,10 @@ def test_criterion_12_determinism_and_round_trips(tmp_path):
         original = sweep(SweepSpec(param="beta", values=(0.5, 0.7, 0.9)), s)
         for got, want in zip(emitted, original):
             for field in ("swept_value", "price", "cost", "profit", "fs_share"):
-                assert getattr(got, field) == pytest.approx(getattr(want, field), abs=5e-7)
+                # %.6f rounds to half a unit in the 6th decimal; a value whose
+                # 7th decimal is 5 can land one ulp beyond that
+                want_value = getattr(want, field)
+                assert getattr(got, field) == pytest.approx(
+                    want_value, abs=5e-7 + math.ulp(want_value))
+        emit_report(emitted, "csv", tmp_path / "reemitted.csv")
+        assert (tmp_path / "reemitted.csv").read_bytes() == (outputs[0] / "sweep.csv").read_bytes()

@@ -44,6 +44,22 @@ class TestPriceCommand:
         assert code == 1
         assert "learning.lf" in err
 
+    @pytest.mark.parametrize("line", [
+        "failure.phi0_int = nan",
+        "failure.ext_sd = nan",
+        "market.price_ceiling = nan",
+        "cost.repair_cost_sd = nan",
+        "learning.unit_training_cost = inf",
+        "market.beta = -inf",
+    ])
+    def test_non_finite_value_is_validation_error(self, capsys, tmp_path, line):
+        bad = tmp_path / "nonfinite.cfg"
+        bad.write_text(line + "\n")
+        code, out, err = run(capsys, "price", "--config", str(bad))
+        assert code == 1
+        assert out == ""
+        assert f"{line.split(' = ')[0]}: must be finite" in err
+
     def test_infeasible_model_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "squeezed.cfg"
         bad.write_text("market.price_ceiling = 10.0\n")

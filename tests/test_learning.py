@@ -9,8 +9,12 @@ from fscontract import (
     forgetting_time,
     fs_cost_lf_derivative,
     internal_rate_series,
+    expected_delay_cost,
+    expected_repair_cost,
     learning_effect,
     learning_state,
+    lf_problem,
+    maintenance_cost,
     reduced_terms,
     simulate_external_rates,
     total_fs_cost,
@@ -251,3 +255,46 @@ class TestDerivative:
         internal, external = baseline_rates
         assert fs_cost_lf_derivative(0.002, 3, baseline, internal, external) < 0
         assert fs_cost_lf_derivative(0.02, 3, baseline, internal, external) > 0
+
+
+class TestLfProblem:
+    def test_cost_is_closed_form_in_the_aggregates(self, baseline, baseline_rates):
+        internal, external = baseline_rates
+        lp = baseline.learning
+        problem = lf_problem(3, baseline, internal, external)
+        terms = reduced_terms(3, baseline, internal, external)
+        t_r = total_repair_time(internal, baseline.grid)
+        repair = expected_repair_cost(3, baseline, internal)
+        fixed = maintenance_cost(3, 300.0) + expected_delay_cost(3, baseline, internal)
+        for lf in (0.002, 0.005, 0.05, 0.3):
+            t_eff = terms.net * lf - terms.s - terms.v * lf ** (1 - 2 * lp.epsilon)
+            closed = (repair * t_r ** -lp.alpha_auto * t_eff ** -lp.alpha_indu + fixed
+                      + lp.unit_training_cost * terms.net * lf)
+            assert problem.cost(lf) == pytest.approx(closed, rel=1e-12)
+
+    def test_methods_agree_with_the_wrappers(self, baseline, baseline_rates):
+        internal, external = baseline_rates
+        problem = lf_problem(3, baseline, internal, external)
+        lf = 0.005
+        assert problem.cost(lf) == total_fs_cost(lf, 3, baseline, internal, external).breakdown.total
+        assert problem.evaluate(lf).breakdown.total == problem.cost(lf)
+        assert problem.state(lf) == learning_state(lf, 3, baseline, internal, external)
+        assert problem.derivative(lf) == fs_cost_lf_derivative(lf, 3, baseline, internal,
+                                                                external)
+
+    def test_feasible_edge_is_the_root_of_effective_training(self, baseline, baseline_rates):
+        internal, external = baseline_rates
+        problem = lf_problem(3, baseline, internal, external)
+        lo, hi = problem.feasible_range()
+        assert problem.state(lo).effective_training > 0.0
+        below = lo * (1 - 1e-9)
+        assert problem.t_training(below) - problem.t_forgetting(below) <= 0.0
+        assert hi < 1.0
+
+    def test_short_period_makes_every_lf_infeasible(self):
+        s = make_scenario(z=2, t=10.0, phi0=0.2, series=(1.5, 1.5))
+        internal, external = rates(s)
+        problem = lf_problem(1, s, internal, external)
+        assert problem.short_period == 1
+        with pytest.raises(InfeasibleTrainingError, match="period 1"):
+            problem.cost(0.01)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fscontract import (
+    INTERNAL_RATE_TABLE_PATH,
     CostBreakdown,
     InfeasiblePriceError,
     MarketParams,
@@ -13,11 +14,15 @@ from fscontract import (
     disutility,
     expected_profit,
     fs_market_share,
+    default_scenario,
     internal_rate_series,
+    load_internal_table,
+    optimal_pm_count,
     optimal_price,
     optimize_lf,
     price_bounds,
     price_variants,
+    simulate_external_rates,
     total_fs_cost,
 )
 from fscontract.pricing import _interior_price, golden_section
@@ -78,6 +83,46 @@ class TestOptimizeLf:
         cost_low = total_fs_cost(grid_low, 3, s, internal, external).breakdown.total
         assert sol.lf_star <= grid_low + 1e-4
         assert sol.cost_at_star <= cost_low * (1 + 1e-6)
+
+
+    def test_iteration_budget(self, baseline, baseline_rates):
+        internal, external = baseline_rates
+        assert optimize_lf(3, baseline, internal, external).iterations <= 40
+
+    def test_optimum_far_above_the_turning_point_hint(self):
+        # simple forgetting on table column 1: the hint v/(2 net) is 2.3e-4,
+        # below the feasible edge 1.88e-3, and the optimum is near 6.0e-3; a
+        # search window around the hint once returned the edge (315 216 $)
+        s = default_scenario()
+        s = replace(
+            s,
+            failure=replace(s.failure,
+                            internal_series_override=load_internal_table(
+                                INTERNAL_RATE_TABLE_PATH, 1),
+                            rho=0.5691984275048765, ext_mean=0.0006839082764524418,
+                            ext_sd=0.0002477807639667956),
+            cost=replace(s.cost, unit_repair_cost=1239.5806735731464,
+                         repair_cost_sd=27967.014220172456,
+                         avg_maintenance_cost=282.83293360531854,
+                         delay_probability=0.005357244299815073),
+            learning=replace(s.learning, alpha_auto=0.13004777937789985,
+                             alpha_indu=0.06168793763204281, epsilon=0.07317722397877556,
+                             unit_training_cost=41.83880618527539, forgetting_model="simple"),
+            rng_seed=3123626410,
+        )
+        internal = internal_rate_series(s.failure, s.grid)
+        external = simulate_external_rates(s)
+        m = optimal_pm_count(s, internal).m_count
+        assert m == 1
+        sol = optimize_lf(m, s, internal, external)
+        lo, _ = sol.feasible_range
+        assert sol.vertex_hint < lo
+        grid = np.arange(lo + 1e-5, 0.05, 1e-5)
+        costs = [total_fs_cost(lf, m, s, internal, external).breakdown.total for lf in grid]
+        best = int(np.argmin(costs))
+        assert grid[best] == pytest.approx(0.006045, abs=2e-5)
+        assert abs(sol.lf_star - grid[best]) <= 1e-4
+        assert sol.cost_at_star == pytest.approx(95501.08, rel=1e-5)
 
 
 class TestDisutility:

@@ -1,6 +1,9 @@
+import functools
 import math
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fscontract import (
@@ -8,9 +11,13 @@ from fscontract import (
     SweepSpec,
     compare_models,
     emit_report,
+    optimal_pm_count,
+    optimal_price,
+    optimize_lf,
     price_variants,
     profit_premium_sweep,
     read_kpi_csv,
+    simulate_external_rates,
     sweep,
 )
 
@@ -116,6 +123,68 @@ class TestSweep:
         assert lf_records[0].cost == lf_records[1].cost
 
 
+def count_calls(monkeypatch, *functions) -> dict[str, list]:
+    """Count calls of package functions, at every module attribute bound to them."""
+    calls = {}
+    for fn in functions:
+        seen = calls[fn.__name__] = []
+
+        def counted(*args, _fn=fn, _seen=seen, **kwargs):
+            _seen.append(1)
+            return _fn(*args, **kwargs)
+
+        functools.update_wrapper(counted, fn)
+        for name, module in list(sys.modules.items()):
+            if name == "fscontract" or name.startswith("fscontract."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestCostSideReuse:
+    """Work that does not depend on the swept value runs once, not per point."""
+
+    BETAS = tuple(float(b) for b in np.linspace(0.3, 2.3, 41))
+
+    def test_beta_sweep_builds_one_cost_side(self, monkeypatch, baseline):
+        calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates,
+                            optimal_pm_count)
+        records = sweep(SweepSpec(param="beta", values=self.BETAS), baseline)
+        assert len(records) == 41
+        assert {name: len(c) for name, c in calls.items()} == {
+            "optimize_lf": 1, "simulate_external_rates": 1, "optimal_pm_count": 1}
+
+    def test_lf_sweep_runs_no_lf_search(self, monkeypatch, baseline):
+        calls = count_calls(monkeypatch, optimize_lf, optimal_pm_count)
+        sweep(SweepSpec(param="lf", values=(0.004, 0.005, 0.02)), baseline)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "optimize_lf": 0, "optimal_pm_count": 1}
+
+    def test_compare_runs_one_lf_search(self, monkeypatch, baseline):
+        calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates)
+        compare_models(baseline)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "optimize_lf": 1, "simulate_external_rates": 1}
+
+    @pytest.mark.parametrize("param, values", [
+        ("beta", (0.5, 1.7, 4.0)),
+        ("lf", (0.004, 0.005, 0.02)),
+        ("unit_training_cost", (20.0, 50.0, 500.0)),
+    ])
+    def test_rows_equal_pricing_each_point_alone(self, baseline, param, values):
+        records = sweep(SweepSpec(param=param, values=values), baseline)
+        for r in records:
+            if param == "beta":
+                s = replace(baseline, market=replace(baseline.market, beta=r.swept_value))
+            else:
+                s = replace(baseline, learning=replace(baseline.learning,
+                                                       **{param: r.swept_value}))
+            sol = optimal_price(s, "full", lf=r.swept_value if param == "lf" else None)
+            assert (r.price, r.cost, r.profit, r.fs_share) == (
+                sol.price, sol.breakdown.total, sol.profit, sol.fs_share)
+
+
 class TestEmission:
     def test_csv_single_record(self, tmp_path):
         record = KpiRecord("full", "beta", 0.5, 198.0, 111.0, 4323.0, 1.0)
@@ -156,7 +225,12 @@ class TestEmission:
                     if math.isnan(b):
                         assert math.isnan(a)
                     else:
-                        assert a == pytest.approx(b, abs=5e-7)
+                        # %.6f rounds to half a unit in the 6th decimal; a
+                        # value whose 7th decimal is 5 can land one ulp beyond
+                        assert a == pytest.approx(b, abs=5e-7 + math.ulp(b))
+            again = tmp_path / ("again_" + name)
+            emit_report(loaded, "csv", again)
+            assert again.read_bytes() == path.read_bytes()
 
     def test_plotdata_rows(self, tmp_path, beta_sweep):
         path = tmp_path / "sweep.dat"

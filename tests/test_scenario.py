@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from fscontract import (
     INTERNAL_RATE_TABLE_PATH,
     ConfigError,
     ScenarioValidationError,
+    Violation,
     default_scenario,
     internal_rate_series,
     load_internal_table,
@@ -73,6 +75,63 @@ class TestValidation:
         bad = replace(baseline, market=replace(baseline.market, beta=-1.0))
         violations = validate_scenario(bad)
         assert violations and all(str(v) for v in violations)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _poisoned(s, section, name, bad):
+    """The scenario with one field (or one element of a tuple field) set to bad."""
+    params = getattr(s, section)
+    value = getattr(params, name)
+    if isinstance(value, tuple):
+        value = value[:1] + (bad,) + value[2:]
+    else:
+        value = bad
+    return replace(s, **{section: replace(params, **{name: value})})
+
+
+def _assert_rejected(s, section, name, key, bad):
+    assert Violation(key, "must be finite") in validate_scenario(_poisoned(s, section, name, bad))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+class TestNonFiniteFields:
+    """Every numeric field, scalar or tuple, must be finite."""
+
+    @pytest.mark.parametrize("name, key", [("t_j", "grid.t_j"), ("t_jm", "grid.t_jM")])
+    def test_grid(self, baseline, bad, name, key):
+        _assert_rejected(baseline, "grid", name, key, bad)
+
+    @pytest.mark.parametrize("name", ["phi0_int", "k1", "k2", "m", "rho", "ext_mean", "ext_sd"])
+    def test_failure(self, baseline, bad, name):
+        _assert_rejected(baseline, "failure", name, f"failure.{name}", bad)
+
+    def test_internal_series(self, baseline, bad):
+        _assert_rejected(baseline, "failure", "internal_series_override",
+                         "failure.internal_series", bad)
+
+    @pytest.mark.parametrize("name", ["unit_repair_cost", "repair_cost_sd",
+                                      "avg_maintenance_cost", "unit_delay_cost",
+                                      "delay_probability"])
+    def test_cost(self, baseline, bad, name):
+        _assert_rejected(baseline, "cost", name, f"cost.{name}", bad)
+
+    def test_per_period_repair_costs(self, baseline, bad):
+        per_period = replace(baseline, cost=replace(baseline.cost,
+                                                    unit_repair_cost=(1000.0,) * 20))
+        _assert_rejected(per_period, "cost", "unit_repair_cost", "cost.unit_repair_cost", bad)
+
+    @pytest.mark.parametrize("name", ["alpha_auto", "alpha_indu", "epsilon", "lf",
+                                      "unit_training_cost", "repair_hours",
+                                      "maintenance_hours"])
+    def test_learning(self, baseline, bad, name):
+        _assert_rejected(baseline, "learning", name, f"learning.{name}", bad)
+
+    @pytest.mark.parametrize("name", ["beta", "alpha_max", "price_ceiling", "tco", "c_lease",
+                                      "c_ops"])
+    def test_market(self, baseline, bad, name):
+        _assert_rejected(baseline, "market", name, f"market.{name}", bad)
 
 
 class TestConfigIO:
