@@ -29,9 +29,9 @@ from .scenario import (
     ConfigError,
     Scenario,
     ScenarioValidationError,
-    load_scenario,
+    _read_scenario,
+    _validated,
     simulate_external_rates,
-    validate_scenario,
 )
 
 _PARAM_BY_FLAG = {
@@ -48,13 +48,11 @@ EXIT_IO = 3
 
 
 def _load(args) -> Scenario:
-    scenario = load_scenario(args.config)
+    """The config's scenario with the ``--seed`` override, validated once."""
+    scenario = _read_scenario(args.config)
     if args.seed is not None:
         scenario = replace(scenario, rng_seed=args.seed)
-        violations = validate_scenario(scenario)
-        if violations:
-            raise ScenarioValidationError(violations)
-    return scenario
+    return _validated(scenario)
 
 
 def _cmd_price(args) -> int:

@@ -58,7 +58,7 @@ class OsCostMoments:
 
 def _repair_bill(s: Scenario, counts: np.ndarray) -> float:
     """Per-period unit repair cost times expected failures, summed."""
-    return float(np.dot(np.asarray(s.cost.repair_costs(s.grid.z_periods)), counts))
+    return float(np.dot(s.repair_cost_array, counts))
 
 
 def _delay_bill(s: Scenario, counts: np.ndarray) -> float:
@@ -115,7 +115,7 @@ def os_cost_moments(s: Scenario, internal: RateSeries) -> OsCostMoments:
     Var = sum_j E[N_j] (c_rj^2 + sigma_r^2).
     """
     counts = expected_failures(s.cost.m0_os, s, internal)
-    costs = np.asarray(s.cost.repair_costs(s.grid.z_periods))
+    costs = s.repair_cost_array
     variance = float(np.dot(counts, costs**2 + s.cost.repair_cost_sd**2))
     return OsCostMoments(
         repair_mean=_repair_bill(s, counts),

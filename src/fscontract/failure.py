@@ -19,6 +19,15 @@ which, on a uniform grid, telescopes into the equivalent expanded form
 phi_0 t + rho t^2 g_j / (2M) + t^2 (1 - rho)/2 (g_j + 2 sum_{k<j} g_k).
 Both forms are exercised by the test suite.
 
+The rate series itself is the recursion phi_j = max(phi_{j-1} + g_j t_j, 0)
+from phi_0, evaluated in two vectorised segments.  Only run-in slopes are
+negative (k1, k2 in (0, 1) and m > 0 make every other slope >= 0), so the
+zero floor can bind only in run-in, and once it binds every later run-in
+rate stays at zero.  Run-in rates are therefore a running sum from phi_0
+floored at zero, and the remaining rates a running sum that starts from the
+last run-in rate.  Both sums add the same terms in the same order as the
+period-by-period recursion; :func:`aging_factor` is the scalar reference.
+
 The optimal maintenance count minimizes expected repair plus maintenance
 cost.  Only the within-period growth depends on M, so the trade-off is
 K/M + c_M (M - 1) with K = rho/2 * sum_j c_rj g_j t_j^2, giving the closed
@@ -66,9 +75,21 @@ def aging_factor(j: int, f: FailureParams, grid: PeriodGrid) -> float:
     return (f.k2 / f.m) * ((j - z2) / f.m) ** (f.k2 - 1.0)
 
 
+def _aging_slopes(f: FailureParams, z: int) -> np.ndarray:
+    """The Z aging slopes of :func:`aging_factor` as one array."""
+    z1, z2, _ = f.stage_bounds
+    j = np.arange(1.0, z + 1.0)
+    g = np.zeros(z)
+    run_in = min(max(z1, 0), z)
+    g[:run_in] = -(f.k1 / f.m) * (j[:run_in] / f.m) ** (f.k1 - 1.0)
+    wear_out = min(max(z1, z2, 0), z)
+    g[wear_out:] = (f.k2 / f.m) * ((j[wear_out:] - z2) / f.m) ** (f.k2 - 1.0)
+    return g
+
+
 def aging_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
     """All Z aging slopes as a series."""
-    return RateSeries("aging", tuple(aging_factor(j, f, grid) for j in range(1, grid.z_periods + 1)))
+    return RateSeries("aging", tuple(_aging_slopes(f, grid.z_periods).tolist()))
 
 
 def internal_rate_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
@@ -76,23 +97,27 @@ def internal_rate_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
 
     With an override the stored series is returned verbatim.  Otherwise the
     rate follows phi_j = phi_{j-1} + g_j t_j from phi_0, floored at zero
-    (aggressive run-in parameters can undershoot; that is reported as a
-    warning, not an error).
+    (aggressive run-in parameters can undershoot; each undershooting period
+    is reported as a warning, not an error).
     """
     if f.internal_series_override is not None:
         return RateSeries("internal", tuple(float(x) for x in f.internal_series_override))
-    values = []
-    phi = f.phi0_int
-    for j in range(1, grid.z_periods + 1):
-        phi = phi + aging_factor(j, f, grid) * grid.t_j[j - 1]
-        if phi < -_FLOOR_TOLERANCE:
+    steps = _aging_slopes(f, grid.z_periods) * grid.t_array
+    n = min(max(f.stage_bounds[0], 0), grid.z_periods)
+    run_in = np.cumsum(np.concatenate(([f.phi0_int], steps[:n])))[1:]
+    floored = np.flatnonzero(run_in < 0.0)
+    if floored.size:
+        # from the first floored period on, each run-in period starts at zero
+        raw = np.concatenate((run_in[:floored[0] + 1], steps[floored[0] + 1:n]))
+        for j in np.flatnonzero(raw < -_FLOOR_TOLERANCE):
             warnings.warn(
-                f"internal rate undershoots zero in period {j} ({phi:.3e}); floored",
+                f"internal rate undershoots zero in period {j + 1} ({raw[j]:.3e}); floored",
                 stacklevel=2,
             )
-        phi = max(phi, 0.0)
-        values.append(phi)
-    return RateSeries("internal", tuple(values))
+        run_in = np.maximum(run_in, 0.0)
+    last = run_in[-1] if n else f.phi0_int
+    rest = np.cumsum(np.concatenate(([last], steps[n:])))[1:]
+    return RateSeries("internal", tuple(np.concatenate((run_in, rest)).tolist()))
 
 
 def rate_increments(f: FailureParams, grid: PeriodGrid, internal: RateSeries) -> np.ndarray:
@@ -117,7 +142,7 @@ def expected_failures(m: int, s: Scenario, internal: RateSeries) -> np.ndarray:
     if m < 1:
         raise ValueError("maintenance count must be >= 1")
     f = s.failure
-    t = np.asarray(s.grid.t_j)
+    t = s.grid.t_array
     delta = rate_increments(f, s.grid, internal)
     prev = internal.as_array() - delta
     start_rate = f.phi0_int + (1.0 - f.rho) * (prev - f.phi0_int)
@@ -145,8 +170,8 @@ def optimal_pm_count(s: Scenario, internal: RateSeries) -> MaintenancePlan:
     a nonpositive radicand (net-declining rate over the horizon) clamps to
     a single action.  Halves round up for determinism.
     """
-    costs = np.asarray(s.cost.repair_costs(s.grid.z_periods))
-    t = np.asarray(s.grid.t_j)
+    costs = s.repair_cost_array
+    t = s.grid.t_array
     delta = rate_increments(s.failure, s.grid, internal)
     # g_j t_j^2 = delta_j t_j
     aging_cost = float(np.dot(costs, delta * t))

@@ -97,7 +97,7 @@ class FsCostResult:
 
 def total_repair_time(internal: RateSeries, grid: PeriodGrid, repair_hours: float = 1.0) -> float:
     """Cumulative repair hours: sum_j phi_j t_j, scaled by hours per repair."""
-    return float(np.dot(internal.as_array(), np.asarray(grid.t_j))) * repair_hours
+    return float(np.dot(internal.as_array(), grid.t_array)) * repair_hours
 
 
 def maintenance_allocation(m: int, grid: PeriodGrid, maintenance_hours: float) -> np.ndarray:
@@ -230,7 +230,7 @@ def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries) 
     """Collect the lf-independent part of the contract cost for m
     maintenance actions and the given rate series."""
     lp = s.learning
-    t = np.asarray(s.grid.t_j)
+    t = s.grid.t_array
     phi = internal.as_array()
     internal_h = phi * t * lp.repair_hours
     external_h = external.as_array() * t * lp.repair_hours

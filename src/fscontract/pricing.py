@@ -267,6 +267,22 @@ class CostSide:
     def lf_solution(self) -> LfSolution:
         return optimize_lf(self.plan.m_count, self.scenario, self.internal, self.external)
 
+    def with_learning(self, s: Scenario) -> "CostSide":
+        """The cost side of ``s``, a scenario that differs from this one's
+        only in learning parameters that stay out of the lf problem's
+        aggregates (the training cost, the learning exponents; not the hours
+        per repair or per maintenance visit, nor the rework exponent).
+
+        The rates, maintenance plan and cost moments are shared, the lf
+        problem keeps its aggregates and takes the new parameters, and lf*
+        and the variant costs are computed afresh.
+        """
+        other = CostSide(s, self.internal, self.external)
+        other.plan = self.plan
+        other.os_moments = self.os_moments
+        other.problem = replace(self.problem, learning=s.learning)
+        return other
+
     def variant_cost(self, variant: str,
                      lf: float | None = None) -> tuple[CostBreakdown, int, float | None]:
         """One variant's cost breakdown (report units), maintenance count

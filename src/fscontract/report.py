@@ -8,11 +8,15 @@ identical inputs.
 
 A comparison prices every row from one :class:`~fscontract.pricing.CostSide`,
 so the rates, maintenance plan, cost moments and lf search are computed
-once.  A sweep checks the scenario fields at every point.  On the axes
-that leave the cost side unchanged (the mark-up ``beta``, and a fixed
-``lf``) it builds the cost side once, checks the optimizer's assumptions
-on it once, and reruns only the market side per point.  Other axes build
-one cost side per point, shared by its checks and its price.
+once.  A sweep checks the scenario fields at every point, and shares the
+cost side between points wherever the swept value leaves it unchanged.  The
+mark-up ``beta`` and a fixed ``lf`` leave it whole: the sweep builds it
+once, checks the optimizer's assumptions on it once, and reruns only the
+market side per point.  ``unit_training_cost`` enters only the lf problem:
+each point shares the previous point's rates, maintenance plan and cost
+moments, the assumptions are checked once, and only the lf search and the
+market side rerun.  ``phi_int_mean`` rescales the rates, so it builds one
+cost side per point, shared by that point's checks and its price.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .pricing import (
     InfeasiblePriceError,
     InfeasibleTrainingError,
     PricingSolution,
-    optimal_price,
 )
 from .scenario import (
     Scenario,
@@ -118,11 +121,6 @@ def _swept_scenario(s: Scenario, param: str, value: float) -> Scenario:
     return replace(s, learning=replace(s.learning, unit_training_cost=value))
 
 
-#: Sweep axes that leave the cost side unchanged: the mark-up is a market
-#: parameter, and a fixed lf is priced on the shared lf problem.
-_COST_SIDE_FIXED = ("beta", "lf")
-
-
 def _raise_on(violations) -> None:
     if violations:
         raise ScenarioValidationError(violations)
@@ -142,9 +140,12 @@ def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
     for value in spec.values:
         scenario = _swept_scenario(s, spec.param, value)
         _raise_on(_field_violations(scenario))
-        if cost_side is None or spec.param not in _COST_SIDE_FIXED:
+        # beta and a fixed lf keep the cost side whole (see the module docstring)
+        if cost_side is None or spec.param == "phi_int_mean":
             cost_side = CostSide(scenario)
             _raise_on(_cost_side_violations(cost_side.problem.terms))
+        elif spec.param == "unit_training_cost":
+            cost_side = cost_side.with_learning(scenario)
         lf = value if spec.param == "lf" and spec.variant == "full" else None
         try:
             sol = cost_side.price(spec.variant, scenario.market, lf)
@@ -160,13 +161,16 @@ def profit_premium_sweep(s: Scenario, values: tuple[float, ...]) -> list[tuple[f
     """Full-model profit advantage over the old model per unit training cost.
 
     The old model never trains, so its profit is evaluated once at the base
-    scenario.
+    scenario.  The training cost enters only the lf problem, so every value
+    shares the base scenario's rates, maintenance plan and cost moments.
     """
-    auto_profit = optimal_price(s, "auto").profit
+    cost_side = CostSide(s)
+    auto_profit = cost_side.price("auto", s.market).profit
     out = []
     for value in values:
         scenario = replace(s, learning=replace(s.learning, unit_training_cost=value))
-        out.append((value, optimal_price(scenario, "full").profit - auto_profit))
+        full = cost_side.with_learning(scenario).price("full", scenario.market)
+        out.append((value, full.profit - auto_profit))
     return out
 
 

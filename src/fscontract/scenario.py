@@ -22,13 +22,18 @@ Config files are flat ``dotted.key = value`` text (see :func:`load_scenario`),
 chosen so that scenarios round-trip losslessly and diff cleanly.
 
 Scenario values are immutable after construction and safe to share across
-workers; RNGs are created per call from the seed and never shared.
+workers; RNGs are created per call from the seed and never shared.  The
+per-period arrays that the model computes on (:meth:`RateSeries.as_array`,
+:attr:`PeriodGrid.t_array`, :attr:`Scenario.repair_cost_array`) are derived
+from the tuples once per value object, on first use, and are read-only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -91,11 +96,22 @@ class RateSeries:
     values: tuple[float, ...]
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        """The values as a read-only float array, built once."""
+        return self._array
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        return _read_only(self.values)
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.values))
+        return float(np.mean(self.as_array()))
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -114,6 +130,11 @@ class PeriodGrid:
     @classmethod
     def uniform(cls, z_periods: int, hours: float, calendar_hours: float) -> "PeriodGrid":
         return cls(z_periods, (float(hours),) * z_periods, (float(calendar_hours),) * z_periods)
+
+    @cached_property
+    def t_array(self) -> np.ndarray:
+        """Operating hours per period as a read-only array, built once."""
+        return _read_only(self.t_j)
 
     @property
     def contract_length_b(self) -> float:
@@ -231,6 +252,11 @@ class Scenario:
     market: MarketParams
     rng_seed: int
 
+    @cached_property
+    def repair_cost_array(self) -> np.ndarray:
+        """Per-period expected repair costs as a read-only array, built once."""
+        return _read_only(self.cost.repair_costs(self.grid.z_periods))
+
 
 def default_scenario() -> Scenario:
     """The shipped, calibrated baseline scenario.
@@ -287,7 +313,7 @@ def simulate_external_rates(s: Scenario) -> RateSeries:
     """
     rng = np.random.default_rng(s.rng_seed)
     draws = rng.normal(s.failure.ext_mean, s.failure.ext_sd, s.grid.z_periods)
-    return RateSeries("external", tuple(float(x) for x in np.maximum(draws, 0.0)))
+    return RateSeries("external", tuple(np.maximum(draws, 0.0).tolist()))
 
 
 def validate_scenario(s: Scenario, dominance_factor: float = 10.0) -> list[Violation]:
@@ -349,9 +375,9 @@ def _field_violations(s: Scenario) -> list[Violation]:
         v.append(Violation("grid.z_periods", "must be >= 1"))
     if len(g.t_j) != z or len(g.t_jm) != z:
         v.append(Violation("grid.t_j", "length must equal z_periods"))
-    if any(t <= 0 for t in g.t_j):
+    if g.t_j and min(g.t_j) <= 0:
         v.append(Violation("grid.t_j", "every period length must be > 0"))
-    if any(tm < t for t, tm in zip(g.t_j, g.t_jm)):
+    if any(map(operator.lt, g.t_jm, g.t_j)):
         v.append(Violation("grid.t_jM", "calendar hours must be >= operating hours"))
 
     z1, z2, z3 = f.stage_bounds
@@ -376,13 +402,13 @@ def _field_violations(s: Scenario) -> list[Violation]:
     if f.internal_series_override is not None:
         if len(f.internal_series_override) != z:
             v.append(Violation("failure.internal_series", "length must equal z_periods"))
-        if any(x < 0 for x in f.internal_series_override):
+        if f.internal_series_override and min(f.internal_series_override) < 0:
             v.append(Violation("failure.internal_series", "rates must be >= 0"))
 
     costs = c.repair_costs(z)
     if len(costs) != z:
         v.append(Violation("cost.unit_repair_cost", "length must equal z_periods"))
-    if any(x < 0 for x in costs):
+    if costs and min(costs) < 0:
         v.append(Violation("cost.unit_repair_cost", "must be >= 0"))
     if c.repair_cost_sd < 0:
         v.append(Violation("cost.repair_cost_sd", "must be >= 0"))
@@ -538,8 +564,12 @@ def _parse_value(key: str, raw: str, lineno: int):
 
 
 def parse_config(text: str) -> dict:
-    """Parse ``dotted.key = value`` lines into a key/value mapping."""
+    """Parse ``dotted.key = value`` lines into a key/value mapping.
+
+    A key given twice is an error, not last-wins.
+    """
     out: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -549,6 +579,10 @@ def parse_config(text: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _ALL_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key!r} (first given on line {first_line[key]})")
+        first_line[key] = lineno
         out[key] = _parse_value(key, raw, lineno)
     return out
 
@@ -559,8 +593,28 @@ def _grid_tuple(value, z: int) -> tuple[float, ...]:
     return (float(value),) * z
 
 
+#: Config keys that may not be given together: each pair names one quantity
+#: twice, and only one of the two would survive a save/load round trip.
+_CONFLICTS = (
+    ("failure.internal_series", "failure.internal_table"),
+    ("market.price_ceiling", "market.tco"),
+    ("market.price_ceiling", "market.c_lease"),
+    ("market.price_ceiling", "market.c_ops"),
+)
+#: The TCO triple: any key of it replaces the default price ceiling.
+_TCO_KEYS = {"market.tco", "market.c_lease", "market.c_ops"}
+
+
 def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Scenario:
-    """Build a scenario from parsed config values on top of the defaults."""
+    """Build a scenario from parsed config values on top of the defaults.
+
+    Raises :class:`ConfigError` for a pair of keys that set the same
+    quantity two ways (an internal series and a rate table, or a price
+    ceiling and the TCO triple).
+    """
+    for a, b in _CONFLICTS:
+        if a in overrides and b in overrides:
+            raise ConfigError(f"{a} and {b} are mutually exclusive; give one of them")
     d = default_scenario()
     z = int(overrides.get("grid.z_periods", d.grid.z_periods))
 
@@ -624,7 +678,7 @@ def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Sc
         d_customers=overrides.get("market.d_customers", d.market.d_customers),
         price_ceiling=overrides.get(
             "market.price_ceiling",
-            None if "market.tco" in overrides else d.market.price_ceiling),
+            None if _TCO_KEYS & overrides.keys() else d.market.price_ceiling),
         tco=overrides.get("market.tco", d.market.tco),
         c_lease=overrides.get("market.c_lease", d.market.c_lease),
         c_ops=overrides.get("market.c_ops", d.market.c_ops),
@@ -639,19 +693,29 @@ def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Sc
     )
 
 
+def _read_scenario(path: str | Path) -> Scenario:
+    """Parse a scenario config file and complete it from the defaults,
+    without validating it."""
+    path = Path(path)
+    return scenario_from_overrides(parse_config(path.read_text(encoding="utf-8")),
+                                   base_dir=path.parent)
+
+
+def _validated(s: Scenario) -> Scenario:
+    """The scenario itself; raises :class:`ScenarioValidationError` if invalid."""
+    violations = validate_scenario(s)
+    if violations:
+        raise ScenarioValidationError(violations)
+    return s
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load, complete (from defaults) and validate a scenario config file.
 
     Raises :class:`ConfigError` on parse problems and
     :class:`ScenarioValidationError` when any field invariant fails.
     """
-    path = Path(path)
-    scenario = scenario_from_overrides(parse_config(path.read_text(encoding="utf-8")),
-                                       base_dir=path.parent)
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioValidationError(violations)
-    return scenario
+    return _validated(_read_scenario(path))
 
 
 def _fmt(value) -> str:

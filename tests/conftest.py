@@ -1,3 +1,6 @@
+import functools
+import sys
+
 import numpy as np
 import pytest
 
@@ -94,3 +97,22 @@ def random_rate_scenario(rng: np.random.Generator) -> Scenario:
                          unit_repair_cost=float(rng.uniform(100.0, 5000.0)),
                          c_m=float(rng.uniform(50.0, 2000.0)),
                          seed=int(rng.integers(0, 2**32)))
+
+
+def count_calls(monkeypatch, *functions) -> dict[str, list]:
+    """Count calls of package functions, at every module attribute bound to them."""
+    calls = {}
+    for fn in functions:
+        seen = calls[fn.__name__] = []
+
+        def counted(*args, _fn=fn, _seen=seen, **kwargs):
+            _seen.append(1)
+            return _fn(*args, **kwargs)
+
+        functools.update_wrapper(counted, fn)
+        for name, module in list(sys.modules.items()):
+            if name == "fscontract" or name.startswith("fscontract."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls

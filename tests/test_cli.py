@@ -1,7 +1,9 @@
 import pytest
 
-from fscontract import default_scenario, save_scenario
+from fscontract import default_scenario, save_scenario, simulate_external_rates
 from fscontract.cli import main
+
+from conftest import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,27 @@ class TestPriceCommand:
         assert code == 1
         assert out == ""
         assert f"{line.split(' = ')[0]}: must be finite" in err
+
+    def test_conflicting_keys_are_validation_error(self, capsys, tmp_path):
+        bad = tmp_path / "conflict.cfg"
+        bad.write_text("market.price_ceiling = 900.0\nmarket.tco = 1500.0\n")
+        code, out, err = run(capsys, "price", "--config", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("validation error:") and "mutually exclusive" in err
+
+    def test_seed_override_validates_once(self, capsys, monkeypatch, config_path):
+        # one draw for the validation's cost side, one for the price's
+        calls = count_calls(monkeypatch, simulate_external_rates)
+        code, _, _ = run(capsys, "price", "--config", str(config_path), "--seed", "7")
+        assert code == 0
+        assert len(calls["simulate_external_rates"]) == 2
+
+    def test_seed_override_with_the_config_seed_changes_nothing(self, capsys, config_path):
+        seed = str(default_scenario().rng_seed)
+        plain = run(capsys, "price", "--config", str(config_path))
+        seeded = run(capsys, "price", "--config", str(config_path), "--seed", seed)
+        assert seeded == plain
 
     def test_infeasible_model_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "squeezed.cfg"

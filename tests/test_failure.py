@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,49 @@ class TestInternalRateSeries:
         with pytest.warns(UserWarning, match="floored"):
             series = internal_rate_series(f, grid)
         assert min(series.values) == 0.0
+
+    def test_floor_warns_once_per_undershooting_period(self):
+        # run-in is periods 1..3; the rate hits the floor in period 1 and
+        # every later run-in step undershoots again from zero
+        grid = PeriodGrid.uniform(6, 1440.0, 4320.0)
+        f = bathtub_params(stage_bounds=(3, 4, 6), k1=0.5, m=4.0, phi0_int=1e-3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series = internal_rate_series(f, grid)
+        assert [str(w.message).split(" (")[0] for w in caught] == [
+            f"internal rate undershoots zero in period {j}" for j in (1, 2, 3)]
+        assert series.values[:4] == (0.0, 0.0, 0.0, 0.0)
+        assert series.values[4] > 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(z=st.integers(2, 400), data=st.data(),
+           k1=st.floats(0.05, 0.95), k2=st.floats(0.05, 0.95),
+           log_m=st.floats(0.0, 12.0), log_phi0=st.floats(-6.0, 0.0),
+           log_t=st.floats(-2.0, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scalar_recursion(self, z, data, k1, k2, log_m, log_phi0, log_t, seed):
+        """The vectorised series equals phi_j = max(phi_{j-1} + g_j t_j, 0)
+        built period by period from aging_factor, up to the last-ulp
+        difference between numpy's and libm's pow, with one warning per
+        period the recursion floors beyond the tolerance."""
+        z1 = data.draw(st.integers(1, z - 1))
+        z2 = data.draw(st.integers(z1 + 1, z))
+        t = 10.0 ** log_t * np.random.default_rng(seed).uniform(0.5, 2.0, z)
+        grid = PeriodGrid(z, tuple(t.tolist()), tuple((3.0 * t).tolist()))
+        f = bathtub_params(stage_bounds=(z1, z2, z), k1=k1, k2=k2, m=10.0 ** log_m,
+                           phi0_int=10.0 ** log_phi0)
+        want, floors = [], 0
+        phi = f.phi0_int
+        for j in range(1, z + 1):
+            phi = phi + aging_factor(j, f, grid) * grid.t_j[j - 1]
+            floors += phi < -1e-15
+            phi = max(phi, 0.0)
+            want.append(phi)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = internal_rate_series(f, grid).values
+        assert len(caught) == floors
+        scale = max(f.phi0_int, max(abs(x) for x in want))
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15 * scale
 
     def test_bathtub_shape(self, baseline):
         z1, z2, z3 = baseline.failure.stage_bounds

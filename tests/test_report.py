@@ -1,6 +1,4 @@
-import functools
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +12,15 @@ from fscontract import (
     optimal_pm_count,
     optimal_price,
     optimize_lf,
+    os_cost_moments,
     price_variants,
     profit_premium_sweep,
     read_kpi_csv,
     simulate_external_rates,
     sweep,
 )
+
+from conftest import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -123,25 +124,6 @@ class TestSweep:
         assert lf_records[0].cost == lf_records[1].cost
 
 
-def count_calls(monkeypatch, *functions) -> dict[str, list]:
-    """Count calls of package functions, at every module attribute bound to them."""
-    calls = {}
-    for fn in functions:
-        seen = calls[fn.__name__] = []
-
-        def counted(*args, _fn=fn, _seen=seen, **kwargs):
-            _seen.append(1)
-            return _fn(*args, **kwargs)
-
-        functools.update_wrapper(counted, fn)
-        for name, module in list(sys.modules.items()):
-            if name == "fscontract" or name.startswith("fscontract."):
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 class TestCostSideReuse:
     """Work that does not depend on the swept value runs once, not per point."""
 
@@ -160,6 +142,27 @@ class TestCostSideReuse:
         sweep(SweepSpec(param="lf", values=(0.004, 0.005, 0.02)), baseline)
         assert {name: len(c) for name, c in calls.items()} == {
             "optimize_lf": 0, "optimal_pm_count": 1}
+
+    def test_training_cost_sweep_reuses_rates_plan_and_moments(self, monkeypatch, baseline):
+        calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates,
+                            optimal_pm_count, os_cost_moments)
+        records = sweep(SweepSpec(param="unit_training_cost", values=(20.0, 50.0, 500.0)),
+                        baseline)
+        assert all(r.feasible for r in records)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "optimize_lf": 3, "simulate_external_rates": 1, "optimal_pm_count": 1,
+            "os_cost_moments": 1}
+
+    def test_profit_premium_sweep_reuses_the_cost_side(self, monkeypatch, baseline):
+        values = (20.0, 50.0, 500.0)
+        alone = [(v, optimal_price(replace(baseline, learning=replace(
+                     baseline.learning, unit_training_cost=v)), "full").profit
+                  - optimal_price(baseline, "auto").profit) for v in values]
+        calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates,
+                            optimal_pm_count)
+        assert profit_premium_sweep(baseline, values) == alone
+        assert {name: len(c) for name, c in calls.items()} == {
+            "optimize_lf": 3, "simulate_external_rates": 1, "optimal_pm_count": 1}
 
     def test_compare_runs_one_lf_search(self, monkeypatch, baseline):
         calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates)

@@ -216,6 +216,55 @@ class TestConfigIO:
         assert s.failure.internal_series_override == column
 
 
+class TestConflictingKeys:
+    """A quantity set twice in one config is an error, not last-wins."""
+
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("market.beta = 0.6\n# note\nlearning.lf = 0.01\nmarket.beta = 0.7\n")
+        with pytest.raises(ConfigError, match=r"line 4: duplicate key 'market.beta' "
+                                              r"\(first given on line 1\)"):
+            load_scenario(cfg)
+
+    def test_internal_series_with_table(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("failure.internal_series = none\n"
+                       f"failure.internal_table = {INTERNAL_RATE_TABLE_PATH}:1\n")
+        with pytest.raises(ConfigError, match="failure.internal_series and "
+                                              "failure.internal_table are mutually exclusive"):
+            load_scenario(cfg)
+
+    @pytest.mark.parametrize("key", ["tco", "c_lease", "c_ops"])
+    def test_price_ceiling_with_tco_triple(self, tmp_path, key):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"market.price_ceiling = 900.0\nmarket.{key} = 100.0\n")
+        with pytest.raises(ConfigError, match=f"market.price_ceiling and market.{key} "
+                                              "are mutually exclusive"):
+            load_scenario(cfg)
+
+    def test_partial_tco_triple_has_no_default_ceiling(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("market.c_lease = 400.0\n")
+        with pytest.raises(ScenarioValidationError, match="market.price_ceiling"):
+            load_scenario(cfg)
+
+
+class TestCachedArrays:
+    def test_built_once_and_read_only(self, baseline):
+        s = replace(baseline, cost=replace(baseline.cost, unit_repair_cost=(1.0,) * 20))
+        series = simulate_external_rates(s)
+        for array, values in ((series.as_array(), series.values),
+                              (s.grid.t_array, s.grid.t_j),
+                              (s.repair_cost_array, s.cost.unit_repair_cost)):
+            assert array.tolist() == list(values)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert series.as_array() is series.as_array()
+        assert s.grid.t_array is s.grid.t_array
+        assert s.repair_cost_array is s.repair_cost_array
+
+
 class TestInternalTable:
     def test_shape(self):
         for col in range(1, 11):
