@@ -16,22 +16,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .failure import internal_rate_series, optimal_pm_count
 from .pricing import (
     ConvergenceError,
+    CostSide,
     InfeasiblePriceError,
     InfeasibleTrainingError,
-    optimal_price,
-    optimize_lf,
 )
 from .report import SweepSpec, compare_models, emit_report, sweep
 from .scenario import (
     ConfigError,
-    Scenario,
     ScenarioValidationError,
     _read_scenario,
     _validated,
-    simulate_external_rates,
 )
 
 _PARAM_BY_FLAG = {
@@ -47,8 +43,9 @@ EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 
 
-def _load(args) -> Scenario:
-    """The config's scenario with the ``--seed`` override, validated once."""
+def _load(args) -> CostSide:
+    """The cost side of the config's scenario with the ``--seed`` override,
+    validated once; the command prices on the same cost side."""
     scenario = _read_scenario(args.config)
     if args.seed is not None:
         scenario = replace(scenario, rng_seed=args.seed)
@@ -56,8 +53,8 @@ def _load(args) -> Scenario:
 
 
 def _cmd_price(args) -> int:
-    s = _load(args)
-    sol = optimal_price(s, args.variant)
+    cost_side = _load(args)
+    sol = cost_side.price(args.variant, cost_side.scenario.market)
     print(f"variant = {sol.variant}")
     print(f"price = {sol.price:.6f}")
     print(f"interior_price = {sol.interior_price:.6f}")
@@ -77,11 +74,9 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_optimize_lf(args) -> int:
-    s = _load(args)
-    internal = internal_rate_series(s.failure, s.grid)
-    external = simulate_external_rates(s)
-    m = optimal_pm_count(s, internal).m_count
-    sol = optimize_lf(m, s, internal, external)
+    cost_side = _load(args)
+    sol = cost_side.lf_solution
+    m = cost_side.plan.m_count
     print(f"lf_star = {sol.lf_star:.8f}")
     print(f"cost_at_star = {sol.cost_at_star:.6f}")
     print(f"vertex_hint = {sol.vertex_hint:.8f}")
@@ -93,8 +88,8 @@ def _cmd_optimize_lf(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    s = _load(args)
-    records = compare_models(s)
+    cost_side = _load(args)
+    records = compare_models(cost_side.scenario, cost_side)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ext = "csv" if args.format == "csv" else "md"
@@ -105,7 +100,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    s = _load(args)
+    cost_side = _load(args)
     try:
         values = tuple(float(x) for x in args.values.split(","))
     except ValueError:
@@ -117,7 +112,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    records = sweep(spec, s)
+    records = sweep(spec, cost_side.scenario, cost_side)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ext = {"csv": "csv", "plotdata": "dat", "svg": "svg"}[args.format]

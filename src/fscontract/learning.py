@@ -39,9 +39,21 @@ learning.  :class:`LfProblem` collects them once, and cost, time budget,
 derivative and feasible interval become scalar functions of lf.  The
 feasible interval is (edge, 1), where the edge is the root of t_l - t_f.
 On it the A-term falls in lf while the training bill rises linearly, so the
-cost has an interior minimum, which the optimizer finds by golden section
-over the whole interval.  The lf-derivative has a closed form that serves
-as the optimality oracle.
+cost has an interior minimum, where the closed-form lf-derivative
+
+    c'(lf) = l T - a B K E^(-a-1) E'(lf),   E = t_l - t_f,
+
+changes sign (a = alpha_indu, B the repair bill before learning,
+K = t_r^(-alpha_auto), T = R - S - Q - U, l the hourly training cost).
+:meth:`LfProblem.solve` finds that root on scalar floats.  Under simple
+forgetting E = T lf - F with F = S + Q + U, so
+
+    lf* = (F + (a B K / l)^(1/(a+1))) / T;
+
+under revised forgetting a safeguarded Newton iteration in ln lf uses the
+closed-form second derivative, keeps a bracket on the sign of c' and
+bisects whenever a step would leave it.  Both clamp lf* to the interval
+[edge (1 + 1e-9) + 1e-15, 1 - 1e-12].
 """
 
 from __future__ import annotations
@@ -56,8 +68,18 @@ from .costs import CostBreakdown, contract_costs
 from .scenario import PeriodGrid, LearningParams, RateSeries, Scenario
 
 
+#: Newton step in ln lf (or bracket width) below which the solve has converged.
+_X_TOL = 1e-12
+#: Newton or bisection steps allowed before the solve gives up.
+_MAX_STEPS = 100
+
+
 class InfeasibleTrainingError(ValueError):
     """Training at this lf is impossible (no surplus, or forgetting wins)."""
+
+
+class ConvergenceError(RuntimeError):
+    """The lf solve met a non-finite derivative or ran out of steps."""
 
 
 class ReducedTerms(NamedTuple):
@@ -93,6 +115,25 @@ class FsCostResult:
 
     breakdown: CostBreakdown
     state: LearningState
+
+
+@dataclass(frozen=True)
+class LfSolution:
+    """Optimized training frequency and how the solve went.
+
+    ``iterations`` counts Newton (or bisection) steps; it is 0 where lf*
+    is closed form or sits on an edge of the interval.  ``residual`` is
+    |c'(lf*)| lf* / c(lf*), the derivative scaled to a relative cost
+    change; it is 0 where lf* sits on an edge that the derivative points
+    out of.
+    """
+
+    lf_star: float
+    cost_at_star: float
+    vertex_hint: float
+    iterations: int
+    feasible_range: tuple[float, float]
+    residual: float
 
 
 def total_repair_time(internal: RateSeries, grid: PeriodGrid, repair_hours: float = 1.0) -> float:
@@ -181,48 +222,156 @@ class LfProblem:
 
     def cost(self, lf: float) -> float:
         """Total contract cost in dollars at lf: the optimizer's objective."""
-        return self.evaluate(lf).breakdown.total
+        t_l = self.t_training(lf)
+        a_factor = learning_effect(self.t_repair, t_l - self.t_forgetting(lf), self.learning)
+        base = self.base
+        return (base.repair * a_factor + base.maintenance + base.delay
+                + self.learning.unit_training_cost * t_l)
 
     def derivative(self, lf: float) -> float:
         """Analytic d(cost)/d(lf); see :func:`fs_cost_lf_derivative`."""
-        lp, net = self.learning, self.terms.net
-        state = self.state(lf)
+        self.state(lf)  # raises where lf is infeasible
+        return self._slopes(lf)[0]
+
+    def _slopes(self, lf: float) -> tuple[float, float]:
+        """c'(lf) and c''(lf) at a feasible lf, unchecked.
+
+        With E the effective training time and G = a B K E^(-a-1):
+        c' = l T - G E' and c'' = G ((a + 1) E'^2 / E - E'').
+        """
+        lp = self.learning
+        a = lp.alpha_indu
+        eff, d_eff, dd_eff = self._effective(lf)
+        g = a * self._repair_scale * eff ** (-a - 1.0)
+        return (lp.unit_training_cost * self.terms.net - g * d_eff,
+                g * ((a + 1.0) * d_eff * d_eff / eff - dd_eff))
+
+    def _effective(self, lf: float) -> tuple[float, float, float]:
+        """E(lf) = t_l - t_f and its first two lf-derivatives, unchecked."""
+        terms, lp = self.terms, self.learning
         if lp.forgetting_model == "simple":
-            d_eff = net
-        else:
-            d_eff = net - (1.0 - 2.0 * lp.epsilon) * self.terms.v * lf ** (-2.0 * lp.epsilon)
-        d_repair = self.base.repair * state.t_repair ** -lp.alpha_auto * (-lp.alpha_indu) \
-            * state.effective_training ** (-lp.alpha_indu - 1.0) * d_eff
-        return d_repair + lp.unit_training_cost * net
+            return terms.net * lf - (terms.s + terms.q + terms.u), terms.net, 0.0
+        p = 1.0 - 2.0 * lp.epsilon
+        w = terms.v * lf ** p
+        return (terms.net * lf - (terms.s + w), terms.net - p * w / lf,
+                p * (1.0 - p) * w / (lf * lf))
+
+    @property
+    def _repair_scale(self) -> float:
+        """B K: the repair bill before learning times t_r^(-alpha_auto)."""
+        return self.base.repair * self.t_repair ** -self.learning.alpha_auto
+
+    def solve(self) -> LfSolution:
+        """The cost-minimising lf on the feasible interval (see the module
+        docstring).
+
+        Raises :class:`InfeasibleTrainingError` where no lf is feasible and
+        :class:`ConvergenceError` where the derivative is not finite.
+        """
+        lo_edge, hi = self.feasible_range()
+        lo = lo_edge * (1.0 + 1e-9) + 1e-15
+        try:
+            lf, iterations, slope = self._root(lo_edge, lo, hi)
+            cost = self.cost(lf)
+        except ArithmeticError as exc:
+            raise ConvergenceError(f"lf solve overflowed: {exc}") from exc
+        if not (math.isfinite(slope) and math.isfinite(cost)):
+            raise ConvergenceError(f"non-finite cost or derivative at lf = {lf!r}")
+        on_edge = (lf <= lo and slope >= 0.0) or (lf >= hi and slope <= 0.0)
+        return LfSolution(
+            lf_star=lf,
+            cost_at_star=cost,
+            vertex_hint=self.vertex_hint,
+            iterations=iterations,
+            feasible_range=(lo_edge, hi),
+            residual=0.0 if on_edge else abs(slope) * lf / cost,
+        )
+
+    def _root(self, lo_edge: float, lo: float, hi: float) -> tuple[float, int, float]:
+        """(lf*, steps taken, c'(lf*)) on [lo, hi]."""
+        slope = self.derivative(hi)  # raises where no lf is feasible
+        if not slope > 0.0:
+            if math.isnan(slope):
+                raise ConvergenceError(f"non-finite derivative at lf = {hi!r}")
+            return hi, 0, slope
+        lp, terms = self.learning, self.terms
+        a = lp.alpha_indu
+        if a == 0.0:
+            return lo, 0, self._slopes(lo)[0]
+        # the simple model's optimum effective training time E*
+        e_star = (a * self._repair_scale / lp.unit_training_cost) ** (1.0 / (a + 1.0))
+        if lp.forgetting_model == "simple":
+            lf = min(max((terms.s + terms.q + terms.u + e_star) / terms.net, lo), hi)
+            return lf, 0, self._slopes(lf)[0]
+        slope = self._slopes(lo)[0]
+        if not slope < 0.0:
+            if math.isnan(slope):
+                raise ConvergenceError(f"non-finite derivative at lf = {lo!r}")
+            return lo, 0, slope
+        # Newton on c'(e^x) in x = ln lf, bracketed by the sign of c'
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        forgetting = terms.s + terms.v * lo_edge ** (1.0 - 2.0 * lp.epsilon)
+        x = math.log((forgetting + e_star) / terms.net)
+        if not x_lo < x < x_hi:
+            x = 0.5 * (x_lo + x_hi)
+        iterations = 0
+        converged = False
+        while True:
+            lf = math.exp(x)
+            slope, curvature = self._slopes(lf)
+            if not (math.isfinite(slope) and math.isfinite(curvature)):
+                raise ConvergenceError(f"non-finite derivative at lf = {lf!r}")
+            if converged or slope == 0.0:
+                return lf, iterations, slope
+            if iterations == _MAX_STEPS:
+                raise ConvergenceError(f"no convergence after {_MAX_STEPS} steps")
+            if slope < 0.0:
+                x_lo = x
+            else:
+                x_hi = x
+            step = -slope / (lf * curvature) if curvature > 0.0 else math.inf
+            # a step that meets the tolerance is still taken where it moves x:
+            # its error is of the order of its square
+            converged = abs(step) <= _X_TOL or x_hi - x_lo <= _X_TOL
+            if x_lo < x + step < x_hi:
+                x += step
+            elif converged:
+                return lf, iterations, slope
+            else:
+                x = 0.5 * (x_lo + x_hi)
+            iterations += 1
 
     def feasible_range(self) -> tuple[float, float]:
         """Open interval of lf values with positive effective training time.
 
-        The lower edge is the root of t_l(lf) - t_f(lf) = 0, found by
-        geometric bisection; the upper edge is the lf < 1 limit.  Raises
-        :class:`InfeasibleTrainingError` when forgetting exceeds training
-        everywhere.
+        The lower edge is the root of E(lf) = t_l(lf) - t_f(lf), to a
+        relative 1e-12: the smallest lf found with E > 0, within that ratio
+        of an lf with E <= 0.  E is convex in lf, so Newton steps from the
+        upper edge fall monotonically onto the root; a step that would leave
+        the bracket bisects it geometrically, and one shorter than the
+        tolerance probes just below the current edge.  The upper edge is the
+        lf < 1 limit.  Raises :class:`InfeasibleTrainingError` when
+        forgetting exceeds training everywhere.
         """
-        net = self.terms.net
-
-        def effective(lf: float) -> float:
-            return net * lf - self.t_forgetting(lf)
-
         hi = 1.0 - 1e-12
-        if net <= 0.0 or effective(hi) <= 0.0:
+        eff, d_eff, _ = self._effective(hi)
+        if self.terms.net <= 0.0 or eff <= 0.0:
             raise InfeasibleTrainingError("forgetting exceeds training for every lf in (0, 1)")
         lo = 1e-15
-        if effective(lo) > 0.0:
+        if self._effective(lo)[0] > 0.0:
             return lo, hi
         root = hi
         for _ in range(200):
-            mid = math.sqrt(lo * root)
-            if effective(mid) > 0.0:
-                root = mid
-            else:
-                lo = mid
             if root / lo < 1.0 + 1e-12:
                 break
+            lf = min(root - eff / d_eff, root * (1.0 - 5e-13))
+            if not lo < lf < root:
+                lf = math.sqrt(lo * root)
+            e, d, _ = self._effective(lf)
+            if e > 0.0:
+                root, eff, d_eff = lf, e, d
+            else:
+                lo = lf
         return root, hi
 
 

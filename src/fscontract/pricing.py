@@ -43,13 +43,18 @@ are converted once on entry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .costs import CostBreakdown, OsCostMoments, contract_costs, os_cost_moments
 from .failure import MaintenancePlan, internal_rate_series, optimal_pm_count
-from .learning import InfeasibleTrainingError, LfProblem, lf_problem
+from .learning import (
+    ConvergenceError,
+    InfeasibleTrainingError,
+    LfProblem,
+    LfSolution,
+    lf_problem,
+)
 from .scenario import (
     DOLLARS_PER_REPORT_UNIT,
     MarketParams,
@@ -60,12 +65,6 @@ from .scenario import (
 
 VARIANTS = ("bench", "auto", "full")
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class ConvergenceError(RuntimeError):
-    """The bracketed search ran out of iterations before reaching tolerance."""
-
 
 class InfeasiblePriceError(ValueError):
     """No admissible price: the floor exceeds the ceiling."""
@@ -74,17 +73,6 @@ class InfeasiblePriceError(ValueError):
         self.lower = lower
         self.upper = upper
         super().__init__(f"price floor {lower:.3f} exceeds ceiling {upper:.3f}")
-
-
-@dataclass(frozen=True)
-class LfSolution:
-    """Optimized training frequency and the search metadata."""
-
-    lf_star: float
-    cost_at_star: float
-    vertex_hint: float
-    iterations: int
-    feasible_range: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -107,64 +95,20 @@ class PricingSolution:
     lf_star: float | None = None
 
 
-def golden_section(f, lo: float, hi: float, tol: float = 1e-6,
-                   max_iter: int = 200) -> tuple[float, float, int]:
-    """Minimize a unimodal function on [lo, hi] to absolute x-tolerance tol.
-
-    Returns (argmin, minimum, iterations).
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while b - a > tol:
-        if iterations >= max_iter:
-            raise ConvergenceError(f"no convergence after {max_iter} iterations")
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        iterations += 1
-    x = (a + b) / 2.0
-    return x, f(x), iterations
-
-
-def feasible_lf_range(m: int, s: Scenario, internal: RateSeries,
-                      external: RateSeries) -> tuple[float, float]:
-    """Open interval of lf values with positive effective training time.
-
-    The lower edge is the root of t_l(lf) - t_f(lf) = 0; the upper edge is
-    the lf < 1 limit.  Raises :class:`InfeasibleTrainingError` when
-    forgetting exceeds training everywhere.
-    """
-    return lf_problem(m, s, internal, external).feasible_range()
-
-
-def optimize_lf(m: int, s: Scenario, internal: RateSeries,
-                external: RateSeries) -> LfSolution:
+def optimize_lf(m: int, s: Scenario, internal: RateSeries, external: RateSeries,
+                problem: LfProblem | None = None) -> LfSolution:
     """Minimize total contract cost over the feasible training frequencies.
 
-    Golden-section search on the scalar cost of :class:`LfProblem` over the
-    whole feasible interval (edge, 1), refined to absolute lf tolerance
-    1e-6; about 30 iterations.  The turning-point hint v / (2 (r - s - q -
-    u)) is reported in the solution but does not steer the search.
+    Solves c'(lf) = 0 on the scalar cost of :class:`LfProblem`: in closed
+    form under simple forgetting, by safeguarded Newton steps in ln lf under
+    revised forgetting (see :meth:`LfProblem.solve`).  ``problem`` is the lf
+    problem of these inputs where the caller already holds it.  The
+    turning-point hint v / (2 (r - s - q - u)) is reported in the solution
+    but does not steer the search.
     """
-    problem = lf_problem(m, s, internal, external)
-    lo_edge, hi_edge = problem.feasible_range()
-    lf_star, cost_star, iterations = golden_section(
-        problem.cost, lo_edge * (1.0 + 1e-9) + 1e-15, hi_edge, tol=1e-6)
-    return LfSolution(
-        lf_star=lf_star,
-        cost_at_star=cost_star,
-        vertex_hint=problem.vertex_hint,
-        iterations=iterations,
-        feasible_range=(lo_edge, hi_edge),
-    )
+    if problem is None:
+        problem = lf_problem(m, s, internal, external)
+    return problem.solve()
 
 
 def disutility(choice: str, alpha_i: float, price: float, osm: OsCostMoments,
@@ -265,7 +209,8 @@ class CostSide:
 
     @cached_property
     def lf_solution(self) -> LfSolution:
-        return optimize_lf(self.plan.m_count, self.scenario, self.internal, self.external)
+        return optimize_lf(self.plan.m_count, self.scenario, self.internal, self.external,
+                           problem=self.problem)
 
     def with_learning(self, s: Scenario) -> "CostSide":
         """The cost side of ``s``, a scenario that differs from this one's

@@ -88,13 +88,15 @@ def _record(sol: PricingSolution, param: str | None, value: float) -> KpiRecord:
     )
 
 
-def compare_models(s: Scenario) -> list[KpiRecord]:
+def compare_models(s: Scenario, cost_side: CostSide | None = None) -> list[KpiRecord]:
     """The three-way KPI comparison: full model, old model, pay-per-repair.
 
     The pay-per-repair row prices at cost plus mark-up; its market share is
-    not applicable and reported as NaN.
+    not applicable and reported as NaN.  ``cost_side`` is a cost side of
+    ``s`` that the caller already holds.
     """
-    cost_side = CostSide(s)
+    if cost_side is None:
+        cost_side = CostSide(s)
     full = cost_side.price("full", s.market)
     auto = cost_side.price("auto", s.market)
     osm = cost_side.os_moments
@@ -126,24 +128,25 @@ def _raise_on(violations) -> None:
         raise ScenarioValidationError(violations)
 
 
-def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
+def sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None = None) -> list[KpiRecord]:
     """Evaluate the KPI set at each swept value, everything else held fixed.
 
     An lf sweep prices the full model at the given training frequency
     instead of re-optimizing it.  A swept value that breaks a scenario
     invariant raises :class:`ScenarioValidationError`; a value that is
     merely infeasible (training exhausted, empty price interval) yields a
-    flagged NaN record and the sweep continues.
+    flagged NaN record and the sweep continues.  ``cost_side`` is a cost
+    side of ``s`` that the caller already holds and has checked; the
+    sweep starts from it wherever the swept value leaves it whole.
     """
     records = []
-    cost_side = None
     for value in spec.values:
         scenario = _swept_scenario(s, spec.param, value)
         _raise_on(_field_violations(scenario))
         # beta and a fixed lf keep the cost side whole (see the module docstring)
         if cost_side is None or spec.param == "phi_int_mean":
             cost_side = CostSide(scenario)
-            _raise_on(_cost_side_violations(cost_side.problem.terms))
+            _raise_on(_cost_side_violations(cost_side.problem))
         elif spec.param == "unit_training_cost":
             cost_side = cost_side.with_learning(scenario)
         lf = value if spec.param == "lf" and spec.variant == "full" else None

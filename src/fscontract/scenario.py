@@ -321,17 +321,25 @@ def validate_scenario(s: Scenario, dominance_factor: float = 10.0) -> list[Viola
     training-frequency optimizer.
 
     Returns an empty list iff the scenario is valid.  Every numeric field
-    must be finite.  The optimizer assumptions require the net
+    must be finite.  The optimizer assumptions require the time-budget
+    aggregates and the bills before learning to be finite, and the net
     trainable-time coefficient R-S-Q-U to be positive and to dominate the
     external interruption time S by ``dominance_factor``; they are checked
     only once the fields are valid.
     """
+    return _checked_cost_side(s, dominance_factor)[0]
+
+
+def _checked_cost_side(s: Scenario, dominance_factor: float = 10.0):
+    """The violations of :func:`validate_scenario` and the cost side they
+    were checked on (``None`` where a field invariant fails first)."""
     v = _field_violations(s)
     if v:
-        return v
+        return v, None
     from .pricing import CostSide
 
-    return _cost_side_violations(CostSide(s).problem.terms, dominance_factor)
+    cost_side = CostSide(s)
+    return _cost_side_violations(cost_side.problem, dominance_factor), cost_side
 
 
 #: Config keys of the dataclass fields whose key differs from the field name.
@@ -455,9 +463,23 @@ def _field_violations(s: Scenario) -> list[Violation]:
     return v
 
 
-def _cost_side_violations(terms, dominance_factor: float = 10.0) -> list[Violation]:
-    """The optimizer's standing assumptions, on the reduced terms of the
-    actual rate series at the optimal maintenance count."""
+#: Config key of each bill before learning, and its :class:`CostBreakdown` field.
+_BILLS = (("cost.unit_repair_cost", "repair"), ("cost.avg_maintenance_cost", "maintenance"),
+          ("cost.unit_delay_cost", "delay"))
+
+
+def _cost_side_violations(problem, dominance_factor: float = 10.0) -> list[Violation]:
+    """The optimizer's standing assumptions, on the lf problem of the
+    actual rate series at the optimal maintenance count: finite aggregates
+    and bills (finite inputs can still overflow), and enough trainable
+    time."""
+    terms = problem.terms
+    if not all(map(math.isfinite, terms)):
+        return [Violation("learning.lf", "the time budget R, S, Q, U, V must be finite")]
+    v = [Violation(key, f"the expected {name} bill must be finite (it overflows)")
+         for key, name in _BILLS if not math.isfinite(getattr(problem.base, name))]
+    if v:
+        return v
     net = terms.net
     if net <= 0:
         return [Violation("learning.lf", "no surplus time is left for training (R-S-Q-U <= 0)")]
@@ -701,12 +723,13 @@ def _read_scenario(path: str | Path) -> Scenario:
                                    base_dir=path.parent)
 
 
-def _validated(s: Scenario) -> Scenario:
-    """The scenario itself; raises :class:`ScenarioValidationError` if invalid."""
-    violations = validate_scenario(s)
+def _validated(s: Scenario):
+    """The cost side of ``s`` that its checks were run on; raises
+    :class:`ScenarioValidationError` if ``s`` is invalid."""
+    violations, cost_side = _checked_cost_side(s)
     if violations:
         raise ScenarioValidationError(violations)
-    return s
+    return cost_side
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -715,7 +738,7 @@ def load_scenario(path: str | Path) -> Scenario:
     Raises :class:`ConfigError` on parse problems and
     :class:`ScenarioValidationError` when any field invariant fails.
     """
-    return _validated(_read_scenario(path))
+    return _validated(_read_scenario(path)).scenario
 
 
 def _fmt(value) -> str:

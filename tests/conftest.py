@@ -1,10 +1,14 @@
 import functools
+import importlib.util
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fscontract import (
+    INTERNAL_RATE_TABLE_PATH,
     CostParams,
     FailureParams,
     LearningParams,
@@ -15,6 +19,9 @@ from fscontract import (
     internal_rate_series,
     simulate_external_rates,
 )
+from fscontract.scenario import parse_config, scenario_from_overrides
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @pytest.fixture(scope="session")
@@ -116,3 +123,50 @@ def count_calls(monkeypatch, *functions) -> dict[str, list]:
                     if value is fn:
                         monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def golden_section(f, lo: float, hi: float, tol: float = 1e-6,
+                   max_iter: int = 200) -> tuple[float, float, int]:
+    """Minimize a unimodal function on [lo, hi] to absolute x-tolerance tol.
+
+    Returns (argmin, minimum, iterations).  The lf solver's oracle: it uses
+    only cost values, no derivative.
+    """
+    a, b = float(lo), float(hi)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    iterations = 0
+    while b - a > tol:
+        if iterations >= max_iter:
+            raise RuntimeError(f"no convergence after {max_iter} iterations")
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+        iterations += 1
+    x = (a + b) / 2.0
+    return x, f(x), iterations
+
+
+def generated_scenarios(seeds) -> list[Scenario]:
+    """The benchmark's generated bases (``perfbench/gen.py``) of every
+    workload for the given seeds, loaded from their config text."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    scenarios = []
+    for seed in seeds:
+        for name, generate in gen.GENERATORS.items():
+            specs = [job["spec"] for job in generate(seed)]
+            if name == "cli_cold":
+                specs = list({id(s): s for s in specs if s is not None}.values())
+            for base in specs:
+                text = gen.config_text(base, str(INTERNAL_RATE_TABLE_PATH))
+                scenarios.append(scenario_from_overrides(parse_config(text)))
+    return scenarios

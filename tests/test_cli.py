@@ -1,6 +1,14 @@
 import pytest
 
-from fscontract import default_scenario, save_scenario, simulate_external_rates
+from fscontract import (
+    CostSide,
+    default_scenario,
+    internal_rate_series,
+    lf_problem,
+    optimal_pm_count,
+    save_scenario,
+    simulate_external_rates,
+)
 from fscontract.cli import main
 
 from conftest import count_calls
@@ -10,6 +18,15 @@ from conftest import count_calls
 def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "base.cfg"
     save_scenario(default_scenario(), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def overflow_path(tmp_path_factory):
+    # finite, but the bathtub aging terms overflow and the repair and delay
+    # bills come out NaN
+    path = tmp_path_factory.mktemp("cli") / "overflow.cfg"
+    path.write_text("failure.phi0_int = 1e308\n")
     return path
 
 
@@ -71,11 +88,15 @@ class TestPriceCommand:
         assert err.startswith("validation error:") and "mutually exclusive" in err
 
     def test_seed_override_validates_once(self, capsys, monkeypatch, config_path):
-        # one draw for the validation's cost side, one for the price's
-        calls = count_calls(monkeypatch, simulate_external_rates)
-        code, _, _ = run(capsys, "price", "--config", str(config_path), "--seed", "7")
-        assert code == 0
-        assert len(calls["simulate_external_rates"]) == 2
+        # the price reuses the cost side that the validation built
+        calls = count_calls(monkeypatch, simulate_external_rates, lf_problem)
+        for seed in ((), ("--seed", "7")):
+            code, _, _ = run(capsys, "price", "--config", str(config_path), *seed)
+            assert code == 0
+            assert len(calls["simulate_external_rates"]) == 1
+            assert len(calls["lf_problem"]) == 1
+            for counted in calls.values():
+                counted.clear()
 
     def test_seed_override_with_the_config_seed_changes_nothing(self, capsys, config_path):
         seed = str(default_scenario().rng_seed)
@@ -98,7 +119,47 @@ class TestOptimizeLfCommand:
         values = dict(line.split(" = ") for line in out.strip().splitlines())
         assert 0.0031 <= float(values["lf_star"]) <= 0.0250
         assert float(values["feasible_lo"]) < float(values["lf_star"])
-        assert int(values["iterations"]) <= 200
+        assert int(values["iterations"]) <= 40
+
+    def test_matches_the_library(self, capsys, config_path):
+        code, out, _ = run(capsys, "optimize-lf", "--config", str(config_path))
+        assert code == 0
+        values = dict(line.split(" = ") for line in out.strip().splitlines())
+        sol = CostSide(default_scenario()).lf_solution
+        assert values["lf_star"] == f"{sol.lf_star:.8f}"
+        assert values["iterations"] == str(sol.iterations)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("price", "--variant", "full"),
+    ("price", "--variant", "auto"),
+    ("price", "--variant", "bench"),
+    ("optimize-lf",),
+])
+def test_overflowing_bills_are_validation_error(capsys, overflow_path, argv):
+    code, out, err = run(capsys, *argv, "--config", str(overflow_path))
+    assert code == 1
+    assert out == ""
+    assert "cost.unit_repair_cost: the expected repair bill must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize-lf",),
+    ("compare", "--format", "csv"),
+    ("sweep", "--param", "beta", "--values", "0.5,0.6,0.7"),
+    ("sweep", "--param", "lf", "--values", "0.004,0.006"),
+    ("sweep", "--param", "unit-training-cost", "--values", "40,60"),
+])
+def test_each_command_builds_one_cost_side(capsys, monkeypatch, config_path, tmp_path, argv):
+    calls = count_calls(monkeypatch, simulate_external_rates, internal_rate_series,
+                        optimal_pm_count)
+    out = ("--out", str(tmp_path)) if argv[0] != "optimize-lf" else ()
+    code, _, _ = run(capsys, *argv, "--config", str(config_path), *out)
+    assert code == 0
+    assert {name: len(c) for name, c in calls.items()} == {
+        "simulate_external_rates": 1, "internal_rate_series": 1, "optimal_pm_count": 1}
 
 
 class TestCompareCommand:

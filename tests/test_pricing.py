@@ -7,15 +7,23 @@ from hypothesis import strategies as st
 
 from fscontract import (
     INTERNAL_RATE_TABLE_PATH,
+    ConvergenceError,
     CostBreakdown,
+    CostSide,
     InfeasiblePriceError,
+    InfeasibleTrainingError,
+    LearningParams,
+    LfProblem,
     MarketParams,
     OsCostMoments,
+    ReducedTerms,
     disutility,
     expected_profit,
+    fs_cost_lf_derivative,
     fs_market_share,
     default_scenario,
     internal_rate_series,
+    lf_problem,
     load_internal_table,
     optimal_pm_count,
     optimal_price,
@@ -25,11 +33,38 @@ from fscontract import (
     simulate_external_rates,
     total_fs_cost,
 )
-from fscontract.pricing import _interior_price, golden_section
+from fscontract.pricing import _interior_price
+
+from conftest import count_calls, generated_scenarios, golden_section
 
 
 def market(beta=0.5, alpha_max=1e-3, d=50, ceiling=1e9):
     return MarketParams(beta=beta, alpha_max=alpha_max, d_customers=d, price_ceiling=ceiling)
+
+
+@pytest.fixture(scope="module")
+def generated_problems():
+    """The lf problem of every generated base of seeds 1-5, at 1x, 10x and
+    100x its hourly training cost."""
+    problems = []
+    for s in generated_scenarios(range(1, 6)):
+        problem = CostSide(s).problem
+        for factor in (1.0, 10.0, 100.0):
+            learning = replace(s.learning,
+                               unit_training_cost=factor * s.learning.unit_training_cost)
+            problems.append(replace(problem, learning=learning))
+    return problems
+
+
+def assert_matches_golden_section(problem: LfProblem) -> None:
+    """lf* and its cost against golden section on the same interval."""
+    sol = problem.solve()
+    lo_edge, hi = sol.feasible_range
+    lf, cost, _ = golden_section(problem.cost, lo_edge * (1.0 + 1e-9) + 1e-15, hi, tol=1e-6)
+    assert abs(sol.lf_star - lf) <= 1e-6
+    assert sol.cost_at_star <= cost * (1.0 + 1e-12)
+    assert sol.cost_at_star == problem.cost(sol.lf_star)
+    assert 0.0 <= sol.residual <= 1e-8
 
 
 class TestGoldenSection:
@@ -84,10 +119,47 @@ class TestOptimizeLf:
         assert sol.lf_star <= grid_low + 1e-4
         assert sol.cost_at_star <= cost_low * (1 + 1e-6)
 
-
-    def test_iteration_budget(self, baseline, baseline_rates):
+    def test_iteration_budget(self, baseline, baseline_rates, generated_problems):
         internal, external = baseline_rates
         assert optimize_lf(3, baseline, internal, external).iterations <= 40
+        assert max(problem.solve().iterations for problem in generated_problems) <= 40
+
+    def test_reports_a_small_residual(self, baseline, baseline_rates):
+        internal, external = baseline_rates
+        sol = optimize_lf(3, baseline, internal, external)
+        assert 0.0 <= sol.residual <= 1e-12
+        slope = fs_cost_lf_derivative(sol.lf_star, 3, baseline, internal, external)
+        assert sol.residual == pytest.approx(abs(slope) * sol.lf_star / sol.cost_at_star,
+                                             rel=1e-6, abs=1e-15)
+
+    def test_simple_forgetting_is_closed_form(self, baseline, baseline_rates):
+        internal, external = baseline_rates
+        s = replace(baseline, learning=replace(baseline.learning, forgetting_model="simple"))
+        problem = lf_problem(3, s, internal, external)
+        sol = optimize_lf(3, s, internal, external, problem=problem)
+        lp, terms = s.learning, problem.terms
+        a = lp.alpha_indu
+        scale = problem.base.repair * problem.t_repair ** -lp.alpha_auto
+        want = (terms.s + terms.q + terms.u
+                + (a * scale / lp.unit_training_cost) ** (1 / (a + 1))) / terms.net
+        assert sol.iterations == 0
+        assert sol.lf_star == pytest.approx(want, rel=1e-14)
+
+    def test_given_problem_is_not_rebuilt(self, monkeypatch, baseline, baseline_rates):
+        internal, external = baseline_rates
+        problem = lf_problem(3, baseline, internal, external)
+        calls = count_calls(monkeypatch, lf_problem)
+        assert optimize_lf(3, baseline, internal, external, problem=problem) \
+            == optimize_lf(3, baseline, internal, external)
+        assert len(calls["lf_problem"]) == 1
+
+    def test_non_finite_derivative_raises(self, baseline, baseline_rates):
+        internal, external = baseline_rates
+        problem = lf_problem(3, baseline, internal, external)
+        for bad in (float("nan"), float("inf")):
+            broken = replace(problem, base=replace(problem.base, repair=bad))
+            with pytest.raises(ConvergenceError):
+                broken.solve()
 
     def test_optimum_far_above_the_turning_point_hint(self):
         # simple forgetting on table column 1: the hint v/(2 net) is 2.3e-4,
@@ -123,6 +195,58 @@ class TestOptimizeLf:
         assert grid[best] == pytest.approx(0.006045, abs=2e-5)
         assert abs(sol.lf_star - grid[best]) <= 1e-4
         assert sol.cost_at_star == pytest.approx(95501.08, rel=1e-5)
+
+
+class TestLfSolverOracle:
+    """Closed form and Newton against golden section, which needs no derivative."""
+
+    def test_generated_bases(self, generated_problems):
+        assert len(generated_problems) == 420
+        assert {p.learning.forgetting_model for p in generated_problems} == {"simple", "revised"}
+        for problem in generated_problems:
+            assert_matches_golden_section(problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.floats(1e3, 1e5), q=st.floats(1e-4, 0.05), s=st.floats(0.0, 0.005),
+           u=st.floats(0.0, 0.02), v=st.floats(0.0, 3.0), t_repair=st.floats(0.5, 2.0),
+           repair=st.floats(1e3, 1e7), fixed=st.floats(0.0, 1e5),
+           alpha_auto=st.floats(0.0, 0.3),
+           alpha_indu=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+           epsilon=st.floats(0.01, 0.49),
+           unit_training_cost=st.one_of(st.just(0.0), st.floats(1.0, 1e3)),
+           model=st.sampled_from(("simple", "revised")))
+    def test_drawn_problems(self, r, q, s, u, v, t_repair, repair, fixed, alpha_auto,
+                            alpha_indu, epsilon, unit_training_cost, model):
+        # q, s and u are shares of R, v and t_repair multiples of Q
+        terms = ReducedTerms(q=q * r, r=r, s=s * r, u=u * r, v=v * q * r)
+        problem = LfProblem(
+            terms=terms,
+            t_repair=t_repair * terms.q,
+            base=CostBreakdown(repair, fixed, fixed / 2.0, 0.0),
+            learning=LearningParams(alpha_auto=alpha_auto, alpha_indu=alpha_indu,
+                                    epsilon=epsilon, lf=0.005,
+                                    unit_training_cost=unit_training_cost,
+                                    forgetting_model=model),
+        )
+        try:
+            problem.feasible_range()
+        except InfeasibleTrainingError:
+            return
+        assert_matches_golden_section(problem)
+
+    @pytest.mark.parametrize("model", ["simple", "revised"])
+    def test_edges(self, baseline, baseline_rates, model):
+        # a = 0 makes training pure cost (lower edge); l = 0 makes it free (upper edge)
+        internal, external = baseline_rates
+        problem = lf_problem(3, baseline, internal, external)
+        for change, edge in (({"alpha_indu": 0.0}, 0), ({"unit_training_cost": 0.0}, 1)):
+            edged = replace(problem, learning=replace(problem.learning, forgetting_model=model,
+                                                      **change))
+            sol = edged.solve()
+            lo_edge, hi = sol.feasible_range
+            assert sol.lf_star == (lo_edge * (1.0 + 1e-9) + 1e-15, hi)[edge]
+            assert sol.residual == 0.0
+            assert_matches_golden_section(edged)
 
 
 class TestDisutility:

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from fscontract import (
     SweepSpec,
     compare_models,
     emit_report,
+    lf_problem,
     optimal_pm_count,
     optimal_price,
     optimize_lf,
@@ -18,9 +20,10 @@ from fscontract import (
     read_kpi_csv,
     simulate_external_rates,
     sweep,
+    validate_scenario,
 )
 
-from conftest import count_calls
+from conftest import count_calls, generated_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +166,20 @@ class TestCostSideReuse:
         assert profit_premium_sweep(baseline, values) == alone
         assert {name: len(c) for name, c in calls.items()} == {
             "optimize_lf": 3, "simulate_external_rates": 1, "optimal_pm_count": 1}
+
+    def test_long_horizon_op_builds_four_lf_problems(self, monkeypatch):
+        # the benchmark's long_horizon op: validation, three variant prices
+        # and a 3-point training-cost sweep, on a fresh copy of the scenario;
+        # bench needs no lf problem, the full price's lf search takes its
+        # cost side's and the sweep derives its points from its first one
+        s = copy.deepcopy(generated_scenarios([1])[-1])
+        calls = count_calls(monkeypatch, lf_problem, optimize_lf)
+        assert validate_scenario(s) == []
+        for variant in ("full", "auto", "bench"):
+            optimal_price(s, variant)
+        sweep(SweepSpec(param="unit_training_cost", values=(30.0, 300.0, 3000.0)), s)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "lf_problem": 4, "optimize_lf": 4}
 
     def test_compare_runs_one_lf_search(self, monkeypatch, baseline):
         calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates)
