@@ -116,7 +116,8 @@ def os_cost_moments(s: Scenario, internal: RateSeries) -> OsCostMoments:
     """
     counts = expected_failures(s.cost.m0_os, s, internal)
     costs = s.repair_cost_array
-    variance = float(np.dot(counts, costs**2 + s.cost.repair_cost_sd**2))
+    # numpy's scalar power overflows to inf where Python's float power raises
+    variance = float(np.dot(counts, costs**2 + np.float64(s.cost.repair_cost_sd)**2))
     return OsCostMoments(
         repair_mean=_repair_bill(s, counts),
         maintenance=maintenance_cost(s.cost.m0_os, s.cost.avg_maintenance_cost),

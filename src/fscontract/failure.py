@@ -168,7 +168,8 @@ def optimal_pm_count(s: Scenario, internal: RateSeries) -> MaintenancePlan:
 
     M* = round(sqrt(rho * sum_j c_rj g_j t_j^2 / (2 c_M))), clamped to >= 1;
     a nonpositive radicand (net-declining rate over the horizon) clamps to
-    a single action.  Halves round up for determinism.
+    a single action.  Halves round up for determinism.  A radicand that
+    overflows (or is NaN) raises :class:`OverflowError`.
     """
     costs = s.repair_cost_array
     t = s.grid.t_array
@@ -180,7 +181,10 @@ def optimal_pm_count(s: Scenario, internal: RateSeries) -> MaintenancePlan:
         m_star = 1 if aging_cost <= 0 else s.grid.z_periods
     else:
         radicand = s.failure.rho * aging_cost / (2.0 * c_m)
-        m_star = max(1, int(math.floor(math.sqrt(max(radicand, 0.0)) + 0.5)))
+        root = math.sqrt(max(radicand, 0.0))
+        if not math.isfinite(root):
+            raise OverflowError(f"the optimal maintenance count overflows (K / c_M = {radicand})")
+        m_star = max(1, int(math.floor(root + 0.5)))
     return MaintenancePlan(m_star, True, _repair_plus_maintenance(m_star, s, internal))
 
 

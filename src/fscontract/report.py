@@ -8,7 +8,9 @@ identical inputs.
 
 A comparison prices every row from one :class:`~fscontract.pricing.CostSide`,
 so the rates, maintenance plan, cost moments and lf search are computed
-once.  A sweep checks the scenario fields at every point, and shares the
+once.  A sweep checks every field rule once, at its first point (not at
+all when it is handed a checked cost side), and at each later point only
+the rules that read the config keys its parameter changes.  It shares the
 cost side between points wherever the swept value leaves it unchanged.  The
 mark-up ``beta`` and a fixed ``lf`` leave it whole: the sweep builds it
 once, checks the optimizer's assumptions on it once, and reruns only the
@@ -34,7 +36,7 @@ from .pricing import (
 from .scenario import (
     Scenario,
     ScenarioValidationError,
-    _cost_side_violations,
+    _checked_cost_side,
     _field_violations,
     scaled_to_mean,
 )
@@ -113,6 +115,15 @@ def compare_models(s: Scenario, cost_side: CostSide | None = None) -> list[KpiRe
     return [_record(full, None, float("nan")), _record(auto, None, float("nan")), os_row]
 
 
+#: The config keys whose values each sweep parameter changes.
+_CHANGED_KEYS = {
+    "beta": ("market.beta",),
+    "phi_int_mean": ("failure.phi0_int", "failure.internal_series"),
+    "lf": ("learning.lf",),
+    "unit_training_cost": ("learning.unit_training_cost",),
+}
+
+
 def _swept_scenario(s: Scenario, param: str, value: float) -> Scenario:
     if param == "beta":
         return replace(s, market=replace(s.market, beta=value))
@@ -142,13 +153,16 @@ def sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None = None) -> li
     records = []
     for value in spec.values:
         scenario = _swept_scenario(s, spec.param, value)
-        _raise_on(_field_violations(scenario))
+        # once a checked cost side is held, only rules that read a swept key can fail
+        keys = None if cost_side is None else _CHANGED_KEYS[spec.param]
         # beta and a fixed lf keep the cost side whole (see the module docstring)
         if cost_side is None or spec.param == "phi_int_mean":
-            cost_side = CostSide(scenario)
-            _raise_on(_cost_side_violations(cost_side.problem))
-        elif spec.param == "unit_training_cost":
-            cost_side = cost_side.with_learning(scenario)
+            violations, cost_side = _checked_cost_side(scenario, keys=keys)
+            _raise_on(violations)
+        else:
+            _raise_on(_field_violations(scenario, keys))
+            if spec.param == "unit_training_cost":
+                cost_side = cost_side.with_learning(scenario)
         lf = value if spec.param == "lf" and spec.variant == "full" else None
         try:
             sol = cost_side.price(spec.variant, scenario.market, lf)

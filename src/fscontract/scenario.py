@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -186,9 +186,12 @@ class CostParams:
 
     def repair_costs(self, z_periods: int) -> tuple[float, ...]:
         """Per-period expected repair costs, broadcasting a constant."""
-        if isinstance(self.unit_repair_cost, tuple):
-            return self.unit_repair_cost
-        return (float(self.unit_repair_cost),) * z_periods
+        return _per_period(self.unit_repair_cost, z_periods)
+
+
+def _per_period(value, z: int) -> tuple:
+    """A per-period tuple as given, or a constant broadcast to z periods."""
+    return value if isinstance(value, tuple) else (float(value),) * z
 
 
 @dataclass(frozen=True)
@@ -234,11 +237,19 @@ class MarketParams:
     c_ops: float | None = None
 
     def resolved_ceiling(self) -> float:
-        if self.price_ceiling is not None:
-            return float(self.price_ceiling)
-        if None in (self.tco, self.c_lease, self.c_ops):
+        ceiling = _ceiling(self.price_ceiling, self.tco, self.c_lease, self.c_ops)
+        if ceiling is None:
             raise ValueError("market: need price_ceiling or the (tco, c_lease, c_ops) triple")
-        return float(self.tco - self.c_lease - self.c_ops)
+        return ceiling
+
+
+def _ceiling(price_ceiling, tco, c_lease, c_ops) -> float | None:
+    """The price ceiling, given or derived from the TCO triple (None if neither)."""
+    if price_ceiling is not None:
+        return float(price_ceiling)
+    if None in (tco, c_lease, c_ops):
+        return None
+    return float(tco - c_lease - c_ops)
 
 
 @dataclass(frozen=True)
@@ -321,8 +332,9 @@ def validate_scenario(s: Scenario, dominance_factor: float = 10.0) -> list[Viola
     training-frequency optimizer.
 
     Returns an empty list iff the scenario is valid.  Every numeric field
-    must be finite.  The optimizer assumptions require the time-budget
-    aggregates and the bills before learning to be finite, and the net
+    must be finite.  The optimizer assumptions require the rate series, the
+    maintenance count, the time-budget aggregates, the bills before
+    learning and the pay-per-repair variance to be finite, and the net
     trainable-time coefficient R-S-Q-U to be positive and to dominate the
     external interruption time S by ``dominance_factor``; they are checked
     only once the fields are valid.
@@ -330,136 +342,188 @@ def validate_scenario(s: Scenario, dominance_factor: float = 10.0) -> list[Viola
     return _checked_cost_side(s, dominance_factor)[0]
 
 
-def _checked_cost_side(s: Scenario, dominance_factor: float = 10.0):
+def _checked_cost_side(s: Scenario, dominance_factor: float = 10.0,
+                       keys: tuple[str, ...] | None = None):
     """The violations of :func:`validate_scenario` and the cost side they
-    were checked on (``None`` where a field invariant fails first)."""
-    v = _field_violations(s)
+    were checked on (``None`` where a field invariant fails first).
+
+    ``keys`` limits the field checks to those that read one of these config
+    keys, for a scenario that differs from a valid one only there.  numpy's
+    overflow and invalid-value warnings are silenced while the cost side is
+    built and checked: the checks report the overflow.
+    """
+    v = _field_violations(s, keys)
     if v:
         return v, None
     from .pricing import CostSide
 
-    cost_side = CostSide(s)
-    return _cost_side_violations(cost_side.problem, dominance_factor), cost_side
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost_side = CostSide(s)
+        return _cost_side_violations(cost_side, dominance_factor), cost_side
 
 
-#: Config keys of the dataclass fields whose key differs from the field name.
-_CONFIG_NAMES = {"t_jm": "t_jM", "internal_series_override": "internal_series"}
-#: (section, field, config key) of every parameter field.
-_PARAM_FIELDS = tuple(
-    (section, f.name, f"{section}.{_CONFIG_NAMES.get(f.name, f.name)}")
-    for section, params in (("grid", PeriodGrid), ("failure", FailureParams),
-                            ("cost", CostParams), ("learning", LearningParams),
-                            ("market", MarketParams))
-    for f in fields(params)
+# ---------------------------------------------------------------------------
+# Config schema: one row per key, one row per field check
+# ---------------------------------------------------------------------------
+
+def _ints(raw: str) -> tuple[int, ...]:
+    """A comma-separated list of integers."""
+    return tuple(int(x.strip()) for x in raw.split(","))
+
+
+def _floats(raw: str) -> float | tuple[float, ...]:
+    """One float, or a tuple of the floats of a comma-separated list."""
+    parts = [float(x.strip()) for x in raw.split(",")]
+    return parts[0] if len(parts) == 1 else tuple(parts)
+
+
+#: One row per config key, in the order config text is written: the key,
+#: the :class:`Scenario` section and field it sets (section "" for a field
+#: of the scenario itself, no field for a key that only feeds another one),
+#: and the parser of its value.
+_FIELDS = (
+    ("grid.z_periods", "grid", "z_periods", int),
+    ("grid.t_j", "grid", "t_j", _floats),
+    ("grid.t_jM", "grid", "t_jm", _floats),
+    ("failure.phi0_int", "failure", "phi0_int", float),
+    ("failure.stage_bounds", "failure", "stage_bounds", _ints),
+    ("failure.k1", "failure", "k1", float),
+    ("failure.k2", "failure", "k2", float),
+    ("failure.m", "failure", "m", float),
+    ("failure.rho", "failure", "rho", float),
+    ("failure.ext_mean", "failure", "ext_mean", float),
+    ("failure.ext_sd", "failure", "ext_sd", float),
+    ("failure.internal_series", "failure", "internal_series_override", _floats),
+    ("failure.internal_table", "failure", None, str),
+    ("cost.unit_repair_cost", "cost", "unit_repair_cost", _floats),
+    ("cost.repair_cost_sd", "cost", "repair_cost_sd", float),
+    ("cost.avg_maintenance_cost", "cost", "avg_maintenance_cost", float),
+    ("cost.unit_delay_cost", "cost", "unit_delay_cost", float),
+    ("cost.delay_probability", "cost", "delay_probability", float),
+    ("cost.m0_os", "cost", "m0_os", int),
+    ("learning.alpha_auto", "learning", "alpha_auto", float),
+    ("learning.alpha_indu", "learning", "alpha_indu", float),
+    ("learning.epsilon", "learning", "epsilon", float),
+    ("learning.lf", "learning", "lf", float),
+    ("learning.unit_training_cost", "learning", "unit_training_cost", float),
+    ("learning.forgetting_model", "learning", "forgetting_model", str),
+    ("learning.repair_hours", "learning", "repair_hours", float),
+    ("learning.maintenance_hours", "learning", "maintenance_hours", float),
+    ("market.beta", "market", "beta", float),
+    ("market.alpha_max", "market", "alpha_max", float),
+    ("market.d_customers", "market", "d_customers", int),
+    ("market.price_ceiling", "market", "price_ceiling", float),
+    ("market.tco", "market", "tco", float),
+    ("market.c_lease", "market", "c_lease", float),
+    ("market.c_ops", "market", "c_ops", float),
+    ("rng_seed", "", "rng_seed", int),
+)
+#: The parser of each config key's value.
+_PARSERS = {key: parse for key, _, _, parse in _FIELDS}
+#: The scenario value of each key that sets a field.
+_GETTERS = {key: operator.attrgetter(f"{section}.{name}" if section else name)
+            for key, section, name, _ in _FIELDS if name}
+
+#: The keys the price ceiling is resolved from (see :func:`_ceiling`).
+_CEILING_KEYS = ("market.price_ceiling", "market.tco", "market.c_lease", "market.c_ops")
+
+
+def _stages_out_of_order(bounds) -> bool:
+    """Whether the stage bounds z1, z2, z3 break 1 <= z1 < z2 <= z3."""
+    z1, z2, z3 = bounds
+    return not 1 <= z1 < z2 <= z3
+
+
+def _own(key: str, fails, message: str) -> tuple:
+    """A rule that reads only the key it reports."""
+    return key, (key,), fails, message
+
+
+#: One row per field check, in report order: the key it reports, the keys
+#: it reads, the predicate on their values (in that order) that flags a
+#: violation, and the message.  Every value is finite when a predicate runs.
+_RULES = (
+    _own("grid.z_periods", lambda z: z < 1, "must be >= 1"),
+    ("grid.t_j", ("grid.z_periods", "grid.t_j", "grid.t_jM"),
+     lambda z, t, tm: len(t) != z or len(tm) != z, "length must equal z_periods"),
+    _own("grid.t_j", lambda t: min(t, default=1.0) <= 0, "every period length must be > 0"),
+    ("grid.t_jM", ("grid.t_j", "grid.t_jM"), lambda t, tm: any(map(operator.lt, tm, t)),
+     "calendar hours must be >= operating hours"),
+    _own("failure.stage_bounds", _stages_out_of_order, "need 1 <= z1 < z2 <= z3"),
+    ("failure.stage_bounds", ("grid.z_periods", "failure.stage_bounds"),
+     lambda z, bounds: bounds[2] != z, "z3 must equal z_periods"),
+    _own("failure.k1", lambda k1: not 0.0 < k1 < 1.0, "must lie in (0, 1)"),
+    _own("failure.k2", lambda k2: not 0.0 < k2 < 1.0, "must lie in (0, 1)"),
+    _own("failure.m", lambda m: m <= 0, "must be > 0"),
+    _own("failure.rho", lambda rho: not 0.0 <= rho <= 1.0, "must lie in [0, 1]"),
+    _own("failure.phi0_int", lambda phi0: phi0 <= 0, "must be > 0"),
+    ("failure.ext_mean", ("failure.ext_mean", "failure.phi0_int"), operator.ge,
+     "external rate must stay below phi0_int"),
+    ("failure.ext_mean", ("failure.ext_mean", "failure.ext_sd"),
+     lambda mean, sd: mean < 0 or sd < 0, "external rate moments must be >= 0"),
+    ("failure.internal_series", ("grid.z_periods", "failure.internal_series"),
+     lambda z, series: series is not None and len(series) != z, "length must equal z_periods"),
+    _own("failure.internal_series", lambda series: min(series or (), default=0.0) < 0,
+         "rates must be >= 0"),
+    ("cost.unit_repair_cost", ("grid.z_periods", "cost.unit_repair_cost"),
+     lambda z, c: len(_per_period(c, z)) != z, "length must equal z_periods"),
+    ("cost.unit_repair_cost", ("grid.z_periods", "cost.unit_repair_cost"),
+     lambda z, c: min(_per_period(c, z), default=0.0) < 0, "must be >= 0"),
+    _own("cost.repair_cost_sd", lambda sd: sd < 0, "must be >= 0"),
+    _own("cost.avg_maintenance_cost", lambda c: c < 0, "must be >= 0"),
+    _own("cost.unit_delay_cost", lambda c: c < 0, "must be >= 0"),
+    _own("cost.delay_probability", lambda p: not 0.0 <= p <= 1.0, "must lie in [0, 1]"),
+    _own("cost.m0_os", lambda m: m < 1, "must be >= 1"),
+    _own("learning.alpha_auto", lambda a: not 0.0 <= a < 1.0, "must lie in [0, 1)"),
+    _own("learning.alpha_indu", lambda a: not 0.0 <= a < 1.0, "must lie in [0, 1)"),
+    _own("learning.epsilon", lambda eps: not 0.0 < eps < 0.5, "must lie in (0, 0.5)"),
+    _own("learning.lf", lambda lf: not 0.0 < lf < 1.0, "must lie in (0, 1)"),
+    _own("learning.unit_training_cost", lambda c: c < 0, "must be >= 0"),
+    _own("learning.forgetting_model", lambda model: model not in ("simple", "revised"),
+         "must be 'simple' or 'revised'"),
+    _own("learning.repair_hours", lambda h: h <= 0, "must be > 0"),
+    _own("learning.maintenance_hours", lambda h: h < 0, "must be >= 0"),
+    _own("rng_seed", lambda seed: not 0 <= seed < 2**64, "must be a 64-bit unsigned integer"),
+    _own("market.beta", lambda beta: beta < 0, "must be >= 0"),
+    _own("market.alpha_max", lambda a: a <= 0, "must be > 0"),
+    _own("market.d_customers", lambda d: d < 1, "must be >= 1"),
+    ("market.price_ceiling", _CEILING_KEYS,
+     lambda *m: _ceiling(*m) is not None and _ceiling(*m) <= 0, "must be > 0"),
+    ("market.price_ceiling", _CEILING_KEYS, lambda *m: _ceiling(*m) is None,
+     "need price_ceiling or (tco, c_lease, c_ops)"),
 )
 
 
-def _non_finite_violations(s: Scenario) -> list[Violation]:
-    """One violation per numeric field (or tuple field) holding NaN or +-inf.
-
-    A tuple is checked through its sum, which is non-finite if any element
-    is (or if it overflows, as the model's own sums over it would).
-    """
-    v = []
-    for section, name, key in _PARAM_FIELDS:
-        value = getattr(getattr(s, section), name)
-        if isinstance(value, tuple):
-            value = sum(value)
-        if isinstance(value, float) and not math.isfinite(value):
-            v.append(Violation(key, "must be finite"))
-    return v
+@cache
+def _checks(keys: tuple[str, ...] | None):
+    """The keys checked for finiteness, the rules and every key they read:
+    all of them, or only those that read one of ``keys``."""
+    finite = tuple(key for key in _GETTERS if keys is None or key in keys)
+    rules = tuple(rule for rule in _RULES if keys is None or not set(rule[1]).isdisjoint(keys))
+    return finite, rules, frozenset(finite).union(*(rule[1] for rule in rules))
 
 
-def _field_violations(s: Scenario) -> list[Violation]:
-    """The field invariants of :func:`validate_scenario`: no rate series,
-    maintenance plan or lf problem is needed to check them."""
-    v = _non_finite_violations(s)
+def _non_finite(value) -> bool:
+    """A float, or a tuple through its sum, that is NaN or +-inf.  The sum is
+    non-finite if any element is, or if it overflows, as the model's own
+    sums over the tuple would."""
+    if isinstance(value, tuple):
+        value = sum(value)
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _field_violations(s: Scenario, keys: tuple[str, ...] | None = None) -> list[Violation]:
+    """The field invariants of :func:`validate_scenario`, or only those
+    that read one of ``keys``: no rate series, maintenance plan or lf
+    problem is needed to check them.  Non-finite values are reported alone."""
+    finite, rules, read = _checks(keys)
+    values = {key: _GETTERS[key](s) for key in read}
+    v = [Violation(key, "must be finite") for key in finite if _non_finite(values[key])]
     if v:
         return v
-    g, f, c, lp, mk = s.grid, s.failure, s.cost, s.learning, s.market
-    z = g.z_periods
-
-    if z < 1:
-        v.append(Violation("grid.z_periods", "must be >= 1"))
-    if len(g.t_j) != z or len(g.t_jm) != z:
-        v.append(Violation("grid.t_j", "length must equal z_periods"))
-    if g.t_j and min(g.t_j) <= 0:
-        v.append(Violation("grid.t_j", "every period length must be > 0"))
-    if any(map(operator.lt, g.t_jm, g.t_j)):
-        v.append(Violation("grid.t_jM", "calendar hours must be >= operating hours"))
-
-    z1, z2, z3 = f.stage_bounds
-    if not (1 <= z1 < z2 <= z3):
-        v.append(Violation("failure.stage_bounds", "need 1 <= z1 < z2 <= z3"))
-    if z3 != z:
-        v.append(Violation("failure.stage_bounds", "z3 must equal z_periods"))
-    if not 0.0 < f.k1 < 1.0:
-        v.append(Violation("failure.k1", "must lie in (0, 1)"))
-    if not 0.0 < f.k2 < 1.0:
-        v.append(Violation("failure.k2", "must lie in (0, 1)"))
-    if f.m <= 0:
-        v.append(Violation("failure.m", "must be > 0"))
-    if not 0.0 <= f.rho <= 1.0:
-        v.append(Violation("failure.rho", "must lie in [0, 1]"))
-    if f.phi0_int <= 0:
-        v.append(Violation("failure.phi0_int", "must be > 0"))
-    if f.ext_mean >= f.phi0_int:
-        v.append(Violation("failure.ext_mean", "external rate must stay below phi0_int"))
-    if f.ext_mean < 0 or f.ext_sd < 0:
-        v.append(Violation("failure.ext_mean", "external rate moments must be >= 0"))
-    if f.internal_series_override is not None:
-        if len(f.internal_series_override) != z:
-            v.append(Violation("failure.internal_series", "length must equal z_periods"))
-        if f.internal_series_override and min(f.internal_series_override) < 0:
-            v.append(Violation("failure.internal_series", "rates must be >= 0"))
-
-    costs = c.repair_costs(z)
-    if len(costs) != z:
-        v.append(Violation("cost.unit_repair_cost", "length must equal z_periods"))
-    if costs and min(costs) < 0:
-        v.append(Violation("cost.unit_repair_cost", "must be >= 0"))
-    if c.repair_cost_sd < 0:
-        v.append(Violation("cost.repair_cost_sd", "must be >= 0"))
-    if c.avg_maintenance_cost < 0:
-        v.append(Violation("cost.avg_maintenance_cost", "must be >= 0"))
-    if c.unit_delay_cost < 0:
-        v.append(Violation("cost.unit_delay_cost", "must be >= 0"))
-    if not 0.0 <= c.delay_probability <= 1.0:
-        v.append(Violation("cost.delay_probability", "must lie in [0, 1]"))
-    if c.m0_os < 1:
-        v.append(Violation("cost.m0_os", "must be >= 1"))
-
-    if not 0.0 <= lp.alpha_auto < 1.0:
-        v.append(Violation("learning.alpha_auto", "must lie in [0, 1)"))
-    if not 0.0 <= lp.alpha_indu < 1.0:
-        v.append(Violation("learning.alpha_indu", "must lie in [0, 1)"))
-    if not 0.0 < lp.epsilon < 0.5:
-        v.append(Violation("learning.epsilon", "must lie in (0, 0.5)"))
-    if not 0.0 < lp.lf < 1.0:
-        v.append(Violation("learning.lf", "must lie in (0, 1)"))
-    if lp.unit_training_cost < 0:
-        v.append(Violation("learning.unit_training_cost", "must be >= 0"))
-    if lp.forgetting_model not in ("simple", "revised"):
-        v.append(Violation("learning.forgetting_model", "must be 'simple' or 'revised'"))
-    if lp.repair_hours <= 0:
-        v.append(Violation("learning.repair_hours", "must be > 0"))
-    if lp.maintenance_hours < 0:
-        v.append(Violation("learning.maintenance_hours", "must be >= 0"))
-
-    if not 0 <= s.rng_seed < 2**64:
-        v.append(Violation("rng_seed", "must be a 64-bit unsigned integer"))
-
-    if mk.beta < 0:
-        v.append(Violation("market.beta", "must be >= 0"))
-    if mk.alpha_max <= 0:
-        v.append(Violation("market.alpha_max", "must be > 0"))
-    if mk.d_customers < 1:
-        v.append(Violation("market.d_customers", "must be >= 1"))
-    try:
-        if mk.resolved_ceiling() <= 0:
-            v.append(Violation("market.price_ceiling", "must be > 0"))
-    except ValueError:
-        v.append(Violation("market.price_ceiling", "need price_ceiling or (tco, c_lease, c_ops)"))
+    for key, reads, fails, message in rules:
+        if fails(*[values[read] for read in reads]):
+            v.append(Violation(key, message))
     return v
 
 
@@ -468,11 +532,20 @@ _BILLS = (("cost.unit_repair_cost", "repair"), ("cost.avg_maintenance_cost", "ma
           ("cost.unit_delay_cost", "delay"))
 
 
-def _cost_side_violations(problem, dominance_factor: float = 10.0) -> list[Violation]:
-    """The optimizer's standing assumptions, on the lf problem of the
-    actual rate series at the optimal maintenance count: finite aggregates
-    and bills (finite inputs can still overflow), and enough trainable
-    time."""
+def _cost_side_violations(cost_side, dominance_factor: float = 10.0) -> list[Violation]:
+    """The optimizer's standing assumptions, on the cost side's actual rate
+    series, maintenance plan and lf problem: a finite series, maintenance
+    count, time budget and bills (finite inputs can still overflow), enough
+    trainable time, and a finite pay-per-repair variance."""
+    if not np.isfinite(cost_side.internal.as_array()).all():
+        return [Violation("failure.internal_series",
+                          "the parametric series must be finite (it overflows)")]
+    try:
+        cost_side.plan
+    except OverflowError:
+        return [Violation("cost.avg_maintenance_cost",
+                          "the optimal maintenance count must be finite (it overflows)")]
+    problem = cost_side.problem
     terms = problem.terms
     if not all(map(math.isfinite, terms)):
         return [Violation("learning.lf", "the time budget R, S, Q, U, V must be finite")]
@@ -489,6 +562,10 @@ def _cost_side_violations(problem, dominance_factor: float = 10.0) -> list[Viola
             f"external interruptions too large: R-S-Q-U = {net:.3f} "
             f"< {dominance_factor:g} * S = {dominance_factor * terms.s:.3f}",
         )]
+    if not math.isfinite(cost_side.os_moments.variance):
+        sd = cost_side.scenario.cost.repair_cost_sd
+        key = "cost.unit_repair_cost" if math.isfinite(sd * sd) else "cost.repair_cost_sd"
+        return [Violation(key, "the pay-per-repair cost variance must be finite (it overflows)")]
     return []
 
 
@@ -550,41 +627,6 @@ def scaled_to_mean(s: Scenario, target_mean: float) -> Scenario:
 # Config file parsing / writing
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {"grid.z_periods", "cost.m0_os", "market.d_customers", "rng_seed"}
-_FLOAT_LIST_KEYS = {"grid.t_j", "grid.t_jM", "cost.unit_repair_cost", "failure.internal_series"}
-_STR_KEYS = {"learning.forgetting_model", "failure.internal_table"}
-_INT_LIST_KEYS = {"failure.stage_bounds"}
-
-_ALL_KEYS = _INT_KEYS | _FLOAT_LIST_KEYS | _STR_KEYS | _INT_LIST_KEYS | {
-    "failure.phi0_int", "failure.k1", "failure.k2", "failure.m", "failure.rho",
-    "failure.ext_mean", "failure.ext_sd",
-    "cost.repair_cost_sd", "cost.avg_maintenance_cost", "cost.unit_delay_cost",
-    "cost.delay_probability",
-    "learning.alpha_auto", "learning.alpha_indu", "learning.epsilon", "learning.lf",
-    "learning.unit_training_cost", "learning.repair_hours", "learning.maintenance_hours",
-    "market.beta", "market.alpha_max", "market.price_ceiling",
-    "market.tco", "market.c_lease", "market.c_ops",
-}
-
-
-def _parse_value(key: str, raw: str, lineno: int):
-    try:
-        if key in _STR_KEYS:
-            return raw
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _INT_LIST_KEYS:
-            return tuple(int(x.strip()) for x in raw.split(","))
-        if key in _FLOAT_LIST_KEYS:
-            if key == "failure.internal_series" and raw.strip() == "none":
-                return None
-            parts = [float(x.strip()) for x in raw.split(",")]
-            return parts[0] if len(parts) == 1 else tuple(parts)
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: non-numeric value for {key}: {raw!r}") from exc
-
-
 def parse_config(text: str) -> dict:
     """Parse ``dotted.key = value`` lines into a key/value mapping.
 
@@ -599,20 +641,20 @@ def parse_config(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} (first given on line {first_line[key]})")
         first_line[key] = lineno
-        out[key] = _parse_value(key, raw, lineno)
+        if key == "failure.internal_series" and raw == "none":
+            out[key] = None
+            continue
+        try:
+            out[key] = _PARSERS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: non-numeric value for {key}: {raw!r}") from exc
     return out
-
-
-def _grid_tuple(value, z: int) -> tuple[float, ...]:
-    if isinstance(value, tuple):
-        return value
-    return (float(value),) * z
 
 
 #: Config keys that may not be given together: each pair names one quantity
@@ -624,7 +666,7 @@ _CONFLICTS = (
     ("market.price_ceiling", "market.c_ops"),
 )
 #: The TCO triple: any key of it replaces the default price ceiling.
-_TCO_KEYS = {"market.tco", "market.c_lease", "market.c_ops"}
+_TCO_KEYS = set(_CEILING_KEYS[1:])
 
 
 def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Scenario:
@@ -638,81 +680,32 @@ def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Sc
         if a in overrides and b in overrides:
             raise ConfigError(f"{a} and {b} are mutually exclusive; give one of them")
     d = default_scenario()
-    z = int(overrides.get("grid.z_periods", d.grid.z_periods))
-
-    grid = PeriodGrid(
-        z_periods=z,
-        t_j=_grid_tuple(overrides.get("grid.t_j", d.grid.t_j[0]), z),
-        t_jm=_grid_tuple(overrides.get("grid.t_jM", d.grid.t_jm[0]), z),
-    )
-
-    # The default carries the baseline series; `failure.internal_series = none`
-    # clears it so the parametric bathtub takes effect.
-    override_series = d.failure.internal_series_override
-    if "failure.internal_series" in overrides:
-        val = overrides["failure.internal_series"]
-        if val is None:
-            override_series = None
-        else:
-            override_series = val if isinstance(val, tuple) else (float(val),) * z
-    if "failure.internal_table" in overrides:
-        ref = overrides["failure.internal_table"]
+    # The default hours broadcast to an overridden horizon.  The default
+    # internal series is the baseline one; `none` clears it so that the
+    # parametric bathtub takes effect.
+    values = {"grid.t_j": d.grid.t_j[0], "grid.t_jM": d.grid.t_jm[0]}
+    if _TCO_KEYS & overrides.keys():
+        values["market.price_ceiling"] = None
+    values.update(overrides)
+    z = values["grid.z_periods"] = int(values.get("grid.z_periods", d.grid.z_periods))
+    for key in ("grid.t_j", "grid.t_jM", "failure.internal_series"):
+        if values.get(key) is not None:
+            values[key] = _per_period(values[key], z)
+    if "failure.internal_table" in values:
+        ref = values["failure.internal_table"]
         if ":" not in ref:
             raise ConfigError("failure.internal_table must be '<path>:<column>'")
         raw_path, column = ref.rsplit(":", 1)
         table_path = Path(raw_path)
         if not table_path.is_absolute() and base_dir is not None:
             table_path = base_dir / table_path
-        override_series = load_internal_table(table_path, column)
-
-    failure = FailureParams(
-        phi0_int=overrides.get("failure.phi0_int", d.failure.phi0_int),
-        stage_bounds=overrides.get("failure.stage_bounds", d.failure.stage_bounds),
-        k1=overrides.get("failure.k1", d.failure.k1),
-        k2=overrides.get("failure.k2", d.failure.k2),
-        m=overrides.get("failure.m", d.failure.m),
-        rho=overrides.get("failure.rho", d.failure.rho),
-        ext_mean=overrides.get("failure.ext_mean", d.failure.ext_mean),
-        ext_sd=overrides.get("failure.ext_sd", d.failure.ext_sd),
-        internal_series_override=override_series,
-    )
-    cost = CostParams(
-        unit_repair_cost=overrides.get("cost.unit_repair_cost", d.cost.unit_repair_cost),
-        repair_cost_sd=overrides.get("cost.repair_cost_sd", d.cost.repair_cost_sd),
-        avg_maintenance_cost=overrides.get("cost.avg_maintenance_cost", d.cost.avg_maintenance_cost),
-        unit_delay_cost=overrides.get("cost.unit_delay_cost", d.cost.unit_delay_cost),
-        delay_probability=overrides.get("cost.delay_probability", d.cost.delay_probability),
-        m0_os=overrides.get("cost.m0_os", d.cost.m0_os),
-    )
-    learning = LearningParams(
-        alpha_auto=overrides.get("learning.alpha_auto", d.learning.alpha_auto),
-        alpha_indu=overrides.get("learning.alpha_indu", d.learning.alpha_indu),
-        epsilon=overrides.get("learning.epsilon", d.learning.epsilon),
-        lf=overrides.get("learning.lf", d.learning.lf),
-        unit_training_cost=overrides.get("learning.unit_training_cost", d.learning.unit_training_cost),
-        forgetting_model=overrides.get("learning.forgetting_model", d.learning.forgetting_model),
-        repair_hours=overrides.get("learning.repair_hours", d.learning.repair_hours),
-        maintenance_hours=overrides.get("learning.maintenance_hours", d.learning.maintenance_hours),
-    )
-    market = MarketParams(
-        beta=overrides.get("market.beta", d.market.beta),
-        alpha_max=overrides.get("market.alpha_max", d.market.alpha_max),
-        d_customers=overrides.get("market.d_customers", d.market.d_customers),
-        price_ceiling=overrides.get(
-            "market.price_ceiling",
-            None if _TCO_KEYS & overrides.keys() else d.market.price_ceiling),
-        tco=overrides.get("market.tco", d.market.tco),
-        c_lease=overrides.get("market.c_lease", d.market.c_lease),
-        c_ops=overrides.get("market.c_ops", d.market.c_ops),
-    )
-    return Scenario(
-        grid=grid,
-        failure=failure,
-        cost=cost,
-        learning=learning,
-        market=market,
-        rng_seed=overrides.get("rng_seed", d.rng_seed),
-    )
+        values["failure.internal_series"] = load_internal_table(table_path, column)
+    changes: dict = {}
+    for key, section, name, _ in _FIELDS:
+        if name and key in values:
+            changes.setdefault(section, {})[name] = values[key]
+    return replace(d, **changes.pop("", {}), **{
+        section: replace(getattr(d, section), **fields) for section, fields in changes.items()})
 
 
 def _read_scenario(path: str | Path) -> Scenario:
@@ -753,47 +746,18 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
     """Write a scenario as config text that reloads to an identical value.
 
     Floats are written with ``repr`` so the round-trip is exact; a realised
-    internal series override is written out explicitly.
+    internal series override is written out explicitly, uniform period
+    hours as one value, and the price ceiling or else the TCO triple.
     """
-    g, f, c, lp, mk = s.grid, s.failure, s.cost, s.learning, s.market
+    skipped = _TCO_KEYS if s.market.price_ceiling is not None else {"market.price_ceiling"}
     lines = ["# fscontract scenario"]
-    lines.append(f"grid.z_periods = {g.z_periods}")
-    lines.append(f"grid.t_j = {_fmt(g.t_j if len(set(g.t_j)) > 1 else g.t_j[0])}")
-    lines.append(f"grid.t_jM = {_fmt(g.t_jm if len(set(g.t_jm)) > 1 else g.t_jm[0])}")
-    lines.append(f"failure.phi0_int = {_fmt(f.phi0_int)}")
-    lines.append(f"failure.stage_bounds = {_fmt(f.stage_bounds)}")
-    lines.append(f"failure.k1 = {_fmt(f.k1)}")
-    lines.append(f"failure.k2 = {_fmt(f.k2)}")
-    lines.append(f"failure.m = {_fmt(f.m)}")
-    lines.append(f"failure.rho = {_fmt(f.rho)}")
-    lines.append(f"failure.ext_mean = {_fmt(f.ext_mean)}")
-    lines.append(f"failure.ext_sd = {_fmt(f.ext_sd)}")
-    if f.internal_series_override is not None:
-        lines.append(f"failure.internal_series = {_fmt(f.internal_series_override)}")
-    else:
-        lines.append("failure.internal_series = none")
-    lines.append(f"cost.unit_repair_cost = {_fmt(c.unit_repair_cost)}")
-    lines.append(f"cost.repair_cost_sd = {_fmt(c.repair_cost_sd)}")
-    lines.append(f"cost.avg_maintenance_cost = {_fmt(c.avg_maintenance_cost)}")
-    lines.append(f"cost.unit_delay_cost = {_fmt(c.unit_delay_cost)}")
-    lines.append(f"cost.delay_probability = {_fmt(c.delay_probability)}")
-    lines.append(f"cost.m0_os = {c.m0_os}")
-    lines.append(f"learning.alpha_auto = {_fmt(lp.alpha_auto)}")
-    lines.append(f"learning.alpha_indu = {_fmt(lp.alpha_indu)}")
-    lines.append(f"learning.epsilon = {_fmt(lp.epsilon)}")
-    lines.append(f"learning.lf = {_fmt(lp.lf)}")
-    lines.append(f"learning.unit_training_cost = {_fmt(lp.unit_training_cost)}")
-    lines.append(f"learning.forgetting_model = {lp.forgetting_model}")
-    lines.append(f"learning.repair_hours = {_fmt(lp.repair_hours)}")
-    lines.append(f"learning.maintenance_hours = {_fmt(lp.maintenance_hours)}")
-    lines.append(f"market.beta = {_fmt(mk.beta)}")
-    lines.append(f"market.alpha_max = {_fmt(mk.alpha_max)}")
-    lines.append(f"market.d_customers = {mk.d_customers}")
-    if mk.price_ceiling is not None:
-        lines.append(f"market.price_ceiling = {_fmt(mk.price_ceiling)}")
-    else:
-        lines.append(f"market.tco = {_fmt(mk.tco)}")
-        lines.append(f"market.c_lease = {_fmt(mk.c_lease)}")
-        lines.append(f"market.c_ops = {_fmt(mk.c_ops)}")
-    lines.append(f"rng_seed = {s.rng_seed}")
+    for key, getter in _GETTERS.items():
+        if key in skipped:
+            continue
+        value = getter(s)
+        if key in ("grid.t_j", "grid.t_jM") and len(set(value)) <= 1:
+            value = value[0]
+        elif key == "failure.internal_series" and value is None:
+            value = "none"
+        lines.append(f"{key} = {_fmt(value)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fscontract
 from fscontract import (
     CostSide,
     default_scenario,
@@ -130,8 +136,7 @@ class TestOptimizeLfCommand:
         assert values["iterations"] == str(sol.iterations)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ("price", "--variant", "full"),
     ("price", "--variant", "auto"),
@@ -139,10 +144,45 @@ class TestOptimizeLfCommand:
     ("optimize-lf",),
 ])
 def test_overflowing_bills_are_validation_error(capsys, overflow_path, argv):
+    # any warning fails the test: numpy's overflow warnings are silenced
     code, out, err = run(capsys, *argv, "--config", str(overflow_path))
     assert code == 1
     assert out == ""
-    assert "cost.unit_repair_cost: the expected repair bill must be finite" in err
+    assert err == ("validation error: "
+                   "cost.unit_repair_cost: the expected repair bill must be finite (it overflows); "
+                   "cost.unit_delay_cost: the expected delay bill must be finite (it overflows)\n")
+
+
+def test_overflow_prints_one_stderr_line_in_a_process(overflow_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(fscontract.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fscontract.cli", "price",
+                           "--config", str(overflow_path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("validation error: cost.unit_repair_cost:")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [("price",), ("optimize-lf",)])
+@pytest.mark.parametrize("text, message", [
+    ("cost.avg_maintenance_cost = 1e-308\n",
+     "cost.avg_maintenance_cost: the optimal maintenance count must be finite (it overflows)"),
+    ("failure.m = 5e-324\nfailure.internal_series = none\n",
+     "failure.internal_series: the parametric series must be finite (it overflows)"),
+    ("cost.repair_cost_sd = 1e308\n",
+     "cost.repair_cost_sd: the pay-per-repair cost variance must be finite (it overflows)"),
+])
+def test_overflowing_cost_side_is_validation_error(capsys, tmp_path, argv, text, message):
+    # finite inputs whose maintenance count, parametric series or
+    # pay-per-repair variance overflows
+    path = tmp_path / "extreme.cfg"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"validation error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -109,6 +109,12 @@ class TestOsCostMoments:
         assert osm.repair_mean == 0.0
         assert osm.variance == 0.0
 
+    def test_overflowing_variance_is_inf(self, baseline, baseline_rates):
+        internal, _ = baseline_rates
+        wide = replace(baseline, cost=replace(baseline.cost, repair_cost_sd=1e308))
+        with np.errstate(over="ignore"):
+            assert os_cost_moments(wide, internal).variance == np.inf
+
     def test_hand_example(self):
         # one period, E[N]=4, unit cost 2, no dispersion: mean 8, variance 16
         s = make_scenario(z=1, t=1000.0, phi0=0.004, unit_repair_cost=2.0,

@@ -252,6 +252,12 @@ class TestMaintenanceOptimum:
         internal = internal_rate_series(s.failure, s.grid)
         assert optimal_pm_count(s, internal).m_count == 1
 
+    def test_overflowing_count_raises_overflow_error(self, baseline, baseline_rates):
+        internal, _ = baseline_rates
+        tiny = replace(baseline, cost=replace(baseline.cost, avg_maintenance_cost=1e-308))
+        with pytest.raises(OverflowError, match="maintenance count overflows"):
+            optimal_pm_count(tiny, internal)
+
     def test_oracle_agreement_randomized(self):
         rng = np.random.default_rng(20240817)
         for _ in range(40):

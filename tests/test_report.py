@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fscontract import (
+    CostSide,
     KpiRecord,
+    ScenarioValidationError,
     SweepSpec,
     compare_models,
     emit_report,
@@ -22,6 +24,9 @@ from fscontract import (
     sweep,
     validate_scenario,
 )
+
+from fscontract import report as report_module
+from fscontract import scenario as scenario_module
 
 from conftest import count_calls, generated_scenarios
 
@@ -125,6 +130,58 @@ class TestSweep:
         lf_records = sweep(SweepSpec(param="lf", values=(0.004, 0.02), variant="auto"),
                            baseline)
         assert lf_records[0].cost == lf_records[1].cost
+
+
+class TestSweepChecks:
+    """A sweep checks every field rule once, then at each point only the
+    rules that read the config keys its parameter changes."""
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("beta", (0.5, math.inf), "market.beta: must be finite"),
+        ("lf", (0.004, 1.0), "learning.lf: must lie in (0, 1)"),
+        ("phi_int_mean", (0.0034, math.inf),
+         "failure.phi0_int: must be finite; failure.internal_series: must be finite"),
+    ])
+    def test_bad_later_point_raises(self, baseline, param, values, message):
+        with pytest.raises(ScenarioValidationError) as err:
+            sweep(SweepSpec(param=param, values=values), baseline)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_negative_rate_mean_breaks_three_rules(self, baseline, given):
+        # on a given cost side even the first point gets only the rules that
+        # read a swept key; the ext_mean rule is a cross-field rule that
+        # reads failure.phi0_int
+        cost_side = CostSide(baseline) if given else None
+        with pytest.raises(ScenarioValidationError) as err:
+            sweep(SweepSpec(param="phi_int_mean", values=(-1.0, 0.0034)), baseline, cost_side)
+        assert str(err.value) == ("failure.phi0_int: must be > 0; "
+                                  "failure.ext_mean: external rate must stay below phi0_int; "
+                                  "failure.internal_series: rates must be >= 0")
+
+    @pytest.mark.parametrize("given", [False, True])
+    @pytest.mark.parametrize("param, values, keys", [
+        ("beta", (0.5, 0.6, 0.7), ("market.beta",)),
+        ("lf", (0.004, 0.005, 0.006), ("learning.lf",)),
+        ("unit_training_cost", (20.0, 50.0, 500.0), ("learning.unit_training_cost",)),
+        ("phi_int_mean", (0.0025, 0.0034, 0.0046),
+         ("failure.phi0_int", "failure.internal_series")),
+    ])
+    def test_points_check_only_the_swept_keys(self, monkeypatch, baseline, given, param,
+                                              values, keys):
+        checked = []
+        field_violations = scenario_module._field_violations
+
+        def recorded(s, keys=None):
+            checked.append(keys)
+            return field_violations(s, keys)
+
+        for module in (scenario_module, report_module):
+            monkeypatch.setattr(module, "_field_violations", recorded)
+        cost_side = CostSide(baseline) if given else None
+        records = sweep(SweepSpec(param=param, values=values), baseline, cost_side)
+        assert all(r.feasible for r in records)
+        assert checked == ([keys] * 3 if given else [None, keys, keys])
 
 
 class TestCostSideReuse:

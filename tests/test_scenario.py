@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,11 @@ from fscontract import (
     BASELINE_INTERNAL_SERIES,
     INTERNAL_RATE_TABLE_PATH,
     ConfigError,
+    CostParams,
+    FailureParams,
+    LearningParams,
+    MarketParams,
+    PeriodGrid,
     ScenarioValidationError,
     Violation,
     default_scenario,
@@ -21,6 +26,7 @@ from fscontract import (
     simulate_external_rates,
     validate_scenario,
 )
+from fscontract.scenario import _FIELDS, _RULES, parse_config, scenario_from_overrides
 
 
 class TestDefaults:
@@ -334,3 +340,169 @@ class TestScaledToMean:
         np.testing.assert_allclose(
             np.asarray(internal_rate_series(scaled.failure, scaled.grid).values), expected)
         assert scaled.failure.phi0_int == pytest.approx(7.5e-3 * factor)
+
+
+def _violations(text: str) -> list[str]:
+    """The validation messages of a config text on top of the defaults."""
+    return [str(v) for v in validate_scenario(scenario_from_overrides(parse_config(text)))]
+
+
+class TestSchemaTables:
+    """The config schema lives in one row per key and one row per check."""
+
+    def test_each_field_has_one_row(self):
+        sections = {"grid": PeriodGrid, "failure": FailureParams, "cost": CostParams,
+                    "learning": LearningParams, "market": MarketParams}
+        expected = [(section, f.name) for section, params in sections.items()
+                    for f in fields(params)] + [("", "rng_seed")]
+        assert [(section, name) for _, section, name, _ in _FIELDS if name] == expected
+        keys = [key for key, _, _, _ in _FIELDS]
+        assert len(keys) == len(set(keys))
+
+    def test_rules_read_config_keys(self):
+        keys = {key for key, _, name, _ in _FIELDS if name}
+        for key, reads, _, _ in _RULES:
+            assert key in keys and set(reads) <= keys
+
+
+#: One config edit per field rule, with every violation it causes, in
+#: report order.
+RULE_EDITS = [
+    ("grid.z_periods = 0", ["grid.z_periods: must be >= 1",
+                            "failure.stage_bounds: z3 must equal z_periods",
+                            "failure.internal_series: length must equal z_periods"]),
+    ("grid.t_j = 1440,1440", ["grid.t_j: length must equal z_periods"]),
+    ("grid.t_j = -1", ["grid.t_j: every period length must be > 0"]),
+    ("grid.t_jM = 1000", ["grid.t_jM: calendar hours must be >= operating hours"]),
+    ("failure.stage_bounds = 16,4,20", ["failure.stage_bounds: need 1 <= z1 < z2 <= z3"]),
+    ("failure.stage_bounds = 4,16,19", ["failure.stage_bounds: z3 must equal z_periods"]),
+    ("failure.k1 = 1", ["failure.k1: must lie in (0, 1)"]),
+    ("failure.k2 = 0", ["failure.k2: must lie in (0, 1)"]),
+    ("failure.m = 0", ["failure.m: must be > 0"]),
+    ("failure.rho = 1.5", ["failure.rho: must lie in [0, 1]"]),
+    ("failure.phi0_int = 0", ["failure.phi0_int: must be > 0",
+                              "failure.ext_mean: external rate must stay below phi0_int"]),
+    ("failure.ext_mean = 0.01", ["failure.ext_mean: external rate must stay below phi0_int"]),
+    ("failure.ext_sd = -1e-4", ["failure.ext_mean: external rate moments must be >= 0"]),
+    ("failure.internal_series = 0.001,0.002",
+     ["failure.internal_series: length must equal z_periods"]),
+    ("failure.internal_series = -0.001", ["failure.internal_series: rates must be >= 0"]),
+    ("cost.unit_repair_cost = 1000,1000", ["cost.unit_repair_cost: length must equal z_periods"]),
+    ("cost.unit_repair_cost = -1", ["cost.unit_repair_cost: must be >= 0"]),
+    ("cost.repair_cost_sd = -1", ["cost.repair_cost_sd: must be >= 0"]),
+    ("cost.avg_maintenance_cost = -1", ["cost.avg_maintenance_cost: must be >= 0"]),
+    ("cost.unit_delay_cost = -1", ["cost.unit_delay_cost: must be >= 0"]),
+    ("cost.delay_probability = 1.5", ["cost.delay_probability: must lie in [0, 1]"]),
+    ("cost.m0_os = 0", ["cost.m0_os: must be >= 1"]),
+    ("learning.alpha_auto = 1", ["learning.alpha_auto: must lie in [0, 1)"]),
+    ("learning.alpha_indu = -0.1", ["learning.alpha_indu: must lie in [0, 1)"]),
+    ("learning.epsilon = 0.5", ["learning.epsilon: must lie in (0, 0.5)"]),
+    ("learning.lf = 1", ["learning.lf: must lie in (0, 1)"]),
+    ("learning.unit_training_cost = -1", ["learning.unit_training_cost: must be >= 0"]),
+    ("learning.forgetting_model = linear",
+     ["learning.forgetting_model: must be 'simple' or 'revised'"]),
+    ("learning.repair_hours = 0", ["learning.repair_hours: must be > 0"]),
+    ("learning.maintenance_hours = -1", ["learning.maintenance_hours: must be >= 0"]),
+    ("rng_seed = -1", ["rng_seed: must be a 64-bit unsigned integer"]),
+    ("market.beta = -1", ["market.beta: must be >= 0"]),
+    ("market.alpha_max = 0", ["market.alpha_max: must be > 0"]),
+    ("market.d_customers = 0", ["market.d_customers: must be >= 1"]),
+    ("market.price_ceiling = 0", ["market.price_ceiling: must be > 0"]),
+    ("market.tco = 100\nmarket.c_lease = 100\nmarket.c_ops = 100",
+     ["market.price_ceiling: must be > 0"]),
+    ("market.c_lease = 400", ["market.price_ceiling: need price_ceiling or (tco, c_lease, c_ops)"]),
+]
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("text, expected", RULE_EDITS)
+    def test_edit_gives_exact_violations(self, text, expected):
+        assert _violations(text) == expected
+
+    def test_every_rule_has_an_edit(self):
+        reported = {v for _, expected in RULE_EDITS for v in expected}
+        for key, _, _, message in _RULES:
+            assert f"{key}: {message}" in reported
+
+    def test_violations_come_in_rule_order(self):
+        text = "learning.lf = 1.5\nfailure.k1 = 2\nmarket.beta = -1\ngrid.t_jM = 1000\n"
+        assert _violations(text) == [
+            "grid.t_jM: calendar hours must be >= operating hours",
+            "failure.k1: must lie in (0, 1)",
+            "learning.lf: must lie in (0, 1)",
+            "market.beta: must be >= 0",
+        ]
+
+    def test_non_finite_values_are_reported_alone_in_key_order(self):
+        text = ("learning.lf = 1.5\nmarket.beta = inf\nfailure.k1 = 2\n"
+                "cost.unit_repair_cost = 1000,nan\nfailure.rho = -inf\n")
+        assert _violations(text) == [
+            "failure.rho: must be finite",
+            "cost.unit_repair_cost: must be finite",
+            "market.beta: must be finite",
+        ]
+
+
+DEFAULT_CONFIG = """\
+# fscontract scenario
+grid.z_periods = 20
+grid.t_j = 1440.0
+grid.t_jM = 4320.0
+failure.phi0_int = 0.0075
+failure.stage_bounds = 4,16,20
+failure.k1 = 0.5
+failure.k2 = 0.45
+failure.m = 100000000000.0
+failure.rho = 0.5
+failure.ext_mean = 0.00075
+failure.ext_sd = 0.00025
+failure.internal_series = 0.0054,0.0038,0.0026,0.0017,0.0017,0.0017,0.0017,0.0017,0.0017,\
+0.0017,0.0017,0.0017,0.0017,0.0017,0.0017,0.0017,0.0031,0.006,0.01,0.015
+cost.unit_repair_cost = 1000.0
+cost.repair_cost_sd = 21000.0
+cost.avg_maintenance_cost = 300.0
+cost.unit_delay_cost = 10000.0
+cost.delay_probability = 0.004
+cost.m0_os = 10
+learning.alpha_auto = 0.1
+learning.alpha_indu = 0.1
+learning.epsilon = 0.05
+learning.lf = 0.005
+learning.unit_training_cost = 50.0
+learning.forgetting_model = revised
+learning.repair_hours = 1.0
+learning.maintenance_hours = 8.0
+market.beta = 0.5
+market.alpha_max = 0.001
+market.d_customers = 50
+market.price_ceiling = 900.0
+rng_seed = 42
+"""
+
+
+class TestSavedText:
+    """``save_scenario`` writes these bytes exactly."""
+
+    def _saved(self, tmp_path, s) -> str:
+        path = tmp_path / "s.cfg"
+        save_scenario(s, path)
+        return path.read_bytes().decode("utf-8")
+
+    def test_default(self, tmp_path, baseline):
+        assert self._saved(tmp_path, baseline) == DEFAULT_CONFIG
+
+    def test_parametric_series(self, tmp_path, baseline):
+        parametric = replace(baseline,
+                             failure=replace(baseline.failure, internal_series_override=None))
+        series_line = next(line for line in DEFAULT_CONFIG.splitlines()
+                           if line.startswith("failure.internal_series"))
+        expected = DEFAULT_CONFIG.replace(series_line, "failure.internal_series = none")
+        assert self._saved(tmp_path, parametric) == expected
+
+    def test_tco_triple(self, tmp_path, baseline):
+        s = replace(baseline, market=replace(baseline.market, price_ceiling=None,
+                                             tco=1500.0, c_lease=400.0, c_ops=200.0))
+        expected = DEFAULT_CONFIG.replace(
+            "market.price_ceiling = 900.0\n",
+            "market.tco = 1500.0\nmarket.c_lease = 400.0\nmarket.c_ops = 200.0\n")
+        assert self._saved(tmp_path, s) == expected
