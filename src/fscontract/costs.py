@@ -7,7 +7,7 @@ converts to thousands of dollars for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +15,7 @@ from .failure import expected_failures
 from .scenario import RateSeries, Scenario
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     """Repair/maintenance/delay/training components of one contract cost."""
 
     repair: float
@@ -33,8 +32,7 @@ class CostBreakdown:
                              self.delay * factor, self.training * factor)
 
 
-@dataclass(frozen=True)
-class OsCostMoments:
+class OsCostMoments(NamedTuple):
     """Mean and variance of the customer's pay-per-repair contract cost.
 
     ``repair_mean`` is the expected repair bill over the horizon,

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ from .scenario import FailureParams, PeriodGrid, RateSeries, Scenario
 _FLOOR_TOLERANCE = 1e-15
 
 
-@dataclass(frozen=True)
-class MaintenancePlan:
+class MaintenancePlan(NamedTuple):
     """A maintenance count with its expected repair+maintenance cost."""
 
     m_count: int
@@ -89,7 +88,7 @@ def _aging_slopes(f: FailureParams, z: int) -> np.ndarray:
 
 def aging_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
     """All Z aging slopes as a series."""
-    return RateSeries("aging", tuple(_aging_slopes(f, grid.z_periods).tolist()))
+    return RateSeries("aging", _aging_slopes(f, grid.z_periods))
 
 
 def internal_rate_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
@@ -101,7 +100,7 @@ def internal_rate_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
     is reported as a warning, not an error).
     """
     if f.internal_series_override is not None:
-        return RateSeries("internal", tuple(float(x) for x in f.internal_series_override))
+        return RateSeries("internal", f.internal_series_override)
     steps = _aging_slopes(f, grid.z_periods) * grid.t_array
     n = min(max(f.stage_bounds[0], 0), grid.z_periods)
     run_in = np.cumsum(np.concatenate(([f.phi0_int], steps[:n])))[1:]
@@ -117,7 +116,7 @@ def internal_rate_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
         run_in = np.maximum(run_in, 0.0)
     last = run_in[-1] if n else f.phi0_int
     rest = np.cumsum(np.concatenate(([last], steps[n:])))[1:]
-    return RateSeries("internal", tuple(np.concatenate((run_in, rest)).tolist()))
+    return RateSeries("internal", np.concatenate((run_in, rest)))
 
 
 def rate_increments(f: FailureParams, grid: PeriodGrid, internal: RateSeries) -> np.ndarray:

@@ -97,8 +97,7 @@ class ReducedTerms(NamedTuple):
         return self.r - self.s - self.q - self.u
 
 
-@dataclass(frozen=True)
-class LearningState:
+class LearningState(NamedTuple):
     """Realised time budget and efficiency multiplier at one lf."""
 
     t_repair: float
@@ -109,16 +108,14 @@ class LearningState:
     training_cost: float
 
 
-@dataclass(frozen=True)
-class FsCostResult:
+class FsCostResult(NamedTuple):
     """Total contract cost with its learning state."""
 
     breakdown: CostBreakdown
     state: LearningState
 
 
-@dataclass(frozen=True)
-class LfSolution:
+class LfSolution(NamedTuple):
     """Optimized training frequency and how the solve went.
 
     ``iterations`` counts Newton (or bisection) steps; it is 0 where lf*

@@ -43,8 +43,9 @@ are converted once on entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .costs import CostBreakdown, OsCostMoments, contract_costs, os_cost_moments
 from .failure import MaintenancePlan, internal_rate_series, optimal_pm_count
@@ -75,8 +76,7 @@ class InfeasiblePriceError(ValueError):
         super().__init__(f"price floor {lower:.3f} exceeds ceiling {upper:.3f}")
 
 
-@dataclass(frozen=True)
-class PricingSolution:
+class PricingSolution(NamedTuple):
     """Posted price with bounds, market share, profit and cost breakdown.
 
     Monetary fields are in thousands of dollars.  ``lf_star`` is set for the
@@ -250,8 +250,8 @@ class CostSide:
             elif variant == "auto":
                 m = self.plan.m_count
                 base = self.problem.base
-                breakdown = replace(base, repair=base.repair
-                                    * s.grid.z_periods ** -s.learning.alpha_auto)
+                breakdown = base._replace(repair=base.repair
+                                          * s.grid.z_periods ** -s.learning.alpha_auto)
             else:
                 m = self.plan.m_count
                 lf_star = self.lf_solution.lf_star if lf is None else lf

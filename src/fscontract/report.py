@@ -14,11 +14,14 @@ the rules that read the config keys its parameter changes.  It shares the
 cost side between points wherever the swept value leaves it unchanged.  The
 mark-up ``beta`` and a fixed ``lf`` leave it whole: the sweep builds it
 once, checks the optimizer's assumptions on it once, and reruns only the
-market side per point.  ``unit_training_cost`` enters only the lf problem:
-each point shares the previous point's rates, maintenance plan and cost
-moments, the assumptions are checked once, and only the lf search and the
-market side rerun.  ``phi_int_mean`` rescales the rates, so it builds one
-cost side per point, shared by that point's checks and its price.
+market side per point.  Once a checked cost side is held, a ``beta`` point
+builds only its market: it checks the ``market.beta`` rules on the value
+alone and prices the held cost side in that market, with no new scenario.
+``unit_training_cost`` enters only the lf problem: each point shares the
+previous point's rates, maintenance plan and cost moments, the assumptions
+are checked once, and only the lf search and the market side rerun.
+``phi_int_mean`` rescales the rates, so it builds one cost side per point,
+shared by that point's checks and its price.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .pricing import (
     CostSide,
@@ -38,6 +42,7 @@ from .scenario import (
     ScenarioValidationError,
     _checked_cost_side,
     _field_violations,
+    _violations,
     scaled_to_mean,
 )
 
@@ -47,8 +52,7 @@ FORMATS = ("csv", "markdown", "plotdata", "svg")
 CSV_HEADER = "variant,param,value,price,cost,profit,fs_share"
 
 
-@dataclass(frozen=True)
-class KpiRecord:
+class KpiRecord(NamedTuple):
     """One row of a comparison or sweep table (prices in thousands of $)."""
 
     variant: str
@@ -152,20 +156,25 @@ def sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None = None) -> li
     """
     records = []
     for value in spec.values:
-        scenario = _swept_scenario(s, spec.param, value)
         # once a checked cost side is held, only rules that read a swept key can fail
         keys = None if cost_side is None else _CHANGED_KEYS[spec.param]
         # beta and a fixed lf keep the cost side whole (see the module docstring)
-        if cost_side is None or spec.param == "phi_int_mean":
-            violations, cost_side = _checked_cost_side(scenario, keys=keys)
-            _raise_on(violations)
+        if cost_side is not None and spec.param == "beta":
+            _raise_on(_violations({"market.beta": value}, keys))
+            market = replace(s.market, beta=value)
         else:
-            _raise_on(_field_violations(scenario, keys))
-            if spec.param == "unit_training_cost":
-                cost_side = cost_side.with_learning(scenario)
+            scenario = _swept_scenario(s, spec.param, value)
+            market = scenario.market
+            if cost_side is None or spec.param == "phi_int_mean":
+                violations, cost_side = _checked_cost_side(scenario, keys=keys)
+                _raise_on(violations)
+            else:
+                _raise_on(_field_violations(scenario, keys))
+                if spec.param == "unit_training_cost":
+                    cost_side = cost_side.with_learning(scenario)
         lf = value if spec.param == "lf" and spec.variant == "full" else None
         try:
-            sol = cost_side.price(spec.variant, scenario.market, lf)
+            sol = cost_side.price(spec.variant, market, lf)
             records.append(_record(sol, spec.param, value))
         except (InfeasibleTrainingError, InfeasiblePriceError):
             nan = float("nan")

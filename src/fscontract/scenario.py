@@ -22,20 +22,25 @@ Config files are flat ``dotted.key = value`` text (see :func:`load_scenario`),
 chosen so that scenarios round-trip losslessly and diff cleanly.
 
 Scenario values are immutable after construction and safe to share across
-workers; RNGs are created per call from the seed and never shared.  The
-per-period arrays that the model computes on (:meth:`RateSeries.as_array`,
-:attr:`PeriodGrid.t_array`, :attr:`Scenario.repair_cost_array`) are derived
-from the tuples once per value object, on first use, and are read-only.
+workers; RNGs are created per call from the seed and never shared.  A
+:class:`RateSeries` holds its rates as one read-only float array, which
+the model computes on directly (:meth:`RateSeries.as_array`); the tuple
+view (:attr:`RateSeries.values`) is built only when asked for.  The config
+values keep tuples, and the arrays derived from them
+(:attr:`PeriodGrid.t_array`, :attr:`Scenario.repair_cost_array`) are built
+once per value object, on first use, and are read-only.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +78,7 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated rule, keyed by the config name of the offending field."""
 
     key: str
@@ -84,28 +88,53 @@ class Violation:
         return f"{self.key}: {self.rule}"
 
 
-@dataclass(frozen=True)
 class RateSeries:
     """Per-period series over the contract horizon.
 
     ``kind`` is one of ``internal`` / ``external`` (failures per hour) or
-    ``aging`` (rate slope per hour^2).
+    ``aging`` (rate slope per hour^2).  The rates are held as one read-only
+    float array, copied from ``values`` (any sequence of floats or a numpy
+    array).  Series are immutable and compare and hash by kind and rates.
     """
 
-    kind: str
-    values: tuple[float, ...]
+    __slots__ = ("kind", "_array")
+
+    def __init__(self, kind: str, values):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_array", _read_only(values))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return RateSeries, (self.kind, self._array)
+
+    def __eq__(self, other):
+        if not isinstance(other, RateSeries):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.values))
+
+    def __repr__(self) -> str:
+        return f"RateSeries(kind={self.kind!r}, values={self.values!r})"
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The rates as a tuple of floats, built on each call."""
+        return tuple(self._array.tolist())
 
     def as_array(self) -> np.ndarray:
-        """The values as a read-only float array, built once."""
+        """The rates as the stored read-only float array."""
         return self._array
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        return _read_only(self.values)
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.as_array()))
+        return float(np.mean(self._array))
 
 
 def _read_only(values) -> np.ndarray:
@@ -324,7 +353,7 @@ def simulate_external_rates(s: Scenario) -> RateSeries:
     """
     rng = np.random.default_rng(s.rng_seed)
     draws = rng.normal(s.failure.ext_mean, s.failure.ext_sd, s.grid.z_periods)
-    return RateSeries("external", tuple(np.maximum(draws, 0.0).tolist()))
+    return RateSeries("external", np.maximum(draws, 0.0))
 
 
 def validate_scenario(s: Scenario, dominance_factor: float = 10.0) -> list[Violation]:
@@ -429,9 +458,20 @@ _CEILING_KEYS = ("market.price_ceiling", "market.tco", "market.c_lease", "market
 
 
 def _stages_out_of_order(bounds) -> bool:
-    """Whether the stage bounds z1, z2, z3 break 1 <= z1 < z2 <= z3."""
+    """Whether three stage bounds z1, z2, z3 break 1 <= z1 < z2 <= z3 (any
+    other count is reported on its own)."""
+    if len(bounds) != 3:
+        return False
     z1, z2, z3 = bounds
     return not 1 <= z1 < z2 <= z3
+
+
+def _square_overflows(x: float) -> bool:
+    """Whether x ** 2 overflows, as the market side computes (1 + beta) ** 2."""
+    try:
+        return math.isinf(x ** 2)
+    except OverflowError:
+        return True
 
 
 def _own(key: str, fails, message: str) -> tuple:
@@ -449,9 +489,11 @@ _RULES = (
     _own("grid.t_j", lambda t: min(t, default=1.0) <= 0, "every period length must be > 0"),
     ("grid.t_jM", ("grid.t_j", "grid.t_jM"), lambda t, tm: any(map(operator.lt, tm, t)),
      "calendar hours must be >= operating hours"),
+    _own("failure.stage_bounds", lambda bounds: len(bounds) != 3,
+         "need three bounds z1, z2, z3"),
     _own("failure.stage_bounds", _stages_out_of_order, "need 1 <= z1 < z2 <= z3"),
     ("failure.stage_bounds", ("grid.z_periods", "failure.stage_bounds"),
-     lambda z, bounds: bounds[2] != z, "z3 must equal z_periods"),
+     lambda z, bounds: len(bounds) == 3 and bounds[2] != z, "z3 must equal z_periods"),
     _own("failure.k1", lambda k1: not 0.0 < k1 < 1.0, "must lie in (0, 1)"),
     _own("failure.k2", lambda k2: not 0.0 < k2 < 1.0, "must lie in (0, 1)"),
     _own("failure.m", lambda m: m <= 0, "must be > 0"),
@@ -485,6 +527,8 @@ _RULES = (
     _own("learning.maintenance_hours", lambda h: h < 0, "must be >= 0"),
     _own("rng_seed", lambda seed: not 0 <= seed < 2**64, "must be a 64-bit unsigned integer"),
     _own("market.beta", lambda beta: beta < 0, "must be >= 0"),
+    _own("market.beta", lambda beta: _square_overflows(1.0 + beta),
+         "(1 + beta)^2 must be finite (it overflows)"),
     _own("market.alpha_max", lambda a: a <= 0, "must be > 0"),
     _own("market.d_customers", lambda d: d < 1, "must be >= 1"),
     ("market.price_ceiling", _CEILING_KEYS,
@@ -516,8 +560,14 @@ def _field_violations(s: Scenario, keys: tuple[str, ...] | None = None) -> list[
     """The field invariants of :func:`validate_scenario`, or only those
     that read one of ``keys``: no rate series, maintenance plan or lf
     problem is needed to check them.  Non-finite values are reported alone."""
-    finite, rules, read = _checks(keys)
-    values = {key: _GETTERS[key](s) for key in read}
+    return _violations({key: _GETTERS[key](s) for key in _checks(keys)[2]}, keys)
+
+
+def _violations(values: dict, keys: tuple[str, ...] | None = None) -> list[Violation]:
+    """:func:`_field_violations` on config values given by key: ``values``
+    holds every key that the checks of ``keys`` read (for ``market.beta``,
+    that key alone)."""
+    finite, rules, _ = _checks(keys)
     v = [Violation(key, "must be finite") for key in finite if _non_finite(values[key])]
     if v:
         return v
@@ -618,7 +668,7 @@ def scaled_to_mean(s: Scenario, target_mean: float) -> Scenario:
     f = replace(
         s.failure,
         phi0_int=s.failure.phi0_int * factor,
-        internal_series_override=tuple(x * factor for x in series.values),
+        internal_series_override=tuple((series.as_array() * factor).tolist()),
     )
     return replace(s, failure=f)
 
@@ -674,7 +724,8 @@ def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Sc
 
     Raises :class:`ConfigError` for a pair of keys that set the same
     quantity two ways (an internal series and a rate table, or a price
-    ceiling and the TCO triple).
+    ceiling and the TCO triple), and for a horizon too long to hold one
+    value per period.
     """
     for a, b in _CONFLICTS:
         if a in overrides and b in overrides:
@@ -688,6 +739,8 @@ def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Sc
         values["market.price_ceiling"] = None
     values.update(overrides)
     z = values["grid.z_periods"] = int(values.get("grid.z_periods", d.grid.z_periods))
+    if z > sys.maxsize:
+        raise ConfigError(f"grid.z_periods: must be at most {sys.maxsize}")
     for key in ("grid.t_j", "grid.t_jM", "failure.internal_series"):
         if values.get(key) is not None:
             values[key] = _per_period(values[key], z)

@@ -185,6 +185,36 @@ def test_overflowing_cost_side_is_validation_error(capsys, tmp_path, argv, text,
     assert err == f"validation error: {message}\n"
 
 
+_BETA_OVERFLOWS = "market.beta: (1 + beta)^2 must be finite (it overflows)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("market.beta = 1e308\n", _BETA_OVERFLOWS),
+    ("market.beta = 1e200\n", _BETA_OVERFLOWS),
+    ("failure.stage_bounds = 4,16\n", "failure.stage_bounds: need three bounds z1, z2, z3"),
+    ("failure.stage_bounds = 4,16,20,24\n",
+     "failure.stage_bounds: need three bounds z1, z2, z3"),
+    # too long to index; a horizon that fits an index would be allocated
+    ("grid.z_periods = 99999999999999999999\n",
+     f"grid.z_periods: must be at most {sys.maxsize}"),
+])
+def test_extreme_config_is_validation_error(capsys, tmp_path, text, message):
+    path = tmp_path / "extreme.cfg"
+    path.write_text(text)
+    code, out, err = run(capsys, "price", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"validation error: {message}\n"
+
+
+def test_overflowing_beta_sweep_value_is_validation_error(capsys, config_path, tmp_path):
+    code, out, err = run(capsys, "sweep", "--config", str(config_path), "--param", "beta",
+                         "--values", "0.5,1e308", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"validation error: {_BETA_OVERFLOWS}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("optimize-lf",),
     ("compare", "--format", "csv"),

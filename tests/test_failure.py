@@ -19,6 +19,8 @@ from fscontract import (
     optimal_pm_count,
 )
 
+from fscontract.failure import _aging_slopes
+
 from conftest import make_scenario, random_rate_scenario
 
 
@@ -141,6 +143,22 @@ class TestInternalRateSeries:
         assert len(caught) == floors
         scale = max(f.phi0_int, max(abs(x) for x in want))
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15 * scale
+
+    def test_parametric_series_is_bit_identical_to_the_numpy_sums(self, baseline):
+        # the two running sums of the module docstring, read back through a
+        # tuple of Python floats
+        for z in (20, 300, 2400):
+            grid = PeriodGrid.uniform(z, 1440.0, 4320.0)
+            f = replace(baseline.failure, stage_bounds=(4, z - 4, z),
+                        internal_series_override=None)
+            steps = _aging_slopes(f, z) * grid.t_array
+            run_in = np.cumsum(np.concatenate(([f.phi0_int], steps[:4])))[1:]
+            rest = np.cumsum(np.concatenate(([run_in[-1]], steps[4:])))[1:]
+            want = tuple(np.concatenate((run_in, rest)).tolist())
+            series = internal_rate_series(f, grid)
+            assert series.values == want
+            assert series.as_array().tobytes() == np.array(want).tobytes()
+            assert aging_series(f, grid).values == tuple(_aging_slopes(f, z).tolist())
 
     def test_bathtub_shape(self, baseline):
         z1, z2, z3 = baseline.failure.stage_bounds

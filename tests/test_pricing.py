@@ -10,13 +10,20 @@ from fscontract import (
     ConvergenceError,
     CostBreakdown,
     CostSide,
+    FsCostResult,
     InfeasiblePriceError,
     InfeasibleTrainingError,
+    KpiRecord,
     LearningParams,
+    LearningState,
     LfProblem,
+    LfSolution,
+    MaintenancePlan,
     MarketParams,
     OsCostMoments,
+    PricingSolution,
     ReducedTerms,
+    Violation,
     disutility,
     expected_profit,
     fs_cost_lf_derivative,
@@ -157,7 +164,7 @@ class TestOptimizeLf:
         internal, external = baseline_rates
         problem = lf_problem(3, baseline, internal, external)
         for bad in (float("nan"), float("inf")):
-            broken = replace(problem, base=replace(problem.base, repair=bad))
+            broken = replace(problem, base=problem.base._replace(repair=bad))
             with pytest.raises(ConvergenceError):
                 broken.solve()
 
@@ -443,3 +450,43 @@ class TestPriceVariants:
                             learning=replace(baseline.learning, unit_training_cost=5000.0))
         sols = price_variants(expensive)
         assert sols["full"].price > sols["auto"].price
+
+
+class TestResultRecords:
+    """The result records are named tuples with fixed fields and reprs."""
+
+    @pytest.mark.parametrize("cls, fields, defaults", [
+        (CostBreakdown, ("repair", "maintenance", "delay", "training"), {}),
+        (OsCostMoments, ("repair_mean", "maintenance", "variance"), {}),
+        (LearningState, ("t_repair", "t_training", "t_forgetting", "effective_training",
+                         "a_factor", "training_cost"), {}),
+        (FsCostResult, ("breakdown", "state"), {}),
+        (LfSolution, ("lf_star", "cost_at_star", "vertex_hint", "iterations",
+                      "feasible_range", "residual"), {}),
+        (MaintenancePlan, ("m_count", "is_optimal", "objective_value"), {}),
+        (PricingSolution, ("price", "lower_bound", "upper_bound", "interior_price", "fs_share",
+                           "profit", "breakdown", "variant", "m_count", "lf_star"),
+         {"lf_star": None}),
+        (KpiRecord, ("variant", "swept_param", "swept_value", "price", "cost", "profit",
+                     "fs_share", "feasible"), {"feasible": True}),
+        (Violation, ("key", "rule"), {}),
+    ])
+    def test_fields_defaults_and_repr(self, cls, fields, defaults):
+        assert cls._fields == fields
+        assert cls._field_defaults == defaults
+        values = [0.5 * i for i in range(len(fields))]
+        record = cls(*values)
+        assert repr(record) == (f"{cls.__name__}("
+                                + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")")
+        assert record._replace(**{fields[0]: -1.0})[1:] == record[1:]
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], 1.0)
+
+    def test_derived_values(self):
+        breakdown = CostBreakdown(1.0, 2.0, 3.0, 4.0)
+        assert breakdown.total == 10.0
+        assert breakdown.scaled(0.5) == CostBreakdown(0.5, 1.0, 1.5, 2.0)
+        osm = OsCostMoments(1.0, 2.0, 4.0)
+        assert osm.mean == 3.0
+        assert osm.scaled(0.5) == OsCostMoments(0.5, 1.0, 1.0)
+        assert str(Violation("market.beta", "must be >= 0")) == "market.beta: must be >= 0"

@@ -8,6 +8,7 @@ import pytest
 from fscontract import (
     CostSide,
     KpiRecord,
+    Scenario,
     ScenarioValidationError,
     SweepSpec,
     compare_models,
@@ -141,6 +142,7 @@ class TestSweepChecks:
         ("lf", (0.004, 1.0), "learning.lf: must lie in (0, 1)"),
         ("phi_int_mean", (0.0034, math.inf),
          "failure.phi0_int: must be finite; failure.internal_series: must be finite"),
+        ("beta", (0.5, 1e308), "market.beta: (1 + beta)^2 must be finite (it overflows)"),
     ])
     def test_bad_later_point_raises(self, baseline, param, values, message):
         with pytest.raises(ScenarioValidationError) as err:
@@ -170,14 +172,14 @@ class TestSweepChecks:
     def test_points_check_only_the_swept_keys(self, monkeypatch, baseline, given, param,
                                               values, keys):
         checked = []
-        field_violations = scenario_module._field_violations
+        violations = scenario_module._violations
 
-        def recorded(s, keys=None):
+        def recorded(values, keys=None):
             checked.append(keys)
-            return field_violations(s, keys)
+            return violations(values, keys)
 
         for module in (scenario_module, report_module):
-            monkeypatch.setattr(module, "_field_violations", recorded)
+            monkeypatch.setattr(module, "_violations", recorded)
         cost_side = CostSide(baseline) if given else None
         records = sweep(SweepSpec(param=param, values=values), baseline, cost_side)
         assert all(r.feasible for r in records)
@@ -196,6 +198,21 @@ class TestCostSideReuse:
         assert len(records) == 41
         assert {name: len(c) for name, c in calls.items()} == {
             "optimize_lf": 1, "simulate_external_rates": 1, "optimal_pm_count": 1}
+
+    def test_beta_points_on_a_held_cost_side_build_only_a_market(self, monkeypatch,
+                                                                baseline):
+        spec = SweepSpec(param="beta", values=self.BETAS)
+        cost_side = CostSide(baseline)
+        want = sweep(spec, baseline)
+        built = []
+        for cls in (Scenario, CostSide):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert sweep(spec, baseline, cost_side) == want
+        assert built == []
 
     def test_lf_sweep_runs_no_lf_search(self, monkeypatch, baseline):
         calls = count_calls(monkeypatch, optimize_lf, optimal_pm_count)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,6 +17,7 @@ from fscontract import (
     LearningParams,
     MarketParams,
     PeriodGrid,
+    RateSeries,
     ScenarioValidationError,
     Violation,
     default_scenario,
@@ -27,6 +30,8 @@ from fscontract import (
     validate_scenario,
 )
 from fscontract.scenario import _FIELDS, _RULES, parse_config, scenario_from_overrides
+
+from conftest import generated_scenarios
 
 
 class TestDefaults:
@@ -271,6 +276,56 @@ class TestCachedArrays:
         assert s.repair_cost_array is s.repair_cost_array
 
 
+class TestRateSeries:
+    """A series holds one read-only array and compares by kind and rates."""
+
+    RATES = (0.0054, 0.0038, 5e-324, 0.0, 1.7976931348623157e308, 0.1 + 0.2)
+
+    def test_equal_and_hash_equal_to_one_built_from_the_tuple(self):
+        from_array = RateSeries("internal", np.array(self.RATES))
+        from_tuple = RateSeries("internal", self.RATES)
+        assert from_array == from_tuple
+        assert hash(from_array) == hash(from_tuple)
+        assert from_array != RateSeries("external", self.RATES)
+        assert from_array != RateSeries("internal", self.RATES[:-1])
+        assert from_array != RateSeries("internal", self.RATES[:-1] + (0.3,))
+
+    def test_array_is_read_only_and_assignment_raises(self):
+        source = np.array(self.RATES)
+        series = RateSeries("internal", source)
+        source[0] = 1.0  # the series holds its own copy
+        array = series.as_array()
+        assert array is series.as_array()
+        assert array.dtype == np.float64 and not array.flags.writeable
+        assert array[0] == self.RATES[0]
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        for name in ("kind", "values", "_array", "other"):
+            with pytest.raises(AttributeError):
+                setattr(series, name, None)
+        with pytest.raises(AttributeError):
+            del series.kind
+
+    def test_values_round_trip_losslessly(self):
+        series = RateSeries("aging", self.RATES)
+        assert series.values == self.RATES
+        assert all(type(x) is float for x in series.values)
+        assert RateSeries("aging", series.values) == series
+        assert eval(repr(series), {"RateSeries": RateSeries}) == series
+        assert repr(series) == f"RateSeries(kind='aging', values={self.RATES!r})"
+        for copied in (copy.deepcopy(series), pickle.loads(pickle.dumps(series))):
+            assert copied == series and not copied.as_array().flags.writeable
+
+    def test_external_draw_is_bit_identical_to_the_numpy_draw(self, baseline):
+        for s in [baseline] + generated_scenarios((1,)):
+            rng = np.random.default_rng(s.rng_seed)
+            draws = rng.normal(s.failure.ext_mean, s.failure.ext_sd, s.grid.z_periods)
+            want = tuple(np.maximum(draws, 0.0).tolist())
+            series = simulate_external_rates(s)
+            assert series.values == want
+            assert series.as_array().tobytes() == np.array(want).tobytes()
+
+
 class TestInternalTable:
     def test_shape(self):
         for col in range(1, 11):
@@ -411,6 +466,11 @@ RULE_EDITS = [
     ("market.tco = 100\nmarket.c_lease = 100\nmarket.c_ops = 100",
      ["market.price_ceiling: must be > 0"]),
     ("market.c_lease = 400", ["market.price_ceiling: need price_ceiling or (tco, c_lease, c_ops)"]),
+    # appended, so that the test ids of the edits above stay fixed
+    ("failure.stage_bounds = 4,16", ["failure.stage_bounds: need three bounds z1, z2, z3"]),
+    ("failure.stage_bounds = 4,16,20,24",
+     ["failure.stage_bounds: need three bounds z1, z2, z3"]),
+    ("market.beta = 1e200", ["market.beta: (1 + beta)^2 must be finite (it overflows)"]),
 ]
 
 
