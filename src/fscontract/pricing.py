@@ -32,10 +32,13 @@ moments, the scalar lf problem with its optimum lf*, and each variant's
 cost breakdown.  Its parts are computed on first use and kept for the life
 of the object (one pricing call, one comparison or one sweep), so a
 ``bench`` price never runs the lf search and a second variant reuses the
-first one's work.  The market side (:meth:`CostSide.price`) turns one cost
-breakdown and the cost moments into the interior price, its bounds, the
-market share and the profit.  It is cheap, and a sweep over the mark-up
-reruns only this half.
+first one's work.  The market side is one kernel over an array of
+mark-ups (:func:`market_side`): numpy expressions that turn one cost
+breakdown and the cost moments into the interior price, the floor, the
+ceiling, the clamped price, the market share and the profit at every
+mark-up at once.  Every formula above lives there and nowhere else.
+:meth:`CostSide.price` is its one-mark-up case, and a sweep over the
+mark-up prices all its points in one call.
 
 This module works in report units (thousands of dollars); cost-side inputs
 are converted once on entry.
@@ -46,6 +49,8 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .costs import CostBreakdown, OsCostMoments, contract_costs, os_cost_moments
 from .failure import MaintenancePlan, internal_rate_series, optimal_pm_count
@@ -123,59 +128,94 @@ def disutility(choice: str, alpha_i: float, price: float, osm: OsCostMoments,
     if choice == "FS":
         return price
     if choice == "OS":
-        return (1.0 + beta) * osm.mean + alpha_i * (1.0 + beta) ** 2 * osm.variance / 2.0
+        up = 1.0 + beta
+        return up * osm.mean + alpha_i * (up * up) * osm.variance / 2.0
     raise ValueError(f"unknown contract choice {choice!r}")
 
 
-def fs_market_share(price: float, osm: OsCostMoments, mk: MarketParams) -> float:
-    """Fraction of customers whose risk aversion favors the fixed price.
+class MarketSide(NamedTuple):
+    """The market side of one cost breakdown at each mark-up: arrays over an
+    array of mark-ups, numpy scalars at one.  Monetary fields are in
+    thousands of dollars."""
 
-    Degenerate zero-variance markets split sharply: everyone signs at or
-    below the marked-up expected bill, nobody above it.
+    interior: np.ndarray
+    lower: np.ndarray
+    upper: float
+    price: np.ndarray
+    fs_share: np.ndarray
+    profit: np.ndarray
+
+
+#: No cost at all: the market share does not depend on the cost.
+_NO_COST = CostBreakdown(0.0, 0.0, 0.0, 0.0)
+
+
+def _risk_premium(alpha_max: float, beta, variance: float):
+    """alpha_max (1 + beta)^2 Var / 4: what the pricing rule charges for the
+    customers' risk aversion."""
+    up = 1.0 + beta
+    return alpha_max * (up * up) * variance / 4.0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def market_side(fs_cost: CostBreakdown, osm: OsCostMoments, mk: MarketParams, beta,
+                price=None) -> MarketSide:
+    """Every formula of the market side, at each mark-up of ``beta`` (an
+    array, or a float) in place of ``mk.beta``.
+
+    The interior price follows the pricing rule.  The floor makes the
+    fixed-price margin at least the pay-per-repair margin; the ceiling is
+    what ownership minus leasing and operations leaves for service.  The
+    market share and the profit are taken at ``price`` where it is given,
+    else at the interior price clamped to [floor, ceiling] (the ceiling
+    where the floor is above it).  Fixed-price customers contribute price
+    minus total cost, the rest stay on pay-per-repair and contribute the
+    mark-up margin.  A zero-variance market splits sharply: everyone signs
+    at or below the marked-up expected bill, nobody above it.
+
+    numpy's overflow and invalid-value warnings are silenced: the checks
+    and the floor-above-ceiling test report such inputs.
     """
-    threshold = (1.0 + mk.beta) * osm.mean
+    up = 1.0 + beta
+    interior = (fs_cost.repair
+                + beta * osm.repair_mean
+                + 0.5 * fs_cost.maintenance
+                + 0.5 * (1.0 + 2.0 * beta) * osm.maintenance
+                + 0.5 * fs_cost.delay
+                + _risk_premium(mk.alpha_max, beta, osm.variance)
+                + fs_cost.training)
+    total, mean = fs_cost.total, osm.mean
+    lower = total + beta * mean
+    upper = mk.resolved_ceiling()
+    if price is None:
+        price = np.minimum(np.maximum(interior, lower), upper)
+    threshold = up * mean
     if osm.variance <= 0.0:
-        return 1.0 if price <= threshold else 0.0
-    tau = 2.0 * (price - threshold) / ((1.0 + mk.beta) ** 2 * osm.variance)
-    if tau <= 0.0:
-        return 1.0
-    return min(max(1.0 - tau / mk.alpha_max, 0.0), 1.0)
+        share = np.where(price <= threshold, 1.0, 0.0)
+    else:
+        # alpha_max > 0, so tau <= 0 clips to a share of 1
+        tau = 2.0 * (price - threshold) / (up * up * osm.variance)
+        share = np.minimum(np.maximum(1.0 - tau / mk.alpha_max, 0.0), 1.0)
+    profit = mk.d_customers * ((price - total) * share + beta * mean * (1.0 - share))
+    return MarketSide(interior, lower, upper, price, share, profit)
+
+
+def fs_market_share(price: float, osm: OsCostMoments, mk: MarketParams) -> float:
+    """Fraction of customers whose risk aversion favors the fixed price."""
+    return float(market_side(_NO_COST, osm, mk, mk.beta, price).fs_share)
 
 
 def expected_profit(price: float, fs_cost: CostBreakdown, osm: OsCostMoments,
                     mk: MarketParams) -> float:
-    """Market-wide expected profit at a posted price.
-
-    Fixed-price customers contribute price minus total cost; the rest stay
-    on pay-per-repair and contribute the mark-up margin.
-    """
-    share = fs_market_share(price, osm, mk)
-    per_customer = (price - fs_cost.total) * share + mk.beta * osm.mean * (1.0 - share)
-    return mk.d_customers * per_customer
+    """Market-wide expected profit at a posted price."""
+    return float(market_side(fs_cost, osm, mk, mk.beta, price).profit)
 
 
 def price_bounds(fs_cost: CostBreakdown, osm: OsCostMoments,
                  mk: MarketParams) -> tuple[float, float]:
-    """Admissible price interval.
-
-    The floor makes the fixed-price margin at least the pay-per-repair
-    margin; the ceiling is what ownership minus leasing and operations
-    leaves for service.
-    """
-    lower = fs_cost.total + mk.beta * osm.mean
-    return lower, mk.resolved_ceiling()
-
-
-def _interior_price(fs_cost: CostBreakdown, osm: OsCostMoments, mk: MarketParams) -> float:
-    beta = mk.beta
-    risk_premium = mk.alpha_max * (1.0 + beta) ** 2 * osm.variance / 4.0
-    return (fs_cost.repair
-            + beta * osm.repair_mean
-            + 0.5 * fs_cost.maintenance
-            + 0.5 * (1.0 + 2.0 * beta) * osm.maintenance
-            + 0.5 * fs_cost.delay
-            + risk_premium
-            + fs_cost.training)
+    """Admissible price interval: the floor and the ceiling."""
+    sides = market_side(fs_cost, osm, mk, mk.beta)
+    return float(sides.lower), float(sides.upper)
 
 
 class CostSide:
@@ -261,21 +301,20 @@ class CostSide:
         return self._variant_costs[key]
 
     def price(self, variant: str, mk: MarketParams, lf: float | None = None) -> PricingSolution:
-        """The market side: price one variant's cost in the market ``mk``."""
+        """The market side: price one variant's cost in the market ``mk``
+        (the one-mark-up case of :func:`market_side`)."""
         breakdown, m, lf_star = self.variant_cost(variant, lf)
-        osm = self.os_moments
-        interior = _interior_price(breakdown, osm, mk)
-        lower, upper = price_bounds(breakdown, osm, mk)
+        sides = market_side(breakdown, self.os_moments, mk, mk.beta)
+        lower, upper = float(sides.lower), float(sides.upper)
         if lower > upper:
             raise InfeasiblePriceError(lower, upper)
-        price = min(max(interior, lower), upper)
         return PricingSolution(
-            price=price,
+            price=float(sides.price),
             lower_bound=lower,
             upper_bound=upper,
-            interior_price=interior,
-            fs_share=fs_market_share(price, osm, mk),
-            profit=expected_profit(price, breakdown, osm, mk),
+            interior_price=float(sides.interior),
+            fs_share=float(sides.fs_share),
+            profit=float(sides.profit),
             breakdown=breakdown,
             variant=variant,
             m_count=m,

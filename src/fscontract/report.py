@@ -14,9 +14,10 @@ the rules that read the config keys its parameter changes.  It shares the
 cost side between points wherever the swept value leaves it unchanged.  The
 mark-up ``beta`` and a fixed ``lf`` leave it whole: the sweep builds it
 once, checks the optimizer's assumptions on it once, and reruns only the
-market side per point.  Once a checked cost side is held, a ``beta`` point
-builds only its market: it checks the ``market.beta`` rules on the value
-alone and prices the held cost side in that market, with no new scenario.
+market side.  A ``beta`` sweep checks and prices its whole array of
+mark-ups at once: the ``market.beta`` rules and the risk premium on the
+array, then one call of the market-side kernel on the held cost side, with
+no new scenario or market per point.
 ``unit_training_cost`` enters only the lf problem: each point shares the
 previous point's rates, maintenance plan and cost moments, the assumptions
 are checked once, and only the lf search and the market side rerun.
@@ -31,18 +32,21 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .pricing import (
     CostSide,
     InfeasiblePriceError,
     InfeasibleTrainingError,
     PricingSolution,
+    market_side,
 )
 from .scenario import (
     Scenario,
     ScenarioValidationError,
     _checked_cost_side,
     _field_violations,
-    _violations,
+    _swept_beta_violations,
     scaled_to_mean,
 )
 
@@ -119,9 +123,8 @@ def compare_models(s: Scenario, cost_side: CostSide | None = None) -> list[KpiRe
     return [_record(full, None, float("nan")), _record(auto, None, float("nan")), os_row]
 
 
-#: The config keys whose values each sweep parameter changes.
+#: The config keys whose values each sweep parameter but ``beta`` changes.
 _CHANGED_KEYS = {
-    "beta": ("market.beta",),
     "phi_int_mean": ("failure.phi0_int", "failure.internal_series"),
     "lf": ("learning.lf",),
     "unit_training_cost": ("learning.unit_training_cost",),
@@ -154,33 +157,55 @@ def sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None = None) -> li
     side of ``s`` that the caller already holds and has checked; the
     sweep starts from it wherever the swept value leaves it whole.
     """
+    if spec.param == "beta":
+        return _beta_sweep(spec, s, cost_side)
     records = []
     for value in spec.values:
         # once a checked cost side is held, only rules that read a swept key can fail
         keys = None if cost_side is None else _CHANGED_KEYS[spec.param]
-        # beta and a fixed lf keep the cost side whole (see the module docstring)
-        if cost_side is not None and spec.param == "beta":
-            _raise_on(_violations({"market.beta": value}, keys))
-            market = replace(s.market, beta=value)
+        scenario = _swept_scenario(s, spec.param, value)
+        if cost_side is None or spec.param == "phi_int_mean":
+            violations, cost_side = _checked_cost_side(scenario, keys=keys)
+            _raise_on(violations)
         else:
-            scenario = _swept_scenario(s, spec.param, value)
-            market = scenario.market
-            if cost_side is None or spec.param == "phi_int_mean":
-                violations, cost_side = _checked_cost_side(scenario, keys=keys)
-                _raise_on(violations)
-            else:
-                _raise_on(_field_violations(scenario, keys))
-                if spec.param == "unit_training_cost":
-                    cost_side = cost_side.with_learning(scenario)
+            # a fixed lf keeps the cost side whole (see the module docstring)
+            _raise_on(_field_violations(scenario, keys))
+            if spec.param == "unit_training_cost":
+                cost_side = cost_side.with_learning(scenario)
         lf = value if spec.param == "lf" and spec.variant == "full" else None
         try:
-            sol = cost_side.price(spec.variant, market, lf)
+            sol = cost_side.price(spec.variant, scenario.market, lf)
             records.append(_record(sol, spec.param, value))
         except (InfeasibleTrainingError, InfeasiblePriceError):
-            nan = float("nan")
-            records.append(KpiRecord(spec.variant, spec.param, value,
-                                     nan, nan, nan, nan, feasible=False))
+            records.append(_infeasible(spec, value))
     return records
+
+
+def _infeasible(spec: SweepSpec, value: float) -> KpiRecord:
+    nan = float("nan")
+    return KpiRecord(spec.variant, spec.param, value, nan, nan, nan, nan, feasible=False)
+
+
+def _beta_sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None) -> list[KpiRecord]:
+    """A mark-up sweep: one checked cost side, its market side over the
+    whole array of mark-ups (see the module docstring)."""
+    if cost_side is None:
+        violations, cost_side = _checked_cost_side(_swept_scenario(s, "beta", spec.values[0]))
+        _raise_on(violations)
+    osm = cost_side.os_moments
+    betas = np.array(spec.values, dtype=float)
+    _raise_on(_swept_beta_violations(s, betas, osm.variance))
+    try:
+        breakdown = cost_side.variant_cost(spec.variant)[0]
+    except InfeasibleTrainingError:
+        return [_infeasible(spec, value) for value in spec.values]
+    sides = market_side(breakdown, osm, s.market, betas)
+    cost = breakdown.total
+    return [_infeasible(spec, value) if infeasible
+            else KpiRecord(spec.variant, "beta", value, price, cost, profit, share)
+            for value, infeasible, price, profit, share in zip(
+                spec.values, (sides.lower > sides.upper).tolist(), sides.price.tolist(),
+                sides.profit.tolist(), sides.fs_share.tolist())]
 
 
 def profit_premium_sweep(s: Scenario, values: tuple[float, ...]) -> list[tuple[float, float]]:

@@ -466,12 +466,10 @@ def _stages_out_of_order(bounds) -> bool:
     return not 1 <= z1 < z2 <= z3
 
 
-def _square_overflows(x: float) -> bool:
-    """Whether x ** 2 overflows, as the market side computes (1 + beta) ** 2."""
-    try:
-        return math.isinf(x ** 2)
-    except OverflowError:
-        return True
+def _square_overflows(x):
+    """Whether x * x overflows, as the market side computes (1 + beta)^2; on
+    a float or elementwise on an array."""
+    return np.isinf(x * x)
 
 
 def _own(key: str, fails, message: str) -> tuple:
@@ -484,6 +482,7 @@ def _own(key: str, fails, message: str) -> tuple:
 #: violation, and the message.  Every value is finite when a predicate runs.
 _RULES = (
     _own("grid.z_periods", lambda z: z < 1, "must be >= 1"),
+    _own("grid.z_periods", lambda z: z > sys.maxsize, f"must be at most {sys.maxsize}"),
     ("grid.t_j", ("grid.z_periods", "grid.t_j", "grid.t_jM"),
      lambda z, t, tm: len(t) != z or len(tm) != z, "length must equal z_periods"),
     _own("grid.t_j", lambda t: min(t, default=1.0) <= 0, "every period length must be > 0"),
@@ -507,10 +506,14 @@ _RULES = (
      lambda z, series: series is not None and len(series) != z, "length must equal z_periods"),
     _own("failure.internal_series", lambda series: min(series or (), default=0.0) < 0,
          "rates must be >= 0"),
+    # a constant repair cost stands for max(z, 0) periods, and is not
+    # broadcast: z may be too large to index
     ("cost.unit_repair_cost", ("grid.z_periods", "cost.unit_repair_cost"),
-     lambda z, c: len(_per_period(c, z)) != z, "length must equal z_periods"),
+     lambda z, c: len(c) != z if isinstance(c, tuple) else z < 0,
+     "length must equal z_periods"),
     ("cost.unit_repair_cost", ("grid.z_periods", "cost.unit_repair_cost"),
-     lambda z, c: min(_per_period(c, z), default=0.0) < 0, "must be >= 0"),
+     lambda z, c: min(c, default=0.0) < 0 if isinstance(c, tuple) else z >= 1 and c < 0,
+     "must be >= 0"),
     _own("cost.repair_cost_sd", lambda sd: sd < 0, "must be >= 0"),
     _own("cost.avg_maintenance_cost", lambda c: c < 0, "must be >= 0"),
     _own("cost.unit_delay_cost", lambda c: c < 0, "must be >= 0"),
@@ -577,6 +580,37 @@ def _violations(values: dict, keys: tuple[str, ...] | None = None) -> list[Viola
     return v
 
 
+#: The pricing rule's risk premium alpha_max (1 + beta)^2 Var / 4 is not
+#: finite.  It names alpha_max, the one factor that no other check bounds:
+#: the field rules bound (1 + beta)^2 and the cost-side checks the variance.
+_PREMIUM_OVERFLOWS = Violation(
+    "market.alpha_max",
+    "the risk premium alpha_max (1 + beta)^2 Var / 4 must be finite (it overflows)")
+
+
+def _swept_beta_violations(s: Scenario, betas: np.ndarray, variance: float) -> list[Violation]:
+    """The violations of the first mark-up in ``betas`` that breaks a
+    ``market.beta`` rule or overflows the risk premium at the pay-per-repair
+    ``variance`` in the market of ``s``: what checking each value on its
+    own reports.  The ``market.beta`` predicates run once, on the whole
+    array (non-finite values included, which are flagged anyway)."""
+    from .pricing import _risk_premium
+
+    keys = ("market.beta",)
+    _, rules, reads = _checks(keys)
+    values = {key: _GETTERS[key](s) for key in reads}
+    values["market.beta"] = betas
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(betas) | ~np.isfinite(_risk_premium(s.market.alpha_max, betas,
+                                                                variance))
+        for _, read, fails, _ in rules:
+            bad |= fails(*[values[key] for key in read])
+    if not bad.any():
+        return []
+    values["market.beta"] = float(betas[bad.argmax()])
+    return _violations(values, keys) or [_PREMIUM_OVERFLOWS]
+
+
 #: Config key of each bill before learning, and its :class:`CostBreakdown` field.
 _BILLS = (("cost.unit_repair_cost", "repair"), ("cost.avg_maintenance_cost", "maintenance"),
           ("cost.unit_delay_cost", "delay"))
@@ -586,7 +620,8 @@ def _cost_side_violations(cost_side, dominance_factor: float = 10.0) -> list[Vio
     """The optimizer's standing assumptions, on the cost side's actual rate
     series, maintenance plan and lf problem: a finite series, maintenance
     count, time budget and bills (finite inputs can still overflow), enough
-    trainable time, and a finite pay-per-repair variance."""
+    trainable time, a finite pay-per-repair variance, and a finite risk
+    premium in the scenario's own market."""
     if not np.isfinite(cost_side.internal.as_array()).all():
         return [Violation("failure.internal_series",
                           "the parametric series must be finite (it overflows)")]
@@ -612,10 +647,16 @@ def _cost_side_violations(cost_side, dominance_factor: float = 10.0) -> list[Vio
             f"external interruptions too large: R-S-Q-U = {net:.3f} "
             f"< {dominance_factor:g} * S = {dominance_factor * terms.s:.3f}",
         )]
-    if not math.isfinite(cost_side.os_moments.variance):
+    variance = cost_side.os_moments.variance
+    if not math.isfinite(variance):
         sd = cost_side.scenario.cost.repair_cost_sd
         key = "cost.unit_repair_cost" if math.isfinite(sd * sd) else "cost.repair_cost_sd"
         return [Violation(key, "the pay-per-repair cost variance must be finite (it overflows)")]
+    from .pricing import _risk_premium
+
+    market = cost_side.scenario.market
+    if not math.isfinite(_risk_premium(market.alpha_max, market.beta, variance)):
+        return [_PREMIUM_OVERFLOWS]
     return []
 
 

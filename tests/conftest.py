@@ -125,6 +125,28 @@ def count_calls(monkeypatch, *functions) -> dict[str, list]:
     return calls
 
 
+def market_side_oracle(fs_cost, osm, mk, beta: float) -> tuple[float, ...]:
+    """The market side at one float mark-up, one formula at a time in
+    Python floats: (interior price, floor, ceiling, clamped price, FS share,
+    profit).  The oracle of :func:`fscontract.pricing.market_side`; it
+    squares as x * x, as the kernel does."""
+    up = 1.0 + beta
+    interior = (fs_cost.repair + beta * osm.repair_mean + 0.5 * fs_cost.maintenance
+                + 0.5 * (1.0 + 2.0 * beta) * osm.maintenance + 0.5 * fs_cost.delay
+                + mk.alpha_max * (up * up) * osm.variance / 4.0 + fs_cost.training)
+    lower = fs_cost.total + beta * osm.mean
+    upper = mk.resolved_ceiling()
+    price = min(max(interior, lower), upper)
+    threshold = up * osm.mean
+    if osm.variance <= 0.0:
+        share = 1.0 if price <= threshold else 0.0
+    else:
+        tau = 2.0 * (price - threshold) / (up * up * osm.variance)
+        share = 1.0 if tau <= 0.0 else min(max(1.0 - tau / mk.alpha_max, 0.0), 1.0)
+    per_customer = (price - fs_cost.total) * share + beta * osm.mean * (1.0 - share)
+    return interior, lower, upper, price, share, mk.d_customers * per_customer
+
+
 def golden_section(f, lo: float, hi: float, tol: float = 1e-6,
                    max_iter: int = 200) -> tuple[float, float, int]:
     """Minimize a unimodal function on [lo, hi] to absolute x-tolerance tol.

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -213,6 +214,69 @@ def test_overflowing_beta_sweep_value_is_validation_error(capsys, config_path, t
     assert code == 1
     assert out == ""
     assert err == f"validation error: {_BETA_OVERFLOWS}\n"
+
+
+_PREMIUM_OVERFLOWS = ("market.alpha_max: the risk premium alpha_max (1 + beta)^2 Var / 4 "
+                      "must be finite (it overflows)")
+#: A market whose risk premium overflows to inf, and one where it comes out
+#: NaN (inf times a zero variance).
+_ALPHA_MAX_CONFIGS = [
+    "market.alpha_max = 1e308\n",
+    "market.alpha_max = 1e308\nmarket.beta = 1\ncost.repair_cost_sd = 0\n"
+    "cost.unit_repair_cost = 0\n",
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ("price",),
+    ("price", "--variant", "bench"),
+    ("compare", "--format", "csv"),
+    ("sweep", "--param", "beta", "--values", "0.5,0.6"),
+])
+@pytest.mark.parametrize("text", _ALPHA_MAX_CONFIGS)
+def test_overflowing_risk_premium_is_validation_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "extreme.cfg"
+    path.write_text(text)
+    out = ("--out", str(tmp_path)) if argv[0] != "price" else ()
+    code, stdout, err = run(capsys, *argv, "--config", str(path), *out)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"validation error: {_PREMIUM_OVERFLOWS}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", ["full", "bench"])
+@pytest.mark.parametrize("text, code, err", [
+    # the floor overflows to inf
+    ("market.price_ceiling = 1178.2205688837782\ncost.delay_probability = 1e-300\n"
+     "cost.avg_maintenance_cost = 1e308\n", 2, "infeasible model: price floor inf exceeds"),
+    # tau / alpha_max overflows, at an infeasible and at a feasible price
+    ("market.price_ceiling = 883.9985833487726\nmarket.alpha_max = 5e-324\n"
+     "cost.delay_probability = 0.5\n", 2, "infeasible model: price floor"),
+    ("market.alpha_max = 5e-324\n", 0, ""),
+])
+def test_market_side_overflow_prints_no_warning(capsys, tmp_path, variant, text, code, err):
+    # any warning fails the test: numpy's warnings inside the kernel are silenced
+    path = tmp_path / "extreme.cfg"
+    path.write_text(text)
+    got, out, stderr = run(capsys, "price", "--config", str(path), "--variant", variant)
+    assert got == code
+    assert stderr.startswith(err) and len(stderr.splitlines()) == (1 if code else 0)
+    values = dict(line.split(" = ") for line in out.splitlines())
+    assert all(math.isfinite(float(v)) for k, v in values.items() if k != "variant")
+
+
+def test_beta_sweep_value_that_overflows_the_risk_premium(capsys, tmp_path):
+    # the config's own mark-up passes; the swept 1e10 does not
+    path = tmp_path / "averse.cfg"
+    path.write_text("market.alpha_max = 1e300\n")
+    code, _, _ = run(capsys, "price", "--config", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "sweep", "--config", str(path), "--param", "beta",
+                         "--values", "0.5,2,1e10", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"validation error: {_PREMIUM_OVERFLOWS}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fscontract import (
@@ -40,9 +40,9 @@ from fscontract import (
     simulate_external_rates,
     total_fs_cost,
 )
-from fscontract.pricing import _interior_price
+from fscontract.pricing import market_side
 
-from conftest import count_calls, generated_scenarios, golden_section
+from conftest import count_calls, generated_scenarios, golden_section, market_side_oracle
 
 
 def market(beta=0.5, alpha_max=1e-3, d=50, ceiling=1e9):
@@ -355,12 +355,94 @@ class TestPriceBounds:
         assert lower > upper
 
 
+def _kernel_rows(cost, osm, mk, betas):
+    """The kernel over an array of mark-ups, one tuple per mark-up, in the
+    oracle's field order."""
+    sides = market_side(cost, osm, mk, np.array(betas, dtype=float))
+    upper = [float(sides.upper)] * len(betas)
+    return list(zip(sides.interior.tolist(), sides.lower.tolist(), upper,
+                    sides.price.tolist(), sides.fs_share.tolist(), sides.profit.tolist()))
+
+
+#: Kernel inputs (cost, OS moments, alpha_max, ceiling, customers, mark-ups)
+#: that between them reach every branch of the market side.
+KERNEL_EXAMPLES = [
+    # zero variance, every customer at or below the threshold
+    ((100.0, 10.0, 4.0, 6.0), (120.0, 20.0, 0.0), 1e-3, 1e9, 50, [0.0, 0.5, 2.0]),
+    # zero variance, every customer above it
+    ((200.0, 10.0, 4.0, 6.0), (120.0, 20.0, 0.0), 1e-3, 1e9, 50, [0.0, 0.5, 2.0]),
+    # an interior price below the marked-up bill: tau <= 0
+    ((100.0, 10.0, 4.0, 6.0), (120.0, 20.0, 1e2), 1e-3, 1e9, 50, [0.0, 0.5, 2.0]),
+    # a maintenance bill that pushes the interior price below the floor
+    ((100.0, 40.0, 4.0, 6.0), (120.0, 20.0, 1e2), 1e-3, 1e9, 50, [0.0, 0.5, 2.0]),
+    # a risk premium above the ceiling, then a floor above it
+    ((100.0, 10.0, 4.0, 6.0), (120.0, 20.0, 1e6), 5e-3, 400.0, 50, [0.0, 0.05, 0.5, 5.0]),
+]
+
+
+def _kernel_rows(cost, osm, mk, betas):
+    """The kernel over an array of mark-ups, one tuple per mark-up, in the
+    oracle's field order."""
+    sides = market_side(cost, osm, mk, np.array(betas, dtype=float))
+    upper = [float(sides.upper)] * len(betas)
+    return list(zip(sides.interior.tolist(), sides.lower.tolist(), upper,
+                    sides.price.tolist(), sides.fs_share.tolist(), sides.profit.tolist()))
+
+
+def _kernel_case(cost, osm, alpha_max, ceiling, d, betas):
+    """The kernel's inputs as values, and the rows of the kernel and of the
+    oracle."""
+    cost, osm = CostBreakdown(*cost), OsCostMoments(*osm)
+    mk = market(alpha_max=alpha_max, d=d, ceiling=ceiling)
+    return cost, osm, mk, _kernel_rows(cost, osm, mk, betas), [
+        market_side_oracle(cost, osm, mk, b) for b in betas]
+
+
+class TestMarketSideKernel:
+    """One kernel over an array of mark-ups equals a loop of the formulas."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cost=st.tuples(*[st.floats(0.0, 500.0)] * 4),
+           osm=st.tuples(st.floats(0.0, 500.0), st.floats(0.0, 100.0),
+                         st.one_of(st.just(0.0), st.floats(1e-3, 1e7))),
+           alpha_max=st.floats(1e-9, 1.0), ceiling=st.floats(1.0, 3000.0),
+           d=st.integers(1, 500),
+           betas=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=12))
+    @example(*KERNEL_EXAMPLES[0])
+    @example(*KERNEL_EXAMPLES[1])
+    @example(*KERNEL_EXAMPLES[2])
+    @example(*KERNEL_EXAMPLES[3])
+    @example(*KERNEL_EXAMPLES[4])
+    def test_array_equals_a_loop_of_the_oracle(self, cost, osm, alpha_max, ceiling, d, betas):
+        *_, rows, want = _kernel_case(cost, osm, alpha_max, ceiling, d, betas)
+        assert rows == want
+
+    def test_examples_reach_every_branch(self):
+        seen = set()
+        for case in KERNEL_EXAMPLES:
+            _, osm, _, rows, want = _kernel_case(*case)
+            assert rows == want
+            for beta, (interior, lower, upper, price, _, _) in zip(case[-1], rows):
+                seen.add("infeasible" if lower > upper else "floor" if interior < lower
+                         else "ceiling" if interior > upper else "interior")
+                if osm.variance == 0.0:
+                    seen.add("zero variance")
+                elif price <= (1.0 + beta) * osm.mean:
+                    seen.add("tau <= 0")
+        assert seen == {"zero variance", "tau <= 0", "floor", "interior", "ceiling",
+                        "infeasible"}
+
+    def test_one_float_is_the_one_element_case(self):
+        cost, osm, mk, rows, want = _kernel_case(*KERNEL_EXAMPLES[-1][:-1], [0.05])
+        assert tuple(map(float, market_side(cost, osm, mk, 0.05))) == want[0] == rows[0]
+
+
 class TestOptimalPrice:
     def test_interior_hand_value(self):
         # no variance: 100 + 0.5*120 + 10/2 + (1+2*0.5)*20/2 + 4/2 + 6 = 193
         cost = CostBreakdown(repair=100.0, maintenance=10.0, delay=4.0, training=6.0)
         osm = OsCostMoments(repair_mean=120.0, maintenance=20.0, variance=0.0)
-        assert _interior_price(cost, osm, market(beta=0.5)) == pytest.approx(193.0)
+        assert market_side(cost, osm, market(beta=0.5), 0.5).interior == pytest.approx(193.0)
 
     def test_clamps_to_ceiling(self, baseline):
         crowded = replace(baseline, market=replace(baseline.market, beta=5.0))

@@ -7,6 +7,7 @@ import pytest
 
 from fscontract import (
     CostSide,
+    InfeasiblePriceError,
     KpiRecord,
     Scenario,
     ScenarioValidationError,
@@ -26,8 +27,8 @@ from fscontract import (
     validate_scenario,
 )
 
-from fscontract import report as report_module
 from fscontract import scenario as scenario_module
+from fscontract.pricing import market_side
 
 from conftest import count_calls, generated_scenarios
 
@@ -150,6 +151,35 @@ class TestSweepChecks:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("given", [False, True])
+    @pytest.mark.parametrize("bad, message", [
+        (math.inf, "market.beta: must be finite"),
+        (1e308, "market.beta: (1 + beta)^2 must be finite (it overflows)"),
+    ])
+    def test_bad_beta_after_feasible_and_infeasible_points(self, baseline, given, bad,
+                                                            message):
+        # 100 puts the floor far above the 900 k$ ceiling: a flagged row, not
+        # an error; the bad value after it raises what a per-point check did
+        cost_side = CostSide(baseline) if given else None
+        records = sweep(SweepSpec(param="beta", values=(0.5, 100.0)), baseline, cost_side)
+        assert [r.feasible for r in records] == [True, False]
+        assert math.isnan(records[1].price)
+        with pytest.raises(ScenarioValidationError) as err:
+            sweep(SweepSpec(param="beta", values=(0.5, 100.0, bad)), baseline, cost_side)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_beta_that_overflows_the_risk_premium(self, baseline, given):
+        # the base mark-up passes; at 1e10 alpha_max (1 + beta)^2 Var / 4 overflows
+        s = replace(baseline, market=replace(baseline.market, alpha_max=1e300))
+        cost_side = CostSide(s) if given else None
+        assert all(r.feasible for r in sweep(SweepSpec(param="beta", values=(0.5, 2.0)), s,
+                                             cost_side))
+        with pytest.raises(ScenarioValidationError) as err:
+            sweep(SweepSpec(param="beta", values=(0.5, 2.0, 1e10)), s, cost_side)
+        assert str(err.value) == ("market.alpha_max: the risk premium alpha_max "
+                                  "(1 + beta)^2 Var / 4 must be finite (it overflows)")
+
+    @pytest.mark.parametrize("given", [False, True])
     def test_negative_rate_mean_breaks_three_rules(self, baseline, given):
         # on a given cost side even the first point gets only the rules that
         # read a swept key; the ext_mean rule is a cross-field rule that
@@ -178,12 +208,14 @@ class TestSweepChecks:
             checked.append(keys)
             return violations(values, keys)
 
-        for module in (scenario_module, report_module):
-            monkeypatch.setattr(module, "_violations", recorded)
+        monkeypatch.setattr(scenario_module, "_violations", recorded)
         cost_side = CostSide(baseline) if given else None
         records = sweep(SweepSpec(param=param, values=values), baseline, cost_side)
         assert all(r.feasible for r in records)
-        assert checked == ([keys] * 3 if given else [None, keys, keys])
+        # a beta sweep checks its values as one array, and builds the
+        # messages per value only for a value that fails
+        points = [] if param == "beta" else [keys] * 3
+        assert checked == (points if given else [None] + points[1:])
 
 
 class TestCostSideReuse:
@@ -213,6 +245,39 @@ class TestCostSideReuse:
             monkeypatch.setattr(cls, "__init__", counted)
         assert sweep(spec, baseline, cost_side) == want
         assert built == []
+
+    def test_beta_sweep_prices_all_points_in_one_kernel_call(self, monkeypatch, baseline):
+        calls = count_calls(monkeypatch, market_side)
+        priced = []
+        price = CostSide.price
+
+        def counted(self, *args, **kwargs):
+            priced.append(1)
+            return price(self, *args, **kwargs)
+
+        monkeypatch.setattr(CostSide, "price", counted)
+        records = sweep(SweepSpec(param="beta", values=self.BETAS), baseline)
+        assert len(records) == 41
+        assert len(calls["market_side"]) == 1
+        assert priced == []
+
+    @pytest.mark.parametrize("variant", ["full", "auto", "bench"])
+    def test_beta_sweep_equals_pricing_each_point(self, baseline, variant):
+        # the ceiling makes the last points infeasible
+        values = self.BETAS + (10.0, 100.0)
+        cost_side = CostSide(baseline)
+        want = []
+        for value in values:
+            try:
+                sol = cost_side.price(variant, replace(baseline.market, beta=value))
+                want.append((True, sol.price, sol.breakdown.total, sol.profit, sol.fs_share))
+            except InfeasiblePriceError:
+                want.append((False,))
+        records = sweep(SweepSpec(param="beta", values=values, variant=variant), baseline)
+        assert [r.swept_value for r in records] == list(values)
+        assert [(r.feasible, r.price, r.cost, r.profit, r.fs_share) if r.feasible
+                else (r.feasible,) for r in records] == want
+        assert want[-1] == (False,)
 
     def test_lf_sweep_runs_no_lf_search(self, monkeypatch, baseline):
         calls = count_calls(monkeypatch, optimize_lf, optimal_pm_count)

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -81,6 +82,18 @@ class TestValidation:
         bad = replace(baseline, learning=replace(baseline.learning, lf=1.5))
         keys = [v.key for v in validate_scenario(bad)]
         assert "learning.lf" in keys
+
+    @pytest.mark.parametrize("market, cost", [
+        ({"alpha_max": 1e308}, {}),
+        # inf times a zero variance: NaN
+        ({"alpha_max": 1e308, "beta": 1.0}, {"repair_cost_sd": 0.0, "unit_repair_cost": 0.0}),
+    ])
+    def test_overflowing_risk_premium_flagged(self, baseline, market, cost):
+        bad = replace(baseline, market=replace(baseline.market, **market),
+                      cost=replace(baseline.cost, **cost))
+        assert [str(v) for v in validate_scenario(bad)] == [
+            "market.alpha_max: the risk premium alpha_max (1 + beta)^2 Var / 4 "
+            "must be finite (it overflows)"]
 
     def test_violations_are_not_exceptions(self, baseline):
         bad = replace(baseline, market=replace(baseline.market, beta=-1.0))
@@ -474,13 +487,30 @@ RULE_EDITS = [
 ]
 
 
+#: The rules that no config text reaches (the config loader refuses such a
+#: value first), with one edit of a scenario built in code that breaks them
+#: and every violation it causes, in report order.  Only a horizon too long
+#: to index is tested: a shorter one would really be allocated.
+LIBRARY_EDITS = [
+    (lambda s: replace(s, grid=replace(s.grid, z_periods=10**20)),
+     [f"grid.z_periods: must be at most {sys.maxsize}",
+      "grid.t_j: length must equal z_periods",
+      "failure.stage_bounds: z3 must equal z_periods",
+      "failure.internal_series: length must equal z_periods"]),
+]
+
+
 class TestRuleTable:
     @pytest.mark.parametrize("text, expected", RULE_EDITS)
     def test_edit_gives_exact_violations(self, text, expected):
         assert _violations(text) == expected
 
+    @pytest.mark.parametrize("edit, expected", LIBRARY_EDITS)
+    def test_library_edit_gives_exact_violations(self, baseline, edit, expected):
+        assert [str(v) for v in validate_scenario(edit(baseline))] == expected
+
     def test_every_rule_has_an_edit(self):
-        reported = {v for _, expected in RULE_EDITS for v in expected}
+        reported = {v for _, expected in RULE_EDITS + LIBRARY_EDITS for v in expected}
         for key, _, _, message in _RULES:
             assert f"{key}: {message}" in reported
 
