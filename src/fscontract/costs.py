@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .failure import expected_failures
+from .failure import FailureCounts, expected_failures, maintenance_cost
 from .scenario import RateSeries, Scenario
 
 
@@ -54,11 +54,6 @@ class OsCostMoments(NamedTuple):
                              self.variance * factor * factor)
 
 
-def _repair_bill(s: Scenario, counts: np.ndarray) -> float:
-    """Per-period unit repair cost times expected failures, summed."""
-    return float(np.dot(s.repair_cost_array, counts))
-
-
 def _delay_bill(s: Scenario, counts: np.ndarray) -> float:
     """Delay probability times expected failures times the unit delay cost."""
     return s.cost.delay_probability * float(np.sum(counts)) * s.cost.unit_delay_cost
@@ -70,18 +65,7 @@ def expected_repair_cost(m: int, s: Scenario, internal: RateSeries) -> float:
     Sum of per-period unit repair cost times expected failures; the learning
     multiplier is applied downstream, not here.
     """
-    return _repair_bill(s, expected_failures(m, s, internal))
-
-
-def maintenance_cost(m: int, c_bar: float) -> float:
-    """Preventive maintenance cost c_bar * (m - 1).
-
-    The first action is part of commissioning, so a single-action plan
-    costs nothing extra.
-    """
-    if m < 1:
-        raise ValueError("maintenance count must be >= 1")
-    return c_bar * (m - 1)
+    return FailureCounts(s, internal).repair_bill(m)
 
 
 def expected_delay_cost(m: int, s: Scenario, internal: RateSeries) -> float:
@@ -93,31 +77,39 @@ def expected_delay_cost(m: int, s: Scenario, internal: RateSeries) -> float:
     return _delay_bill(s, expected_failures(m, s, internal))
 
 
-def contract_costs(m: int, s: Scenario, internal: RateSeries) -> CostBreakdown:
+def contract_costs(m: int, s: Scenario, internal: RateSeries,
+                   counts: FailureCounts | None = None) -> CostBreakdown:
     """Repair, maintenance and delay bills under m maintenance actions, from
-    one set of expected failure counts: no learning multiplier, no training."""
-    counts = expected_failures(m, s, internal)
+    one set of expected failure counts: no learning multiplier, no training.
+    ``counts`` are the failure counts of these inputs where the caller holds
+    them."""
+    if counts is None:
+        counts = FailureCounts(s, internal)
     return CostBreakdown(
-        repair=_repair_bill(s, counts),
+        repair=counts.repair_bill(m),
         maintenance=maintenance_cost(m, s.cost.avg_maintenance_cost),
-        delay=_delay_bill(s, counts),
+        delay=_delay_bill(s, counts(m)),
         training=0.0,
     )
 
 
-def os_cost_moments(s: Scenario, internal: RateSeries) -> OsCostMoments:
+def os_cost_moments(s: Scenario, internal: RateSeries,
+                    counts: FailureCounts | None = None) -> OsCostMoments:
     """Cost moments of the pay-per-repair alternative.
 
     Repairs run at the same expected rates (maintained m0_os times); the
     variance follows the compound-count identity
-    Var = sum_j E[N_j] (c_rj^2 + sigma_r^2).
+    Var = sum_j E[N_j] (c_rj^2 + sigma_r^2).  ``counts`` are the failure
+    counts of these inputs where the caller holds them.
     """
-    counts = expected_failures(s.cost.m0_os, s, internal)
-    costs = s.repair_cost_array
+    if counts is None:
+        counts = FailureCounts(s, internal)
+    m = s.cost.m0_os
+    costs = counts.repair_costs
     # numpy's scalar power overflows to inf where Python's float power raises
-    variance = float(np.dot(counts, costs**2 + np.float64(s.cost.repair_cost_sd)**2))
+    variance = float(np.dot(counts(m), costs**2 + np.float64(s.cost.repair_cost_sd)**2))
     return OsCostMoments(
-        repair_mean=_repair_bill(s, counts),
-        maintenance=maintenance_cost(s.cost.m0_os, s.cost.avg_maintenance_cost),
+        repair_mean=counts.repair_bill(m),
+        maintenance=maintenance_cost(m, s.cost.avg_maintenance_cost),
         variance=variance,
     )

@@ -30,9 +30,20 @@ period-by-period recursion; :func:`aging_factor` is the scalar reference.
 
 The optimal maintenance count minimizes expected repair plus maintenance
 cost.  Only the within-period growth depends on M, so the trade-off is
-K/M + c_M (M - 1) with K = rho/2 * sum_j c_rj g_j t_j^2, giving the closed
-form M* = round(sqrt(K / c_M)), clamped to at least one.  A brute-force
+K/M + c_M (M - 1) with K = rho/2 * sum_j c_rj g_j t_j^2.  One more action
+pays while K/M - K/(M + 1) > c_M, that is while M (M + 1) < K / c_M, so the
+exact integer argmin is the closed form
+
+    M* = ceil((sqrt(1 + 4 K / c_M) - 1) / 2),
+
+clamped to at least one (ties go to the smaller count).  A brute-force
 integer search over the same objective acts as the oracle.
+
+A cost side needs the expected failure counts at two maintenance counts
+(M* and the pay-per-repair count), each for several bills.
+:class:`FailureCounts` computes the rate increments once and the counts
+once per maintenance count, and holds the per-period repair costs that
+price them.
 """
 
 from __future__ import annotations
@@ -100,8 +111,8 @@ def internal_rate_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
     is reported as a warning, not an error).
     """
     if f.internal_series_override is not None:
-        return RateSeries("internal", f.internal_series_override)
-    steps = _aging_slopes(f, grid.z_periods) * grid.t_array
+        return RateSeries("internal", f.internal_series_override.as_array())
+    steps = _aging_slopes(f, grid.z_periods) * grid.t_j.as_array()
     n = min(max(f.stage_bounds[0], 0), grid.z_periods)
     run_in = np.cumsum(np.concatenate(([f.phi0_int], steps[:n])))[1:]
     floored = np.flatnonzero(run_in < 0.0)
@@ -130,19 +141,21 @@ def rate_increments(f: FailureParams, grid: PeriodGrid, internal: RateSeries) ->
     return phi - prev
 
 
-def expected_failures(m: int, s: Scenario, internal: RateSeries) -> np.ndarray:
+def expected_failures(m: int, s: Scenario, internal: RateSeries,
+                      increments: np.ndarray | None = None) -> np.ndarray:
     """Expected failure counts for all periods under m maintenance actions.
 
     The start-of-period rate keeps only (1 - rho) of the aging accumulated
     so far (maintenance restores the fraction rho), and the within-period
     growth term carries the (1 - rho) + rho/m split.  Results are floored
-    at zero.
+    at zero.  ``increments`` are the :func:`rate_increments` of these inputs
+    where the caller holds them.
     """
     if m < 1:
         raise ValueError("maintenance count must be >= 1")
     f = s.failure
-    t = s.grid.t_array
-    delta = rate_increments(f, s.grid, internal)
+    t = s.grid.t_j.as_array()
+    delta = rate_increments(f, s.grid, internal) if increments is None else increments
     prev = internal.as_array() - delta
     start_rate = f.phi0_int + (1.0 - f.rho) * (prev - f.phi0_int)
     counts = start_rate * t + (t * delta / 2.0) * ((1.0 - f.rho) + f.rho / m)
@@ -156,35 +169,81 @@ def expected_failures_in_period(j: int, m: int, s: Scenario, internal: RateSerie
     return float(expected_failures(m, s, internal)[j - 1])
 
 
-def _repair_plus_maintenance(m: int, s: Scenario, internal: RateSeries) -> float:
-    from .costs import expected_repair_cost, maintenance_cost  # costs imports this module
+class FailureCounts:
+    """The expected failure counts of one scenario and internal series, one
+    array per maintenance count, each computed on first use and kept.
 
-    return expected_repair_cost(m, s, internal) + maintenance_cost(m, s.cost.avg_maintenance_cost)
+    The rate increments are computed once, on construction, and so are the
+    per-period repair costs (``repair_costs``, a constant broadcast to one
+    value per period) that the bills weigh the counts with.
+    """
+
+    def __init__(self, s: Scenario, internal: RateSeries):
+        self.scenario = s
+        self.internal = internal
+        self.increments = rate_increments(s.failure, s.grid, internal)
+        self.repair_costs = s.cost.repair_costs(s.grid.z_periods)
+        self._by_count: dict[int, np.ndarray] = {}
+
+    def __call__(self, m: int) -> np.ndarray:
+        """The expected failure counts under m maintenance actions."""
+        counts = self._by_count.get(m)
+        if counts is None:
+            counts = self._by_count[m] = expected_failures(m, self.scenario, self.internal,
+                                                           self.increments)
+        return counts
+
+    def repair_bill(self, m: int) -> float:
+        """Per-period unit repair cost times expected failures, summed."""
+        return float(np.dot(self.repair_costs, self(m)))
 
 
-def optimal_pm_count(s: Scenario, internal: RateSeries) -> MaintenancePlan:
+def maintenance_cost(m: int, c_bar: float) -> float:
+    """Preventive maintenance cost c_bar * (m - 1).
+
+    The first action is part of commissioning, so a single-action plan
+    costs nothing extra.
+    """
+    if m < 1:
+        raise ValueError("maintenance count must be >= 1")
+    return c_bar * (m - 1)
+
+
+def _plan(m: int, is_optimal: bool, s: Scenario, counts: FailureCounts) -> MaintenancePlan:
+    """m actions with their expected repair plus maintenance cost."""
+    return MaintenancePlan(m, is_optimal, counts.repair_bill(m)
+                           + maintenance_cost(m, s.cost.avg_maintenance_cost))
+
+
+def optimal_pm_count(s: Scenario, internal: RateSeries,
+                     counts: FailureCounts | None = None) -> MaintenancePlan:
     """Closed-form optimal number of preventive maintenance actions.
 
-    M* = round(sqrt(rho * sum_j c_rj g_j t_j^2 / (2 c_M))), clamped to >= 1;
-    a nonpositive radicand (net-declining rate over the horizon) clamps to
-    a single action.  Halves round up for determinism.  A radicand that
-    overflows (or is NaN) raises :class:`OverflowError`.
+    M* = ceil((sqrt(1 + 4 K / c_M) - 1) / 2) with
+    K = rho/2 * sum_j c_rj g_j t_j^2, clamped to >= 1: the exact integer
+    argmin of K/M + c_M (M - 1) (see the module docstring).  A nonpositive
+    radicand (net-declining rate over the horizon) clamps to a single
+    action.  A radicand that overflows (or is NaN) raises
+    :class:`OverflowError`.  ``counts`` are the failure counts of these
+    inputs where the caller holds them; the objective is taken from the
+    counts at M*.
     """
-    costs = s.repair_cost_array
-    t = s.grid.t_array
-    delta = rate_increments(s.failure, s.grid, internal)
+    if counts is None:
+        counts = FailureCounts(s, internal)
     # g_j t_j^2 = delta_j t_j
-    aging_cost = float(np.dot(costs, delta * t))
+    aging_cost = float(np.dot(counts.repair_costs, counts.increments * s.grid.t_j.as_array()))
     c_m = s.cost.avg_maintenance_cost
     if c_m <= 0:
         m_star = 1 if aging_cost <= 0 else s.grid.z_periods
     else:
         radicand = s.failure.rho * aging_cost / (2.0 * c_m)
-        root = math.sqrt(max(radicand, 0.0))
+        # sqrt(1/4 + r) - 1/2 is (sqrt(1 + 4r) - 1) / 2 to the bit (the
+        # factors are powers of two), and does not overflow for finite r
+        root = math.sqrt(0.25 + max(radicand, 0.0)) - 0.5
         if not math.isfinite(root):
             raise OverflowError(f"the optimal maintenance count overflows (K / c_M = {radicand})")
-        m_star = max(1, int(math.floor(root + 0.5)))
-    return MaintenancePlan(m_star, True, _repair_plus_maintenance(m_star, s, internal))
+        m_star = max(1, math.ceil(root))
+    return _plan(m_star, True, s, counts)
 
 
 def brute_force_pm_count(s: Scenario, internal: RateSeries, m_max: int) -> MaintenancePlan:
@@ -195,9 +254,10 @@ def brute_force_pm_count(s: Scenario, internal: RateSeries, m_max: int) -> Maint
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    best_m, best_value = 1, math.inf
+    counts = FailureCounts(s, internal)
+    best = MaintenancePlan(1, False, math.inf)
     for m in range(1, m_max + 1):
-        value = _repair_plus_maintenance(m, s, internal)
-        if value < best_value:
-            best_m, best_value = m, value
-    return MaintenancePlan(best_m, False, best_value)
+        plan = _plan(m, False, s, counts)
+        if plan.objective_value < best.objective_value:
+            best = plan
+    return best

@@ -135,7 +135,7 @@ class LfSolution(NamedTuple):
 
 def total_repair_time(internal: RateSeries, grid: PeriodGrid, repair_hours: float = 1.0) -> float:
     """Cumulative repair hours: sum_j phi_j t_j, scaled by hours per repair."""
-    return float(np.dot(internal.as_array(), grid.t_array)) * repair_hours
+    return float(np.dot(internal.as_array(), grid.t_j.as_array())) * repair_hours
 
 
 def maintenance_allocation(m: int, grid: PeriodGrid, maintenance_hours: float) -> np.ndarray:
@@ -372,11 +372,13 @@ class LfProblem:
         return root, hi
 
 
-def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries) -> LfProblem:
+def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries,
+               base: CostBreakdown | None = None) -> LfProblem:
     """Collect the lf-independent part of the contract cost for m
-    maintenance actions and the given rate series."""
+    maintenance actions and the given rate series.  ``base`` is the
+    :func:`contract_costs` bill of these inputs where the caller holds it."""
     lp = s.learning
-    t = s.grid.t_array
+    t = s.grid.t_j.as_array()
     phi = internal.as_array()
     internal_h = phi * t * lp.repair_hours
     external_h = external.as_array() * t * lp.repair_hours
@@ -393,7 +395,7 @@ def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries) 
     return LfProblem(
         terms=terms,
         t_repair=total_repair_time(internal, s.grid, lp.repair_hours),
-        base=contract_costs(m, s, internal),
+        base=contract_costs(m, s, internal) if base is None else base,
         learning=lp,
         short_period=int(short[0]) + 1 if short.size else 0,
     )

@@ -27,12 +27,20 @@ Cost side and market side
 -------------------------
 Pricing one scenario splits in two.  The cost side (:class:`CostSide`) is
 all that does not depend on the market parameters: the internal and
-external rate series, the maintenance plan, the pay-per-repair cost
-moments, the scalar lf problem with its optimum lf*, and each variant's
-cost breakdown.  Its parts are computed on first use and kept for the life
-of the object (one pricing call, one comparison or one sweep), so a
-``bench`` price never runs the lf search and a second variant reuses the
-first one's work.  The market side is one kernel over an array of
+external rate series, the expected failure counts, the maintenance plan,
+the pay-per-repair cost moments, the scalar lf problem with its optimum
+lf*, and each variant's cost breakdown.  Its parts are computed on first
+use and kept for the life of the object (one pricing call, one comparison
+or one sweep), so neither a ``bench`` nor an ``auto`` price draws the
+external rates or builds the lf problem, and a second variant reuses the
+first one's work.  Each Z-long array is computed once per cost side: the
+rate increments, the per-period repair costs, and the failure counts at
+each maintenance count (at M*, shared by the plan objective and the bills
+before learning that ``auto`` and the lf problem share; at the
+pay-per-repair count, shared by the cost moments and the ``bench``
+bills).
+
+The market side is one kernel over an array of
 mark-ups (:func:`market_side`): numpy expressions that turn one cost
 breakdown and the cost moments into the interior price, the floor, the
 ceiling, the clamped price, the market share and the profit at every
@@ -53,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostBreakdown, OsCostMoments, contract_costs, os_cost_moments
-from .failure import MaintenancePlan, internal_rate_series, optimal_pm_count
+from .failure import FailureCounts, MaintenancePlan, internal_rate_series, optimal_pm_count
 from .learning import (
     ConvergenceError,
     InfeasibleTrainingError,
@@ -135,8 +143,8 @@ def disutility(choice: str, alpha_i: float, price: float, osm: OsCostMoments,
 
 class MarketSide(NamedTuple):
     """The market side of one cost breakdown at each mark-up: arrays over an
-    array of mark-ups, numpy scalars at one.  Monetary fields are in
-    thousands of dollars."""
+    array of mark-ups, floats at one.  Monetary fields are in thousands of
+    dollars."""
 
     interior: np.ndarray
     lower: np.ndarray
@@ -157,7 +165,15 @@ def _risk_premium(alpha_max: float, beta, variance: float):
     return alpha_max * (up * up) * variance / 4.0
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _clip(x, lower, upper):
+    """x clamped to [lower, upper]: elementwise on an array, and in Python
+    floats on a float, where a numpy call would cost more than the
+    arithmetic."""
+    if isinstance(x, np.ndarray):
+        return np.minimum(np.maximum(x, lower), upper)
+    return min(max(x, lower), upper)
+
+
 def market_side(fs_cost: CostBreakdown, osm: OsCostMoments, mk: MarketParams, beta,
                 price=None) -> MarketSide:
     """Every formula of the market side, at each mark-up of ``beta`` (an
@@ -173,9 +189,19 @@ def market_side(fs_cost: CostBreakdown, osm: OsCostMoments, mk: MarketParams, be
     mark-up margin.  A zero-variance market splits sharply: everyone signs
     at or below the marked-up expected bill, nobody above it.
 
-    numpy's overflow and invalid-value warnings are silenced: the checks
-    and the floor-above-ceiling test report such inputs.
+    At one mark-up every result is a Python float.  Over an array, numpy's
+    overflow and invalid-value warnings are silenced: the checks and the
+    floor-above-ceiling test report such inputs.
     """
+    if isinstance(beta, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _market_side(fs_cost, osm, mk, beta, price)
+    return _market_side(fs_cost, osm, mk, beta, price)
+
+
+def _market_side(fs_cost: CostBreakdown, osm: OsCostMoments, mk: MarketParams, beta,
+                 price) -> MarketSide:
+    """:func:`market_side`, with numpy's error state left as it is."""
     up = 1.0 + beta
     interior = (fs_cost.repair
                 + beta * osm.repair_mean
@@ -188,14 +214,14 @@ def market_side(fs_cost: CostBreakdown, osm: OsCostMoments, mk: MarketParams, be
     lower = total + beta * mean
     upper = mk.resolved_ceiling()
     if price is None:
-        price = np.minimum(np.maximum(interior, lower), upper)
+        price = _clip(interior, lower, upper)
     threshold = up * mean
     if osm.variance <= 0.0:
-        share = np.where(price <= threshold, 1.0, 0.0)
+        share = 1.0 * (price <= threshold)
     else:
         # alpha_max > 0, so tau <= 0 clips to a share of 1
         tau = 2.0 * (price - threshold) / (up * up * osm.variance)
-        share = np.minimum(np.maximum(1.0 - tau / mk.alpha_max, 0.0), 1.0)
+        share = _clip(1.0 - tau / mk.alpha_max, 0.0, 1.0)
     profit = mk.d_customers * ((price - total) * share + beta * mean * (1.0 - share))
     return MarketSide(interior, lower, upper, price, share, profit)
 
@@ -221,31 +247,52 @@ def price_bounds(fs_cost: CostBreakdown, osm: OsCostMoments,
 class CostSide:
     """The market-independent half of pricing one scenario.
 
-    The rate series are drawn on construction, or taken as given.  The
-    maintenance plan, cost moments, lf problem, lf search and variant costs
-    are computed on first use and then kept.  Nothing outlives the object.
+    The internal rates are built on construction, or taken as given, and so
+    are the external rates where they are given.  The external draw, the
+    failure counts, maintenance plan, cost moments, lf problem, lf search
+    and variant costs are computed on first use and then kept.  Nothing
+    outlives the object.
     """
 
     def __init__(self, s: Scenario, internal: RateSeries | None = None,
                  external: RateSeries | None = None):
         self.scenario = s
         self.internal = internal_rate_series(s.failure, s.grid) if internal is None else internal
-        self.external = simulate_external_rates(s) if external is None else external
+        if external is not None:
+            self.external = external
         self._variant_costs: dict = {}
 
     @cached_property
+    def external(self) -> RateSeries:
+        return simulate_external_rates(self.scenario)
+
+    @cached_property
+    def counts(self) -> FailureCounts:
+        """The expected failure counts, one array per maintenance count."""
+        return FailureCounts(self.scenario, self.internal)
+
+    @cached_property
     def plan(self) -> MaintenancePlan:
-        return optimal_pm_count(self.scenario, self.internal)
+        return optimal_pm_count(self.scenario, self.internal, self.counts)
 
     @cached_property
     def os_moments(self) -> OsCostMoments:
         """Pay-per-repair cost moments, in report units."""
-        return os_cost_moments(self.scenario, self.internal).scaled(1.0 / DOLLARS_PER_REPORT_UNIT)
+        return os_cost_moments(self.scenario, self.internal,
+                               self.counts).scaled(1.0 / DOLLARS_PER_REPORT_UNIT)
+
+    @cached_property
+    def base(self) -> CostBreakdown:
+        """The bills at the optimal maintenance count before learning, with
+        no training, in dollars: the ``auto`` variant's and the lf
+        problem's."""
+        return contract_costs(self.plan.m_count, self.scenario, self.internal, self.counts)
 
     @cached_property
     def problem(self) -> LfProblem:
         """The lf problem at the optimal maintenance count."""
-        return lf_problem(self.plan.m_count, self.scenario, self.internal, self.external)
+        return lf_problem(self.plan.m_count, self.scenario, self.internal, self.external,
+                          self.base)
 
     @cached_property
     def lf_solution(self) -> LfSolution:
@@ -258,12 +305,14 @@ class CostSide:
         aggregates (the training cost, the learning exponents; not the hours
         per repair or per maintenance visit, nor the rework exponent).
 
-        The rates, maintenance plan and cost moments are shared, the lf
-        problem keeps its aggregates and takes the new parameters, and lf*
-        and the variant costs are computed afresh.
+        The rates, failure counts, maintenance plan, bills and cost moments
+        are shared, the lf problem keeps its aggregates and takes the new
+        parameters, and lf* and the variant costs are computed afresh.
         """
         other = CostSide(s, self.internal, self.external)
+        other.counts = self.counts
         other.plan = self.plan
+        other.base = self.base
         other.os_moments = self.os_moments
         other.problem = replace(self.problem, learning=s.learning)
         return other
@@ -286,10 +335,10 @@ class CostSide:
             lf_star = None
             if variant == "bench":
                 m = s.cost.m0_os
-                breakdown = contract_costs(m, s, self.internal)
+                breakdown = contract_costs(m, s, self.internal, self.counts)
             elif variant == "auto":
                 m = self.plan.m_count
-                base = self.problem.base
+                base = self.base
                 breakdown = base._replace(repair=base.repair
                                           * s.grid.z_periods ** -s.learning.alpha_auto)
             else:
@@ -308,18 +357,10 @@ class CostSide:
         lower, upper = float(sides.lower), float(sides.upper)
         if lower > upper:
             raise InfeasiblePriceError(lower, upper)
-        return PricingSolution(
-            price=float(sides.price),
-            lower_bound=lower,
-            upper_bound=upper,
-            interior_price=float(sides.interior),
-            fs_share=float(sides.fs_share),
-            profit=float(sides.profit),
-            breakdown=breakdown,
-            variant=variant,
-            m_count=m,
-            lf_star=lf_star,
-        )
+        # positional: a NamedTuple takes keywords at twice the cost
+        return PricingSolution(float(sides.price), lower, upper, float(sides.interior),
+                               float(sides.fs_share), float(sides.profit), breakdown, variant,
+                               m, lf_star)
 
 
 def optimal_price(s: Scenario, variant: str = "full",

@@ -22,13 +22,14 @@ Config files are flat ``dotted.key = value`` text (see :func:`load_scenario`),
 chosen so that scenarios round-trip losslessly and diff cleanly.
 
 Scenario values are immutable after construction and safe to share across
-workers; RNGs are created per call from the seed and never shared.  A
-:class:`RateSeries` holds its rates as one read-only float array, which
-the model computes on directly (:meth:`RateSeries.as_array`); the tuple
-view (:attr:`RateSeries.values`) is built only when asked for.  The config
-values keep tuples, and the arrays derived from them
-(:attr:`PeriodGrid.t_array`, :attr:`Scenario.repair_cost_array`) are built
-once per value object, on first use, and are read-only.
+workers; RNGs are created per call from the seed and never shared.  Every
+per-period value, the config's (the period hours, per-period repair costs,
+an internal-rate override) and the model's rate series alike, is a
+:class:`PeriodValues`: one read-only float array, converted from a tuple or
+an array on construction, which the model and the field checks compute on
+directly (:meth:`PeriodValues.as_array`).  The tuple view
+(:attr:`PeriodValues.values`) is built only when asked for, to hash or to
+write config text.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -88,26 +89,82 @@ class Violation(NamedTuple):
         return f"{self.key}: {self.rule}"
 
 
-class RateSeries:
-    """Per-period series over the contract horizon.
+class PeriodValues:
+    """One float per period of the contract horizon.
 
-    ``kind`` is one of ``internal`` / ``external`` (failures per hour) or
-    ``aging`` (rate slope per hour^2).  The rates are held as one read-only
-    float array, copied from ``values`` (any sequence of floats or a numpy
-    array).  Series are immutable and compare and hash by kind and rates.
+    The config values given per period (operating and calendar hours, repair
+    costs, an internal-rate override) are held as this type, and so is every
+    rate series of the model (:class:`RateSeries`).  The floats are held as
+    one read-only float array, copied from ``values`` (any sequence of
+    floats or a numpy array), which the model computes on directly
+    (:meth:`as_array`).  Values are immutable and compare by value; they
+    hash as the tuple of their floats (:attr:`values`), which is built only
+    when asked for.
     """
 
-    __slots__ = ("kind", "_array")
+    __slots__ = ("_array",)
 
-    def __init__(self, kind: str, values):
-        object.__setattr__(self, "kind", kind)
+    def __init__(self, values):
         object.__setattr__(self, "_array", _read_only(values))
+
+    @classmethod
+    def of(cls, values) -> "PeriodValues":
+        """``values`` as per-period values: itself if it already is one, the
+        rates of a rate series."""
+        if type(values) is PeriodValues:
+            return values
+        return cls(values.as_array() if isinstance(values, PeriodValues) else values)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self._array,)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __len__(self) -> int:
+        return self._array.size
+
+    def __repr__(self) -> str:
+        return f"PeriodValues({self.values!r})"
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The floats as a tuple, built on each call."""
+        return tuple(self._array.tolist())
+
+    def as_array(self) -> np.ndarray:
+        """The floats as the stored read-only array."""
+        return self._array
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self._array))
+
+
+class RateSeries(PeriodValues):
+    """Per-period series of the model over the contract horizon.
+
+    ``kind`` is one of ``internal`` / ``external`` (failures per hour) or
+    ``aging`` (rate slope per hour^2).  Series compare and hash by kind and
+    rates.
+    """
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str, values):
+        object.__setattr__(self, "kind", kind)
+        super().__init__(values)
 
     def __reduce__(self):
         return RateSeries, (self.kind, self._array)
@@ -123,19 +180,6 @@ class RateSeries:
     def __repr__(self) -> str:
         return f"RateSeries(kind={self.kind!r}, values={self.values!r})"
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        """The rates as a tuple of floats, built on each call."""
-        return tuple(self._array.tolist())
-
-    def as_array(self) -> np.ndarray:
-        """The rates as the stored read-only float array."""
-        return self._array
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self._array))
-
 
 def _read_only(values) -> np.ndarray:
     array = np.array(values, dtype=float)
@@ -149,26 +193,26 @@ class PeriodGrid:
 
     ``t_j`` are operating hours per period (e.g. 8 h/day over 180 days);
     ``t_jm`` are the matching calendar hours (24 h/day), kept for reference
-    as the maintenance-interval length.
+    as the maintenance-interval length.  Both are held as
+    :class:`PeriodValues` (a tuple or an array given here is converted).
     """
 
     z_periods: int
-    t_j: tuple[float, ...]
-    t_jm: tuple[float, ...]
+    t_j: PeriodValues
+    t_jm: PeriodValues
+
+    def __post_init__(self):
+        object.__setattr__(self, "t_j", PeriodValues.of(self.t_j))
+        object.__setattr__(self, "t_jm", PeriodValues.of(self.t_jm))
 
     @classmethod
     def uniform(cls, z_periods: int, hours: float, calendar_hours: float) -> "PeriodGrid":
-        return cls(z_periods, (float(hours),) * z_periods, (float(calendar_hours),) * z_periods)
-
-    @cached_property
-    def t_array(self) -> np.ndarray:
-        """Operating hours per period as a read-only array, built once."""
-        return _read_only(self.t_j)
+        return cls(z_periods, _constant(hours, z_periods), _constant(calendar_hours, z_periods))
 
     @property
     def contract_length_b(self) -> float:
         """Total operating hours over the contract (sum of t_j)."""
-        return float(sum(self.t_j))
+        return float(sum(self.t_j.values))
 
 
 @dataclass(frozen=True)
@@ -181,7 +225,7 @@ class FailureParams:
     the restorative power of one preventive maintenance action (0 = bad as
     old, 1 = good as new).  ``internal_series_override``, when set, replaces
     the parametric series verbatim (this is how table-based series and the
-    shipped baseline enter).
+    shipped baseline enter); it is held as :class:`PeriodValues`.
     """
 
     phi0_int: float
@@ -192,7 +236,12 @@ class FailureParams:
     rho: float
     ext_mean: float
     ext_sd: float
-    internal_series_override: tuple[float, ...] | None = None
+    internal_series_override: PeriodValues | None = None
+
+    def __post_init__(self):
+        if self.internal_series_override is not None:
+            object.__setattr__(self, "internal_series_override",
+                               PeriodValues.of(self.internal_series_override))
 
 
 @dataclass(frozen=True)
@@ -200,27 +249,36 @@ class CostParams:
     """Cost-side parameters, in dollars.
 
     ``unit_repair_cost`` is the expected cost of one repair, either constant
-    or one value per period; ``repair_cost_sd`` its per-repair dispersion.
+    (a float) or one value per period (held as :class:`PeriodValues`);
+    ``repair_cost_sd`` its per-repair dispersion.
     ``delay_probability`` is the chance that a repair incurs the contractual
     delay reimbursement ``unit_delay_cost``.  ``m0_os`` is the seasonal
     maintenance count used on the pay-per-repair side.
     """
 
-    unit_repair_cost: float | tuple[float, ...]
+    unit_repair_cost: float | PeriodValues
     repair_cost_sd: float
     avg_maintenance_cost: float
     unit_delay_cost: float
     delay_probability: float
     m0_os: int
 
-    def repair_costs(self, z_periods: int) -> tuple[float, ...]:
-        """Per-period expected repair costs, broadcasting a constant."""
-        return _per_period(self.unit_repair_cost, z_periods)
+    def __post_init__(self):
+        if not isinstance(self.unit_repair_cost, (float, int)):
+            object.__setattr__(self, "unit_repair_cost", PeriodValues.of(self.unit_repair_cost))
+
+    def repair_costs(self, z_periods: int) -> np.ndarray:
+        """Per-period expected repair costs as a read-only array: the stored
+        one, or a constant broadcast to z periods (a new array)."""
+        c = self.unit_repair_cost
+        return c.as_array() if isinstance(c, PeriodValues) else _constant(c, z_periods)
 
 
-def _per_period(value, z: int) -> tuple:
-    """A per-period tuple as given, or a constant broadcast to z periods."""
-    return value if isinstance(value, tuple) else (float(value),) * z
+def _constant(value: float, z: int) -> np.ndarray:
+    """A read-only array of ``value`` in each of the z periods (none if z < 1)."""
+    array = np.full(max(z, 0), float(value))
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -291,11 +349,6 @@ class Scenario:
     learning: LearningParams
     market: MarketParams
     rng_seed: int
-
-    @cached_property
-    def repair_cost_array(self) -> np.ndarray:
-        """Per-period expected repair costs as a read-only array, built once."""
-        return _read_only(self.cost.repair_costs(self.grid.z_periods))
 
 
 def default_scenario() -> Scenario:
@@ -378,15 +431,16 @@ def _checked_cost_side(s: Scenario, dominance_factor: float = 10.0,
 
     ``keys`` limits the field checks to those that read one of these config
     keys, for a scenario that differs from a valid one only there.  numpy's
-    overflow and invalid-value warnings are silenced while the cost side is
-    built and checked: the checks report the overflow.
+    overflow and invalid-value warnings are silenced while the fields are
+    checked and the cost side is built and checked: the checks report the
+    overflow.
     """
-    v = _field_violations(s, keys)
-    if v:
-        return v, None
     from .pricing import CostSide
 
     with np.errstate(over="ignore", invalid="ignore"):
+        v = _field_violations(s, keys)
+        if v:
+            return v, None
         cost_side = CostSide(s)
         return _cost_side_violations(cost_side, dominance_factor), cost_side
 
@@ -466,10 +520,25 @@ def _stages_out_of_order(bounds) -> bool:
     return not 1 <= z1 < z2 <= z3
 
 
+def _calendar_short(t: PeriodValues, tm: PeriodValues) -> bool:
+    """Whether some period has fewer calendar hours than operating hours,
+    over the periods that both give."""
+    t, tm = t.as_array(), tm.as_array()
+    if t.size != tm.size:
+        n = min(t.size, tm.size)
+        t, tm = t[:n], tm[:n]
+    return np.less(tm, t).any()
+
+
+def _least(values: PeriodValues, default: float) -> float:
+    """The smallest of the values and ``default``."""
+    return np.minimum.reduce(values.as_array(), initial=default)
+
+
 def _square_overflows(x):
     """Whether x * x overflows, as the market side computes (1 + beta)^2; on
-    a float or elementwise on an array."""
-    return np.isinf(x * x)
+    a float or elementwise on an array (a square is never -inf)."""
+    return x * x == math.inf
 
 
 def _own(key: str, fails, message: str) -> tuple:
@@ -479,14 +548,15 @@ def _own(key: str, fails, message: str) -> tuple:
 
 #: One row per field check, in report order: the key it reports, the keys
 #: it reads, the predicate on their values (in that order) that flags a
-#: violation, and the message.  Every value is finite when a predicate runs.
+#: violation, and the message.  Every value is finite when a predicate runs,
+#: and a per-period value is a :class:`PeriodValues`.
 _RULES = (
     _own("grid.z_periods", lambda z: z < 1, "must be >= 1"),
     _own("grid.z_periods", lambda z: z > sys.maxsize, f"must be at most {sys.maxsize}"),
     ("grid.t_j", ("grid.z_periods", "grid.t_j", "grid.t_jM"),
      lambda z, t, tm: len(t) != z or len(tm) != z, "length must equal z_periods"),
-    _own("grid.t_j", lambda t: min(t, default=1.0) <= 0, "every period length must be > 0"),
-    ("grid.t_jM", ("grid.t_j", "grid.t_jM"), lambda t, tm: any(map(operator.lt, tm, t)),
+    _own("grid.t_j", lambda t: _least(t, 1.0) <= 0, "every period length must be > 0"),
+    ("grid.t_jM", ("grid.t_j", "grid.t_jM"), _calendar_short,
      "calendar hours must be >= operating hours"),
     _own("failure.stage_bounds", lambda bounds: len(bounds) != 3,
          "need three bounds z1, z2, z3"),
@@ -504,15 +574,15 @@ _RULES = (
      lambda mean, sd: mean < 0 or sd < 0, "external rate moments must be >= 0"),
     ("failure.internal_series", ("grid.z_periods", "failure.internal_series"),
      lambda z, series: series is not None and len(series) != z, "length must equal z_periods"),
-    _own("failure.internal_series", lambda series: min(series or (), default=0.0) < 0,
-         "rates must be >= 0"),
+    _own("failure.internal_series",
+         lambda series: series is not None and _least(series, 0.0) < 0, "rates must be >= 0"),
     # a constant repair cost stands for max(z, 0) periods, and is not
     # broadcast: z may be too large to index
     ("cost.unit_repair_cost", ("grid.z_periods", "cost.unit_repair_cost"),
-     lambda z, c: len(c) != z if isinstance(c, tuple) else z < 0,
+     lambda z, c: len(c) != z if isinstance(c, PeriodValues) else z < 0,
      "length must equal z_periods"),
     ("cost.unit_repair_cost", ("grid.z_periods", "cost.unit_repair_cost"),
-     lambda z, c: min(c, default=0.0) < 0 if isinstance(c, tuple) else z >= 1 and c < 0,
+     lambda z, c: _least(c, 0.0) < 0 if isinstance(c, PeriodValues) else z >= 1 and c < 0,
      "must be >= 0"),
     _own("cost.repair_cost_sd", lambda sd: sd < 0, "must be >= 0"),
     _own("cost.avg_maintenance_cost", lambda c: c < 0, "must be >= 0"),
@@ -536,6 +606,9 @@ _RULES = (
     _own("market.d_customers", lambda d: d < 1, "must be >= 1"),
     ("market.price_ceiling", _CEILING_KEYS,
      lambda *m: _ceiling(*m) is not None and _ceiling(*m) <= 0, "must be > 0"),
+    # finite inputs: only the derived ceiling can overflow
+    ("market.price_ceiling", _CEILING_KEYS, lambda *m: not math.isfinite(_ceiling(*m) or 0.0),
+     "tco - c_lease - c_ops must be finite (it overflows)"),
     ("market.price_ceiling", _CEILING_KEYS, lambda *m: _ceiling(*m) is None,
      "need price_ceiling or (tco, c_lease, c_ops)"),
 )
@@ -544,18 +617,23 @@ _RULES = (
 @cache
 def _checks(keys: tuple[str, ...] | None):
     """The keys checked for finiteness, the rules and every key they read:
-    all of them, or only those that read one of ``keys``."""
+    all of them, or only those that read one of ``keys``.  Each rule comes
+    as (key, reads, fails, message) with ``reads`` the one key it reads, or
+    a getter of the tuple of the values it reads."""
     finite = tuple(key for key in _GETTERS if keys is None or key in keys)
     rules = tuple(rule for rule in _RULES if keys is None or not set(rule[1]).isdisjoint(keys))
-    return finite, rules, frozenset(finite).union(*(rule[1] for rule in rules))
+    compiled = tuple((key, reads[0] if len(reads) == 1 else operator.itemgetter(*reads),
+                      fails, message) for key, reads, fails, message in rules)
+    return finite, compiled, frozenset(finite).union(*(rule[1] for rule in rules))
 
 
 def _non_finite(value) -> bool:
-    """A float, or a tuple through its sum, that is NaN or +-inf.  The sum is
-    non-finite if any element is, or if it overflows, as the model's own
-    sums over the tuple would."""
-    if isinstance(value, tuple):
-        value = sum(value)
+    """A float, or per-period values through their sum, that is NaN or
+    +-inf.  The sum is non-finite if any value is, or if it overflows, as
+    the model's own sums over the values would (its overflow warning is
+    left to the caller's error state)."""
+    if value.__class__ is PeriodValues:
+        value = np.add.reduce(value.as_array())
     return isinstance(value, float) and not math.isfinite(value)
 
 
@@ -575,7 +653,7 @@ def _violations(values: dict, keys: tuple[str, ...] | None = None) -> list[Viola
     if v:
         return v
     for key, reads, fails, message in rules:
-        if fails(*[values[read] for read in reads]):
+        if fails(values[reads]) if reads.__class__ is str else fails(*reads(values)):
             v.append(Violation(key, message))
     return v
 
@@ -604,7 +682,7 @@ def _swept_beta_violations(s: Scenario, betas: np.ndarray, variance: float) -> l
         bad = ~np.isfinite(betas) | ~np.isfinite(_risk_premium(s.market.alpha_max, betas,
                                                                 variance))
         for _, read, fails, _ in rules:
-            bad |= fails(*[values[key] for key in read])
+            bad |= fails(values[read]) if read.__class__ is str else fails(*read(values))
     if not bad.any():
         return []
     values["market.beta"] = float(betas[bad.argmax()])
@@ -620,8 +698,9 @@ def _cost_side_violations(cost_side, dominance_factor: float = 10.0) -> list[Vio
     """The optimizer's standing assumptions, on the cost side's actual rate
     series, maintenance plan and lf problem: a finite series, maintenance
     count, time budget and bills (finite inputs can still overflow), enough
-    trainable time, a finite pay-per-repair variance, and a finite risk
-    premium in the scenario's own market."""
+    trainable time, a finite pay-per-repair variance and bill (the mean of
+    its repairs plus maintenance), and a finite risk premium in the
+    scenario's own market."""
     if not np.isfinite(cost_side.internal.as_array()).all():
         return [Violation("failure.internal_series",
                           "the parametric series must be finite (it overflows)")]
@@ -652,6 +731,9 @@ def _cost_side_violations(cost_side, dominance_factor: float = 10.0) -> list[Vio
         sd = cost_side.scenario.cost.repair_cost_sd
         key = "cost.unit_repair_cost" if math.isfinite(sd * sd) else "cost.repair_cost_sd"
         return [Violation(key, "the pay-per-repair cost variance must be finite (it overflows)")]
+    if not math.isfinite(cost_side.os_moments.mean):
+        return [Violation("cost.avg_maintenance_cost",
+                          "the pay-per-repair maintenance bill must be finite (it overflows)")]
     from .pricing import _risk_premium
 
     market = cost_side.scenario.market
@@ -697,19 +779,21 @@ def scaled_to_mean(s: Scenario, target_mean: float) -> Scenario:
 
     The realised series (override or parametric) is scaled linearly together
     with the installation rate, preserving the bathtub shape; everything
-    else stays at the scenario values.
+    else stays at the scenario values.  A series of mean zero has no shape
+    to scale: :class:`ScenarioValidationError`.
     """
     from . import failure as failure_model
 
     series = failure_model.internal_rate_series(s.failure, s.grid)
     current = series.mean
     if current <= 0:
-        raise ValueError("cannot rescale a zero internal-rate series")
+        raise ScenarioValidationError([Violation(
+            "failure.internal_series", "a series of mean 0 cannot be rescaled to a target mean")])
     factor = target_mean / current
     f = replace(
         s.failure,
         phi0_int=s.failure.phi0_int * factor,
-        internal_series_override=tuple((series.as_array() * factor).tolist()),
+        internal_series_override=series.as_array() * factor,
     )
     return replace(s, failure=f)
 
@@ -775,7 +859,8 @@ def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Sc
     # The default hours broadcast to an overridden horizon.  The default
     # internal series is the baseline one; `none` clears it so that the
     # parametric bathtub takes effect.
-    values = {"grid.t_j": d.grid.t_j[0], "grid.t_jM": d.grid.t_jm[0]}
+    values = {"grid.t_j": float(d.grid.t_j.as_array()[0]),
+              "grid.t_jM": float(d.grid.t_jm.as_array()[0])}
     if _TCO_KEYS & overrides.keys():
         values["market.price_ceiling"] = None
     values.update(overrides)
@@ -783,8 +868,8 @@ def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Sc
     if z > sys.maxsize:
         raise ConfigError(f"grid.z_periods: must be at most {sys.maxsize}")
     for key in ("grid.t_j", "grid.t_jM", "failure.internal_series"):
-        if values.get(key) is not None:
-            values[key] = _per_period(values[key], z)
+        if isinstance(values.get(key), float):
+            values[key] = _constant(values[key], z)
     if "failure.internal_table" in values:
         ref = values["failure.internal_table"]
         if ":" not in ref:
@@ -829,6 +914,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, PeriodValues):
+        value = value.values
     if isinstance(value, tuple):
         return ",".join(_fmt(x) for x in value)
     if isinstance(value, float):
@@ -849,8 +936,8 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
         if key in skipped:
             continue
         value = getter(s)
-        if key in ("grid.t_j", "grid.t_jM") and len(set(value)) <= 1:
-            value = value[0]
+        if key in ("grid.t_j", "grid.t_jM") and len(set(value.values)) <= 1:
+            value = value.values[0]
         elif key == "failure.internal_series" and value is None:
             value = "none"
         lines.append(f"{key} = {_fmt(value)}")

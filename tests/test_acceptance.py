@@ -70,7 +70,7 @@ def test_criterion_01_failure_count_dual_form():
             internal = internal_rate_series(s.failure, s.grid)
             got = expected_failures(m, s, internal)
 
-            t = s.grid.t_j[0]
+            t = s.grid.t_j.values[0]
             rho = s.failure.rho
             phi0 = s.failure.phi0_int
             phi = np.asarray(internal.values)
@@ -82,7 +82,7 @@ def test_criterion_01_failure_count_dual_form():
 
 
 def test_criterion_02_maintenance_count_oracle():
-    with _timer(2, 5.0, "closed-form maintenance count within +-1 of brute force; "
+    with _timer(2, 5.0, "closed-form maintenance count equals brute force; "
                         "baseline optimum is 3"):
         rng = np.random.default_rng(202)
         for _ in range(100):
@@ -90,7 +90,7 @@ def test_criterion_02_maintenance_count_oracle():
             internal = internal_rate_series(s.failure, s.grid)
             closed = optimal_pm_count(s, internal).m_count
             brute = brute_force_pm_count(s, internal, max(60, 2 * closed + 10)).m_count
-            assert abs(closed - brute) <= 1
+            assert closed == brute
 
         baseline = default_scenario()
         internal = internal_rate_series(baseline.failure, baseline.grid)

@@ -244,12 +244,40 @@ def test_overflowing_risk_premium_is_validation_error(capsys, tmp_path, argv, te
     assert err == f"validation error: {_PREMIUM_OVERFLOWS}\n"
 
 
+#: A finite config whose pay-per-repair maintenance bill m0_os * c_M overflows.
+_MAINTENANCE_BILL_OVERFLOWS = ("market.price_ceiling = 1178.2205688837782\n"
+                               "cost.delay_probability = 1e-300\n"
+                               "cost.avg_maintenance_cost = 1e308\n")
+_MAINTENANCE_BILL = ("cost.avg_maintenance_cost: the pay-per-repair maintenance bill must be "
+                     "finite (it overflows)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("price", "--variant", "full"),
+    ("price", "--variant", "bench"),
+    ("optimize-lf",),
+    ("compare", "--format", "csv"),
+    ("sweep", "--param", "beta", "--values", "0.5,0.6"),
+])
+def test_overflowing_maintenance_bill_is_validation_error(capsys, tmp_path, argv):
+    path = tmp_path / "extreme.cfg"
+    path.write_text(_MAINTENANCE_BILL_OVERFLOWS)
+    out = ("--out", str(tmp_path)) if argv[0] in ("compare", "sweep") else ()
+    code, stdout, err = run(capsys, *argv, "--config", str(path), *out)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"validation error: {_MAINTENANCE_BILL}\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("variant", ["full", "bench"])
 @pytest.mark.parametrize("text, code, err", [
-    # the floor overflows to inf
-    ("market.price_ceiling = 1178.2205688837782\ncost.delay_probability = 1e-300\n"
-     "cost.avg_maintenance_cost = 1e308\n", 2, "infeasible model: price floor inf exceeds"),
+    # the pay-per-repair maintenance bill overflows; before it was checked,
+    # the floor overflowed to inf
+    (_MAINTENANCE_BILL_OVERFLOWS, 1, f"validation error: {_MAINTENANCE_BILL}"),
+    # the floor overflows to inf at a finite bill
+    ("market.beta = 1e10\ncost.avg_maintenance_cost = 1e305\ncost.delay_probability = 1e-300\n",
+     2, "infeasible model: price floor inf exceeds"),
     # tau / alpha_max overflows, at an infeasible and at a feasible price
     ("market.price_ceiling = 883.9985833487726\nmarket.alpha_max = 5e-324\n"
      "cost.delay_probability = 0.5\n", 2, "infeasible model: price floor"),

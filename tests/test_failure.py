@@ -21,7 +21,7 @@ from fscontract import (
 
 from fscontract.failure import _aging_slopes
 
-from conftest import make_scenario, random_rate_scenario
+from conftest import generated_scenarios, make_scenario, random_rate_scenario
 
 
 def bathtub_params(**kw):
@@ -92,7 +92,7 @@ class TestInternalRateSeries:
 
     def test_override_returned_verbatim(self, baseline):
         series = internal_rate_series(baseline.failure, baseline.grid)
-        assert series.values == baseline.failure.internal_series_override
+        assert series.values == baseline.failure.internal_series_override.values
 
     def test_floor_warns(self):
         grid = PeriodGrid.uniform(4, 1440.0, 4320.0)
@@ -133,7 +133,7 @@ class TestInternalRateSeries:
         want, floors = [], 0
         phi = f.phi0_int
         for j in range(1, z + 1):
-            phi = phi + aging_factor(j, f, grid) * grid.t_j[j - 1]
+            phi = phi + aging_factor(j, f, grid) * grid.t_j.values[j - 1]
             floors += phi < -1e-15
             phi = max(phi, 0.0)
             want.append(phi)
@@ -151,7 +151,7 @@ class TestInternalRateSeries:
             grid = PeriodGrid.uniform(z, 1440.0, 4320.0)
             f = replace(baseline.failure, stage_bounds=(4, z - 4, z),
                         internal_series_override=None)
-            steps = _aging_slopes(f, z) * grid.t_array
+            steps = _aging_slopes(f, z) * grid.t_j.as_array()
             run_in = np.cumsum(np.concatenate(([f.phi0_int], steps[:4])))[1:]
             rest = np.cumsum(np.concatenate(([run_in[-1]], steps[4:])))[1:]
             want = tuple(np.concatenate((run_in, rest)).tolist())
@@ -226,7 +226,7 @@ class TestExpectedFailures:
         internal = internal_rate_series(s.failure, s.grid)
         got = expected_failures(m, s, internal)
 
-        t = s.grid.t_j[0]
+        t = s.grid.t_j.values[0]
         rho = s.failure.rho
         phi0 = s.failure.phi0_int
         phi = np.asarray(internal.values)
@@ -284,4 +284,24 @@ class TestMaintenanceOptimum:
             closed = optimal_pm_count(s, internal).m_count
             m_max = max(60, 2 * closed + 10)
             brute = brute_force_pm_count(s, internal, m_max).m_count
-            assert abs(closed - brute) <= 1
+            assert closed == brute
+
+    def test_exact_argmin_on_generated_bases(self):
+        # round(sqrt(K / c_M)) is one too low on market_sweep base 7 (M* = 2)
+        for s in generated_scenarios((1,)):
+            internal = internal_rate_series(s.failure, s.grid)
+            closed = optimal_pm_count(s, internal).m_count
+            assert closed == brute_force_pm_count(s, internal, max(60, 2 * closed + 10)).m_count
+
+    @pytest.mark.parametrize("ratio, m_star", [
+        (0.0, 1), (2.0, 1), (2.0000001, 2), (5.99, 2), (6.5, 3), (11.9, 3), (12.1, 4),
+        (89.9, 9), (90.5, 10)])
+    def test_smallest_count_with_m_times_m_plus_one_at_least_k_over_c(self, ratio, m_star):
+        # one more action pays while M (M + 1) < K / c_M; at equality (the
+        # ratio 2, exact in floats) the tie goes to the smaller count
+        s = make_scenario(z=2, t=1000.0, phi0=0.002, series=(0.002, 0.003), rho=1.0,
+                          unit_repair_cost=1.0)
+        internal = internal_rate_series(s.failure, s.grid)
+        k = 0.5 * 1.0 * 0.001 * 1000.0  # rho/2 * c_r * delta_2 * t_2
+        s = replace(s, cost=replace(s.cost, avg_maintenance_cost=k / ratio if ratio else 1e300))
+        assert optimal_pm_count(s, internal).m_count == m_star

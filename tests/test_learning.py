@@ -44,7 +44,7 @@ class TestTotalRepairTime:
     def test_matches_running_total(self, baseline, baseline_rates):
         internal, _ = baseline_rates
         total = 0.0
-        for phi, t in zip(internal.values, baseline.grid.t_j):
+        for phi, t in zip(internal.values, baseline.grid.t_j.values):
             total += phi * t
         assert total_repair_time(internal, baseline.grid) == pytest.approx(total, rel=1e-12)
 

@@ -29,6 +29,7 @@ from fscontract import (
     fs_cost_lf_derivative,
     fs_market_share,
     default_scenario,
+    expected_failures,
     internal_rate_series,
     lf_problem,
     load_internal_table,
@@ -40,6 +41,7 @@ from fscontract import (
     simulate_external_rates,
     total_fs_cost,
 )
+from fscontract.failure import rate_increments
 from fscontract.pricing import market_side
 
 from conftest import count_calls, generated_scenarios, golden_section, market_side_oracle
@@ -435,6 +437,50 @@ class TestMarketSideKernel:
     def test_one_float_is_the_one_element_case(self):
         cost, osm, mk, rows, want = _kernel_case(*KERNEL_EXAMPLES[-1][:-1], [0.05])
         assert tuple(map(float, market_side(cost, osm, mk, 0.05))) == want[0] == rows[0]
+
+    @pytest.mark.parametrize("case", KERNEL_EXAMPLES)
+    def test_one_float_gives_python_floats(self, case):
+        cost, osm, mk, rows, _ = _kernel_case(*case)
+        for beta, row in zip(case[-1], rows):
+            sides = market_side(cost, osm, mk, beta)
+            assert all(type(x) is float for x in sides)
+            assert tuple(sides) == row
+
+
+class TestCostSideWork:
+    """A cost side computes each Z-long array once."""
+
+    def test_every_variant_on_one_cost_side(self, monkeypatch, baseline):
+        calls = count_calls(monkeypatch, rate_increments, expected_failures,
+                            simulate_external_rates)
+        cost_side = CostSide(baseline)
+        for variant in ("full", "auto", "bench"):
+            cost_side.price(variant, baseline.market)
+        cost_side.os_moments
+        # M* = 3 and m0_os = 10: one count array each
+        assert {name: len(c) for name, c in calls.items()} == {
+            "rate_increments": 1, "expected_failures": 2, "simulate_external_rates": 1}
+
+    def test_bench_draws_no_external_rates(self, monkeypatch, baseline):
+        calls = count_calls(monkeypatch, rate_increments, expected_failures,
+                            simulate_external_rates)
+        sol = optimal_price(baseline, "bench")
+        assert sol.m_count == baseline.cost.m0_os
+        # the bench bills and the cost moments share the counts at m0_os
+        assert {name: len(c) for name, c in calls.items()} == {
+            "rate_increments": 1, "expected_failures": 1, "simulate_external_rates": 0}
+
+    def test_counts_are_shared_by_the_bills(self, baseline):
+        cost_side = CostSide(baseline)
+        counts = cost_side.counts
+        m_star, m0 = cost_side.plan.m_count, baseline.cost.m0_os
+        assert cost_side.plan.objective_value == counts.repair_bill(m_star) + 300.0 * (m_star - 1)
+        assert cost_side.problem.base.repair == counts.repair_bill(m_star)
+        assert cost_side.os_moments.repair_mean == counts.repair_bill(m0) / 1000.0
+        assert counts(m_star) is counts(m_star)
+        other = cost_side.with_learning(replace(baseline, learning=replace(
+            baseline.learning, unit_training_cost=80.0)))
+        assert other.counts is counts
 
 
 class TestOptimalPrice:

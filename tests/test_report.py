@@ -14,6 +14,7 @@ from fscontract import (
     SweepSpec,
     compare_models,
     emit_report,
+    expected_failures,
     lf_problem,
     optimal_pm_count,
     optimal_price,
@@ -28,6 +29,7 @@ from fscontract import (
 )
 
 from fscontract import scenario as scenario_module
+from fscontract.failure import rate_increments
 from fscontract.pricing import market_side
 
 from conftest import count_calls, generated_scenarios
@@ -306,19 +308,24 @@ class TestCostSideReuse:
         assert {name: len(c) for name, c in calls.items()} == {
             "optimize_lf": 3, "simulate_external_rates": 1, "optimal_pm_count": 1}
 
-    def test_long_horizon_op_builds_four_lf_problems(self, monkeypatch):
+    def test_long_horizon_op_builds_three_lf_problems(self, monkeypatch):
         # the benchmark's long_horizon op: validation, three variant prices
         # and a 3-point training-cost sweep, on a fresh copy of the scenario;
-        # bench needs no lf problem, the full price's lf search takes its
-        # cost side's and the sweep derives its points from its first one
+        # bench and auto need no lf problem nor external rates, the full
+        # price's lf search takes its cost side's and the sweep derives its
+        # points from its first one.  Each of the four cost sides computes
+        # the rate increments once, and the failure counts once per
+        # maintenance count: at M* and at m0_os, bench at m0_os only
         s = copy.deepcopy(generated_scenarios([1])[-1])
-        calls = count_calls(monkeypatch, lf_problem, optimize_lf)
+        calls = count_calls(monkeypatch, lf_problem, optimize_lf, rate_increments,
+                            expected_failures, simulate_external_rates)
         assert validate_scenario(s) == []
         for variant in ("full", "auto", "bench"):
             optimal_price(s, variant)
         sweep(SweepSpec(param="unit_training_cost", values=(30.0, 300.0, 3000.0)), s)
         assert {name: len(c) for name, c in calls.items()} == {
-            "lf_problem": 4, "optimize_lf": 4}
+            "lf_problem": 3, "optimize_lf": 4, "rate_increments": 5, "expected_failures": 9,
+            "simulate_external_rates": 3}
 
     def test_compare_runs_one_lf_search(self, monkeypatch, baseline):
         calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates)

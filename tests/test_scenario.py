@@ -18,6 +18,7 @@ from fscontract import (
     LearningParams,
     MarketParams,
     PeriodGrid,
+    PeriodValues,
     RateSeries,
     ScenarioValidationError,
     Violation,
@@ -39,8 +40,8 @@ class TestDefaults:
     def test_table2_values(self, baseline):
         assert baseline.market.beta == 0.5
         assert baseline.grid.z_periods == 20
-        assert baseline.grid.t_j == (1440.0,) * 20
-        assert baseline.grid.t_jm == (4320.0,) * 20
+        assert baseline.grid.t_j.values == (1440.0,) * 20
+        assert baseline.grid.t_jm.values == (4320.0,) * 20
         assert baseline.failure.phi0_int == 7.5e-3
         assert baseline.failure.rho == 0.5
         assert baseline.learning.alpha_auto == 0.1
@@ -60,7 +61,7 @@ class TestDefaults:
         assert series.mean == pytest.approx(0.0034, abs=1e-12)
 
     def test_contract_length(self, baseline):
-        assert baseline.grid.contract_length_b == sum(baseline.grid.t_j)
+        assert baseline.grid.contract_length_b == sum(baseline.grid.t_j.values)
 
     def test_default_passes_validation(self, baseline):
         assert validate_scenario(baseline) == []
@@ -94,6 +95,16 @@ class TestValidation:
         assert [str(v) for v in validate_scenario(bad)] == [
             "market.alpha_max: the risk premium alpha_max (1 + beta)^2 Var / 4 "
             "must be finite (it overflows)"]
+
+    def test_overflowing_maintenance_bill_flagged(self, baseline):
+        # m0_os * c_M overflows the pay-per-repair bill; the plan's own
+        # maintenance bill stays finite (M* = 1 costs nothing extra)
+        bad = replace(baseline, cost=replace(baseline.cost, avg_maintenance_cost=1e308,
+                                             delay_probability=1e-300),
+                      market=replace(baseline.market, price_ceiling=1178.2205688837782))
+        assert [str(v) for v in validate_scenario(bad)] == [
+            "cost.avg_maintenance_cost: the pay-per-repair maintenance bill must be finite "
+            "(it overflows)"]
 
     def test_violations_are_not_exceptions(self, baseline):
         bad = replace(baseline, market=replace(baseline.market, beta=-1.0))
@@ -237,7 +248,7 @@ class TestConfigIO:
         cfg.write_text(f"failure.internal_table = {INTERNAL_RATE_TABLE_PATH}:1\n")
         s = load_scenario(cfg)
         column = load_internal_table(INTERNAL_RATE_TABLE_PATH, 1)
-        assert s.failure.internal_series_override == column
+        assert s.failure.internal_series_override.values == column
 
 
 class TestConflictingKeys:
@@ -273,21 +284,74 @@ class TestConflictingKeys:
             load_scenario(cfg)
 
 
-class TestCachedArrays:
-    def test_built_once_and_read_only(self, baseline):
+class TestPeriodValues:
+    """Every per-period value is one read-only array with by-value equality."""
+
+    def test_stored_once_and_read_only(self, baseline):
         s = replace(baseline, cost=replace(baseline.cost, unit_repair_cost=(1.0,) * 20))
         series = simulate_external_rates(s)
-        for array, values in ((series.as_array(), series.values),
-                              (s.grid.t_array, s.grid.t_j),
-                              (s.repair_cost_array, s.cost.unit_repair_cost)):
+        for value, values in ((series, series.values),
+                              (s.grid.t_j, (1440.0,) * 20),
+                              (s.cost.unit_repair_cost, (1.0,) * 20)):
+            array = value.as_array()
             assert array.tolist() == list(values)
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        assert series.as_array() is series.as_array()
-        assert s.grid.t_array is s.grid.t_array
-        assert s.repair_cost_array is s.repair_cost_array
+            assert value.as_array() is array
+        broadcast = baseline.cost.repair_costs(20)
+        assert broadcast.tolist() == [1000.0] * 20 and not broadcast.flags.writeable
 
+    def test_tuples_and_arrays_convert_on_construction(self, baseline):
+        grid = PeriodGrid(3, (1.0, 2.0, 3.0), np.array([4.0, 5.0, 6.0]))
+        assert type(grid.t_j) is PeriodValues and type(grid.t_jm) is PeriodValues
+        assert grid == PeriodGrid(3, np.array([1.0, 2.0, 3.0]), [4.0, 5.0, 6.0])
+        assert grid.t_j.values == (1.0, 2.0, 3.0) and len(grid.t_j) == 3
+        assert PeriodGrid(3, grid.t_j, grid.t_jm).t_j is grid.t_j
+        series = RateSeries("internal", (1.0, 2.0, 3.0))
+        assert type(PeriodGrid(3, series, series).t_j) is PeriodValues
+        cost = replace(baseline.cost, unit_repair_cost=(1.0, 2.0))
+        assert cost.unit_repair_cost == PeriodValues((1.0, 2.0))
+        assert replace(baseline.cost, unit_repair_cost=5).unit_repair_cost == 5
+        assert type(baseline.cost.unit_repair_cost) is float
+        failure = replace(baseline.failure, internal_series_override=[0.001, 0.002])
+        assert failure.internal_series_override == PeriodValues((0.001, 0.002))
+        assert replace(failure, internal_series_override=None).internal_series_override is None
+
+    def test_equal_and_hash_by_value_as_their_tuple(self, baseline):
+        values = (1440.0, 0.1 + 0.2, 5e-324, 0.0)
+        assert PeriodValues(values) == PeriodValues(np.array(values))
+        assert hash(PeriodValues(values)) == hash(values)
+        assert PeriodValues(values) != PeriodValues(values[:-1])
+        assert PeriodValues(values) != PeriodValues(values[:-1] + (1.0,))
+        assert PeriodValues(values) != RateSeries("internal", values)
+        # a scenario hashes as it did when its per-period values were tuples
+        assert hash(baseline.grid) == hash((20, (1440.0,) * 20, (4320.0,) * 20))
+        per_period = replace(baseline.cost, unit_repair_cost=values)
+        assert hash(per_period) == hash((values, 21000.0, 300.0, 10000.0, 0.004, 10))
+
+    def test_read_only_and_immutable(self):
+        source = np.array([1.0, 2.0])
+        value = PeriodValues(source)
+        source[0] = 9.0  # the value holds its own copy
+        assert value.values == (1.0, 2.0)
+        for name in ("values", "_array", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            del value._array
+
+    def test_pickle_and_deepcopy_round_trip(self, baseline):
+        s = replace(baseline, cost=replace(baseline.cost, unit_repair_cost=(1000.0,) * 20))
+        for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert copied == s and hash(copied) == hash(s)
+            for value in (copied.grid.t_j, copied.grid.t_jm, copied.cost.unit_repair_cost,
+                          copied.failure.internal_series_override):
+                assert type(value) is PeriodValues
+                assert not value.as_array().flags.writeable
+            assert copied.grid.t_j.as_array() is not s.grid.t_j.as_array()
+        value = PeriodValues((0.1, 0.2))
+        assert eval(repr(value), {"PeriodValues": PeriodValues}) == value
 
 class TestRateSeries:
     """A series holds one read-only array and compares by kind and rates."""
@@ -401,6 +465,13 @@ class TestScaledToMean:
             series = internal_rate_series(scaled.failure, scaled.grid)
             assert series.mean == pytest.approx(target, rel=1e-12)
 
+    def test_zero_series_is_a_validation_error(self, baseline):
+        zero = replace(baseline, failure=replace(baseline.failure,
+                                                 internal_series_override=(0.0,) * 20))
+        with pytest.raises(ScenarioValidationError, match="failure.internal_series: a series "
+                                                          "of mean 0 cannot be rescaled"):
+            scaled_to_mean(zero, 0.003)
+
     def test_shape_preserved(self, baseline):
         scaled = scaled_to_mean(baseline, 0.0046)
         factor = 0.0046 / 0.0034
@@ -484,6 +555,8 @@ RULE_EDITS = [
     ("failure.stage_bounds = 4,16,20,24",
      ["failure.stage_bounds: need three bounds z1, z2, z3"]),
     ("market.beta = 1e200", ["market.beta: (1 + beta)^2 must be finite (it overflows)"]),
+    ("market.tco = 1500\nmarket.c_lease = -1e308\nmarket.c_ops = -1e308",
+     ["market.price_ceiling: tco - c_lease - c_ops must be finite (it overflows)"]),
 ]
 
 
@@ -522,6 +595,33 @@ class TestRuleTable:
             "learning.lf: must lie in (0, 1)",
             "market.beta: must be >= 0",
         ]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("grid.z_periods = 3\nfailure.stage_bounds = 1,2,3\ngrid.t_j = 1440,-1,1440\n"
+         "grid.t_jM = 1440,1,1000\nfailure.internal_series = 0.001,-0.002,0.003\n"
+         "cost.unit_repair_cost = 1,2,-3\n",
+         ["grid.t_j: every period length must be > 0",
+          "grid.t_jM: calendar hours must be >= operating hours",
+          "failure.internal_series: rates must be >= 0",
+          "cost.unit_repair_cost: must be >= 0"]),
+        # per-period lengths that disagree: the calendar check reads the
+        # periods that both give
+        ("grid.t_j = 1440,1440\ngrid.t_jM = 1,1,1\nfailure.internal_series = -1,-1\n"
+         "cost.unit_repair_cost = 5,-5\n",
+         ["grid.t_j: length must equal z_periods",
+          "grid.t_jM: calendar hours must be >= operating hours",
+          "failure.internal_series: length must equal z_periods",
+          "failure.internal_series: rates must be >= 0",
+          "cost.unit_repair_cost: length must equal z_periods",
+          "cost.unit_repair_cost: must be >= 0"]),
+        # finite values whose sum overflows are non-finite
+        ("grid.z_periods = 3\nfailure.stage_bounds = 1,2,3\ngrid.t_j = 1440,1e308,1e308\n"
+         "failure.internal_series = 1e308,1e308,0.0\ncost.unit_repair_cost = 1e308,1e308,1\n",
+         ["grid.t_j: must be finite", "failure.internal_series: must be finite",
+          "cost.unit_repair_cost: must be finite"]),
+    ])
+    def test_per_period_values_give_exact_violations(self, text, expected):
+        assert _violations(text) == expected
 
     def test_non_finite_values_are_reported_alone_in_key_order(self):
         text = ("learning.lf = 1.5\nmarket.beta = inf\nfailure.k1 = 2\n"
@@ -588,6 +688,26 @@ class TestSavedText:
                            if line.startswith("failure.internal_series"))
         expected = DEFAULT_CONFIG.replace(series_line, "failure.internal_series = none")
         assert self._saved(tmp_path, parametric) == expected
+
+    def test_per_period_values(self, tmp_path, baseline):
+        s = replace(baseline,
+                    grid=PeriodGrid(3, (1440.0, 0.1 + 0.2, 5e-324), (4320.0, 1.0, 1e-300)),
+                    failure=replace(baseline.failure, stage_bounds=(1, 2, 3),
+                                    internal_series_override=(0.0054, 1.7976931348623157e308,
+                                                              0.0)),
+                    cost=replace(baseline.cost, unit_repair_cost=(1000.0, 2.5, 0.1)))
+        lines = {
+            "grid.z_periods = 20": "grid.z_periods = 3",
+            "grid.t_j = 1440.0": "grid.t_j = 1440.0,0.30000000000000004,5e-324",
+            "grid.t_jM = 4320.0": "grid.t_jM = 4320.0,1.0,1e-300",
+            "failure.stage_bounds = 4,16,20": "failure.stage_bounds = 1,2,3",
+            "cost.unit_repair_cost = 1000.0": "cost.unit_repair_cost = 1000.0,2.5,0.1",
+        }
+        expected = [lines.get(line, line) for line in DEFAULT_CONFIG.splitlines()]
+        expected = [("failure.internal_series = 0.0054,1.7976931348623157e+308,0.0"
+                     if line.startswith("failure.internal_series") else line)
+                    for line in expected if not line.startswith("0.0017")]
+        assert self._saved(tmp_path, s) == "\n".join(expected) + "\n"
 
     def test_tco_triple(self, tmp_path, baseline):
         s = replace(baseline, market=replace(baseline.market, price_ceiling=None,
