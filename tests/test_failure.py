@@ -19,7 +19,7 @@ from fscontract import (
     optimal_pm_count,
 )
 
-from fscontract.failure import _aging_slopes
+from fscontract.failure import FailureCounts, _aging_slopes
 
 from conftest import generated_scenarios, make_scenario, random_rate_scenario
 
@@ -236,6 +236,18 @@ class TestExpectedFailures:
         expanded = (phi0 * t + rho * t * t * g / (2 * m)
                     + t * t * (1 - rho) / 2 * (g + 2 * cumulative))
         np.testing.assert_allclose(got, expanded, rtol=1e-9)
+
+    def test_counts_and_bills_are_kept_per_maintenance_count(self, baseline):
+        for s in [baseline] + generated_scenarios((1,))[::7]:
+            internal = internal_rate_series(s.failure, s.grid)
+            counts = FailureCounts(s, internal)
+            for m in (1, 3, s.cost.m0_os):
+                direct = expected_failures(m, s, internal)
+                # the shared terms give the counts of a direct call to the bit
+                assert counts(m).tobytes() == direct.tobytes()
+                bill = counts.repair_bill(m)
+                assert bill == float(np.dot(counts.repair_costs, direct))
+                assert counts.repair_bill(m) is bill
 
 
 class TestMaintenanceOptimum:

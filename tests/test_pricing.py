@@ -482,6 +482,24 @@ class TestCostSideWork:
             baseline.learning, unit_training_cost=80.0)))
         assert other.counts is counts
 
+    @pytest.mark.parametrize("model", ["simple", "revised"])
+    def test_with_learning_solves_as_a_fresh_lf_problem(self, baseline, model):
+        # the lf problem's constants that depend on learning are computed
+        # again for the new parameters
+        for base in [baseline] + generated_scenarios((2,))[::9]:
+            s = replace(base, learning=replace(base.learning, forgetting_model=model))
+            cost_side = CostSide(s)
+            cost_side.lf_solution
+            for c, alpha_auto, alpha_indu in ((1.0, 0.1, 0.1), (80.0, 0.3, 0.05),
+                                              (5000.0, 0.0, 0.2)):
+                s2 = replace(s, learning=replace(s.learning, unit_training_cost=c,
+                                                 alpha_auto=alpha_auto, alpha_indu=alpha_indu))
+                held = cost_side.with_learning(s2).problem.solve()
+                fresh = lf_problem(cost_side.plan.m_count, s2, cost_side.internal,
+                                   cost_side.external).solve()
+                for name in LfSolution._fields:
+                    assert getattr(held, name) == getattr(fresh, name), name
+
 
 class TestOptimalPrice:
     def test_interior_hand_value(self):

@@ -1,7 +1,8 @@
 """Robustness property: every config either prices to finite KPIs with exit 0
 or exits with its documented code (1 validation, 2 infeasible) and one line
-on stderr, never with a traceback.  The one warning that may come with
-either outcome is the model's floored-rate warning.
+on stderr, never with a traceback.  The one warning a run may print is the
+model's floored-rate warning, and only for a config that passed its checks:
+a config that fails them prints its one validation error alone.
 
 Each example takes a base config (the shipped baseline or a generated
 benchmark base) and sets one to three fields to an extreme value or to a
@@ -20,9 +21,9 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fscontract import default_scenario, save_scenario
+from fscontract import default_scenario, save_scenario, validate_scenario
 from fscontract.cli import main
-from fscontract.scenario import _FIELDS, _floats
+from fscontract.scenario import _FIELDS, _floats, _read_scenario
 
 from conftest import generated_scenarios
 
@@ -37,7 +38,7 @@ INT_VALUES = {
     "grid.z_periods": ("-1", "0", "1", "2", "nan", "1e308"),
     "failure.stage_bounds": ("4,16", "0,16,20", "4,4,20", "4,16,19", "4,16,21", "1,2,3"),
     "cost.m0_os": ("0", "1", "2", "inf"),
-    "market.d_customers": ("0", "1", "2", "-inf"),
+    "market.d_customers": ("0", "1", "2", "-inf", str(10**308), str(10**309)),
     "rng_seed": ("-1", "0", str(2**64 - 1), str(2**64)),
 }
 #: The float keys, and those among them that take one value per period.
@@ -141,6 +142,12 @@ def _run(tmp_path_factory, base: int, changes: dict, argv) -> None:
     # prints on stderr before the outcome; numpy's warnings are silenced
     assert all(str(w.message).startswith("internal rate undershoots zero")
                for w in caught), [str(w.message) for w in caught]
+    if code == 1 and caught:
+        # only once the config passed its checks, and a sweep point or the
+        # comparison's pay-per-repair row failed after them
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert validate_scenario(_read_scenario(path)) == []
     err = stderr.getvalue().splitlines()
     if code == 0:
         assert err == []
@@ -164,6 +171,11 @@ def _run(tmp_path_factory, base: int, changes: dict, argv) -> None:
 # the pay-per-repair maintenance bill overflows
 @example(edit=(0, {"cost.avg_maintenance_cost": "1e+308", "cost.delay_probability": "1e-300",
                    "market.price_ceiling": "1178.2205688837782"}), argv=COMMANDS[2])
+# the profit of 10^308 customers overflows, and 10^309 do not fit a float
+@example(edit=(0, {"market.d_customers": str(10**308)}), argv=COMMANDS[0])
+@example(edit=(3, {"market.d_customers": str(10**309)}), argv=COMMANDS[5])
+# a floored parametric series whose config then fails its checks
+@example(edit=(2, {"failure.m": "1e-308"}), argv=COMMANDS[0])
 def test_finite_kpis_or_a_documented_exit(tmp_path_factory, edit, argv):
     base, changes = edit
     _run(tmp_path_factory, base, changes, argv)

@@ -402,6 +402,19 @@ class TestRateSeries:
             assert series.values == want
             assert series.as_array().tobytes() == np.array(want).tobytes()
 
+    def test_model_series_are_read_only_and_each_draw_is_its_own(self, baseline):
+        # the model's series take the arrays they build without copying them
+        parametric = replace(baseline, failure=replace(
+            baseline.failure, internal_series_override=None))
+        series = [internal_rate_series(s.failure, s.grid) for s in (baseline, parametric)]
+        first, second = simulate_external_rates(baseline), simulate_external_rates(baseline)
+        for array in [x.as_array() for x in series + [first, second]]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert first == second
+        assert not np.shares_memory(first.as_array(), second.as_array())
+
 
 class TestInternalTable:
     def test_shape(self):
@@ -504,6 +517,11 @@ class TestSchemaTables:
             assert key in keys and set(reads) <= keys
 
 
+#: The bound on a market's revenue, and so on its profit.
+_REVENUE = ("market.d_customers: d_customers * price ceiling must stay below half the "
+            "largest float (the profit can overflow)")
+
+
 #: One config edit per field rule, with every violation it causes, in
 #: report order.
 RULE_EDITS = [
@@ -557,6 +575,12 @@ RULE_EDITS = [
     ("market.beta = 1e200", ["market.beta: (1 + beta)^2 must be finite (it overflows)"]),
     ("market.tco = 1500\nmarket.c_lease = -1e308\nmarket.c_ops = -1e308",
      ["market.price_ceiling: tco - c_lease - c_ops must be finite (it overflows)"]),
+    # a market of 10^308 customers, and one too large to convert to a float
+    (f"market.d_customers = {10**308}", [_REVENUE]),
+    (f"market.d_customers = {10**309}", [_REVENUE]),
+    # the ceiling derived from the TCO triple counts too
+    (f"market.d_customers = {10**306}\nmarket.tco = 1500\nmarket.c_lease = 400\n"
+     "market.c_ops = 200", [_REVENUE]),
 ]
 
 
