@@ -5,18 +5,14 @@ from .costs import (
     CostBreakdown,
     OsCostMoments,
     contract_costs,
-    expected_delay_cost,
-    expected_repair_cost,
     maintenance_cost,
     os_cost_moments,
 )
 from .failure import (
     MaintenancePlan,
     aging_factor,
-    aging_series,
     brute_force_pm_count,
     expected_failures,
-    expected_failures_in_period,
     internal_rate_series,
     optimal_pm_count,
 )
@@ -26,16 +22,12 @@ from .learning import (
     LearningState,
     LfProblem,
     ReducedTerms,
-    forgetting_time,
     fs_cost_lf_derivative,
     learning_effect,
-    learning_state,
     lf_problem,
     reduced_terms,
     total_fs_cost,
     total_repair_time,
-    training_cost,
-    training_time,
 )
 from .pricing import (
     ConvergenceError,
@@ -44,8 +36,6 @@ from .pricing import (
     LfSolution,
     PricingSolution,
     disutility,
-    expected_profit,
-    fs_market_share,
     optimal_price,
     optimize_lf,
     price_bounds,
@@ -56,7 +46,6 @@ from .report import (
     SweepSpec,
     compare_models,
     emit_report,
-    profit_premium_sweep,
     read_kpi_csv,
     sweep,
 )

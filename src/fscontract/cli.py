@@ -7,6 +7,9 @@
         --values 0.5,0.6,0.7 --out DIR --format csv|plotdata|svg
 
 Exit codes: 0 success, 1 validation error, 2 infeasible model, 3 I/O error.
+argparse also exits 2 on a usage error (a missing or unknown option, an
+option with no value).  A ``--values`` list that starts with a minus sign
+reads as an option: give negative sweep values as ``--values=-1,0.5``.
 """
 
 from __future__ import annotations

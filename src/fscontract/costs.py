@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .failure import FailureCounts, expected_failures, maintenance_cost
+from .failure import FailureCounts, maintenance_cost
 from .scenario import RateSeries, Scenario
 
 
@@ -54,41 +54,22 @@ class OsCostMoments(NamedTuple):
                              self.variance * factor * factor)
 
 
-def _delay_bill(s: Scenario, counts: np.ndarray) -> float:
-    """Delay probability times expected failures times the unit delay cost."""
-    return s.cost.delay_probability * float(np.add.reduce(counts)) * s.cost.unit_delay_cost
-
-
-def expected_repair_cost(m: int, s: Scenario, internal: RateSeries) -> float:
-    """Expected repair cost over the horizon under m maintenance actions.
-
-    Sum of per-period unit repair cost times expected failures; the learning
-    multiplier is applied downstream, not here.
-    """
-    return FailureCounts(s, internal).repair_bill(m)
-
-
-def expected_delay_cost(m: int, s: Scenario, internal: RateSeries) -> float:
-    """Expected delay reimbursements: p_d * E[total failures] * unit cost.
-
-    Delays are rare, externally driven events; ``delay_probability``
-    keeps them a minor cost component.
-    """
-    return _delay_bill(s, expected_failures(m, s, internal))
-
-
 def contract_costs(m: int, s: Scenario, internal: RateSeries,
                    counts: FailureCounts | None = None) -> CostBreakdown:
     """Repair, maintenance and delay bills under m maintenance actions, from
     one set of expected failure counts: no learning multiplier, no training.
-    ``counts`` are the failure counts of these inputs where the caller holds
-    them."""
+
+    The repair bill sums the per-period unit repair cost times the expected
+    failures; the delay bill is p_d * E[total failures] * unit delay cost
+    (delays are rare, externally driven events, and ``delay_probability``
+    keeps them a minor cost component).  ``counts`` are the failure counts
+    of these inputs where the caller holds them."""
     if counts is None:
         counts = FailureCounts(s, internal)
     return CostBreakdown(
         repair=counts.repair_bill(m),
         maintenance=maintenance_cost(m, s.cost.avg_maintenance_cost),
-        delay=_delay_bill(s, counts(m)),
+        delay=s.cost.delay_probability * float(np.add.reduce(counts(m))) * s.cost.unit_delay_cost,
         training=0.0,
     )
 

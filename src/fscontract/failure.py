@@ -101,11 +101,6 @@ def _aging_slopes(f: FailureParams, z: int) -> np.ndarray:
     return g
 
 
-def aging_series(f: FailureParams, grid: PeriodGrid) -> RateSeries:
-    """All Z aging slopes as a series."""
-    return RateSeries._taking("aging", _aging_slopes(f, grid.z_periods))
-
-
 def internal_rate_series(f: FailureParams, grid: PeriodGrid,
                          undershoots: list[str] | None = None) -> RateSeries:
     """Internal failure rate at the end of each period.
@@ -183,13 +178,6 @@ def expected_failures(m: int, s: Scenario, internal: RateSeries,
     start, growth = terms
     rho = s.failure.rho
     return np.maximum(start + growth * ((1.0 - rho) + rho / m), 0.0)
-
-
-def expected_failures_in_period(j: int, m: int, s: Scenario, internal: RateSeries) -> float:
-    """Expected failures in period j (1-based) under m maintenance actions."""
-    if not 1 <= j <= s.grid.z_periods:
-        raise ValueError(f"period index {j} outside 1..{s.grid.z_periods}")
-    return float(expected_failures(m, s, internal)[j - 1])
 
 
 class FailureCounts:

@@ -140,12 +140,6 @@ def total_repair_time(internal: RateSeries, grid: PeriodGrid, repair_hours: floa
     return float(np.dot(internal.as_array(), grid.t_j.as_array())) * repair_hours
 
 
-def maintenance_allocation(m: int, grid: PeriodGrid, maintenance_hours: float) -> np.ndarray:
-    """Per-period maintenance hours: m/Z visits per period of fixed length."""
-    per_period = (m / grid.z_periods) * maintenance_hours
-    return np.full(grid.z_periods, per_period)
-
-
 def learning_effect(t_r: float, t_eff: float, lp: LearningParams) -> float:
     """Efficiency multiplier t_r^(-alpha_auto) * t_eff^(-alpha_indu).
 
@@ -189,40 +183,22 @@ class LfProblem:
         object.__setattr__(self, "_p", 1.0 - 2.0 * lp.epsilon)
         object.__setattr__(self, "_training_slope", lp.unit_training_cost * net)
 
-    @property
-    def vertex_hint(self) -> float:
-        """Turning-point guess v / (2 (r - s - q - u)); reported, not searched."""
-        net = self._net
-        return self.terms.v / (2.0 * net) if net > 0 else float("nan")
-
     def t_training(self, lf: float) -> float:
         """Total training hours: surplus time times lf."""
-        if not 0.0 < lf < 1.0:
-            raise ValueError("lf must lie in (0, 1)")
-        if self.short_period:
-            raise InfeasibleTrainingError(
-                f"no surplus time left for training in period {self.short_period}")
-        return self._net * lf
+        self._check(lf)
+        return self._budget(lf)[0]
 
     def t_forgetting(self, lf: float) -> float:
         """Training hours lost to forgetting: S + Q + U, or S + V lf^(1-2 eps)."""
-        if self.learning.forgetting_model == "simple":
-            return self._interrupted
-        return self.terms.s + self.terms.v * lf ** self._p
+        return self._budget(lf)[1]
 
     def state(self, lf: float) -> LearningState:
         """The time budget and efficiency multiplier at lf."""
-        t_l = self.t_training(lf)
-        t_f = self.t_forgetting(lf)
-        t_eff = t_l - t_f
-        return LearningState(
-            t_repair=self.t_repair,
-            t_training=t_l,
-            t_forgetting=t_f,
-            effective_training=t_eff,
-            a_factor=learning_effect(self.t_repair, t_eff, self.learning),
-            training_cost=self.learning.unit_training_cost * t_l,
-        )
+        self._check(lf)
+        t_l, t_f, t_eff, _, _ = self._budget(lf)
+        return LearningState(self.t_repair, t_l, t_f, t_eff,
+                             learning_effect(self.t_repair, t_eff, self.learning),
+                             self.learning.unit_training_cost * t_l)
 
     def evaluate(self, lf: float) -> FsCostResult:
         """Cost breakdown (dollars) and learning state at lf."""
@@ -234,16 +210,20 @@ class LfProblem:
 
     def cost(self, lf: float) -> float:
         """Total contract cost in dollars at lf: the optimizer's objective."""
-        t_l = self.t_training(lf)
-        a_factor = learning_effect(self.t_repair, t_l - self.t_forgetting(lf), self.learning)
-        base = self.base
-        return (base.repair * a_factor + base.maintenance + base.delay
-                + self.learning.unit_training_cost * t_l)
+        return self.evaluate(lf).breakdown.total
 
     def derivative(self, lf: float) -> float:
         """Analytic d(cost)/d(lf); see :func:`fs_cost_lf_derivative`."""
         self.state(lf)  # raises where lf is infeasible
         return self._slopes(lf)[0]
+
+    def _check(self, lf: float) -> None:
+        """Raise where lf is outside (0, 1) or a period has no surplus time."""
+        if not 0.0 < lf < 1.0:
+            raise ValueError("lf must lie in (0, 1)")
+        if self.short_period:
+            raise InfeasibleTrainingError(
+                f"no surplus time left for training in period {self.short_period}")
 
     def _slopes(self, lf: float) -> tuple[float, float]:
         """c'(lf) and c''(lf) at a feasible lf, unchecked.
@@ -252,19 +232,23 @@ class LfProblem:
         c' = l T - G E' and c'' = G ((a + 1) E'^2 / E - E'').
         """
         a = self.learning.alpha_indu
-        eff, d_eff, dd_eff = self._effective(lf)
+        _, _, eff, d_eff, dd_eff = self._budget(lf)
         g = a * self._repair_scale * eff ** (-a - 1.0)
         return (self._training_slope - g * d_eff,
                 g * ((a + 1.0) * d_eff * d_eff / eff - dd_eff))
 
-    def _effective(self, lf: float) -> tuple[float, float, float]:
-        """E(lf) = t_l - t_f and its first two lf-derivatives, unchecked."""
+    def _budget(self, lf: float) -> tuple[float, float, float, float, float]:
+        """t_l, t_f and E = t_l - t_f at lf, with the first two
+        lf-derivatives of E; unchecked."""
         net = self._net
+        t_l = net * lf
         if self.learning.forgetting_model == "simple":
-            return net * lf - self._interrupted, net, 0.0
-        p = self._p
-        w = self.terms.v * lf ** p
-        return net * lf - (self.terms.s + w), net - p * w / lf, p * (1.0 - p) * w / (lf * lf)
+            t_f, d_eff, dd_eff = self._interrupted, net, 0.0
+        else:
+            p = self._p
+            w = self.terms.v * lf ** p
+            t_f, d_eff, dd_eff = self.terms.s + w, net - p * w / lf, p * (1.0 - p) * w / (lf * lf)
+        return t_l, t_f, t_l - t_f, d_eff, dd_eff
 
     @_kept
     def _repair_scale(self) -> float:
@@ -291,7 +275,8 @@ class LfProblem:
         return LfSolution(
             lf_star=lf,
             cost_at_star=cost,
-            vertex_hint=self.vertex_hint,
+            # the turning-point guess v / (2 (r - s - q - u)): reported, not searched
+            vertex_hint=self.terms.v / (2.0 * self._net),
             iterations=iterations,
             feasible_range=(lo_edge, hi),
             residual=0.0 if on_edge else abs(slope) * lf / cost,
@@ -308,10 +293,13 @@ class LfProblem:
         a = lp.alpha_indu
         if a == 0.0:
             return lo, 0, self._slopes(lo)[0]
-        # the simple model's optimum effective training time E*
+        # the simple model's optimum effective training time E*, and the lf
+        # that reaches it with forgetting as at the feasible edge: lf* under
+        # simple forgetting, the Newton start under revised forgetting
         e_star = (a * self._repair_scale / lp.unit_training_cost) ** (1.0 / (a + 1.0))
+        start = (self._budget(lo_edge)[1] + e_star) / self._net
         if lp.forgetting_model == "simple":
-            lf = min(max((self._interrupted + e_star) / self._net, lo), hi)
+            lf = min(max(start, lo), hi)
             return lf, 0, self._slopes(lf)[0]
         slope = self._slopes(lo)[0]
         if not slope < 0.0:
@@ -320,8 +308,7 @@ class LfProblem:
             return lo, 0, slope
         # Newton on c'(e^x) in x = ln lf, bracketed by the sign of c'
         x_lo, x_hi = math.log(lo), math.log(hi)
-        forgetting = self.terms.s + self.terms.v * lo_edge ** self._p
-        x = math.log((forgetting + e_star) / self._net)
+        x = math.log(start)
         if not x_lo < x < x_hi:
             x = 0.5 * (x_lo + x_hi)
         iterations = 0
@@ -382,11 +369,11 @@ class LfProblem:
     def _edges(self) -> tuple[float, float]:
         """:meth:`feasible_range`, computed."""
         hi = 1.0 - 1e-12
-        eff, d_eff, _ = self._effective(hi)
+        _, _, eff, d_eff, _ = self._budget(hi)
         if self._net <= 0.0 or eff <= 0.0:
             raise InfeasibleTrainingError("forgetting exceeds training for every lf in (0, 1)")
         lo = 1e-15
-        if self._effective(lo)[0] > 0.0:
+        if self._budget(lo)[2] > 0.0:
             return lo, hi
         root = hi
         for _ in range(200):
@@ -395,7 +382,7 @@ class LfProblem:
             lf = min(root - eff / d_eff, root * (1.0 - 5e-13))
             if not lo < lf < root:
                 lf = math.sqrt(lo * root)
-            e, d, _ = self._effective(lf)
+            _, _, e, d, _ = self._budget(lf)
             if e > 0.0:
                 root, eff, d_eff = lf, e, d
             else:
@@ -413,7 +400,8 @@ def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries,
     phi = internal.as_array()
     internal_h = phi * t * lp.repair_hours
     external_h = external.as_array() * t * lp.repair_hours
-    maint_h = maintenance_allocation(m, s.grid, lp.maintenance_hours)
+    # m/Z maintenance visits in each period
+    maint_h = np.full(s.grid.z_periods, (m / s.grid.z_periods) * lp.maintenance_hours)
     short = t - internal_h - external_h - maint_h <= 0.0
     eps = lp.epsilon
     total = np.add.reduce
@@ -436,40 +424,6 @@ def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries,
 def reduced_terms(m: int, s: Scenario, internal: RateSeries, external: RateSeries) -> ReducedTerms:
     """The q/r/s/u/v aggregates for m maintenance actions."""
     return lf_problem(m, s, internal, external).terms
-
-
-def training_time(lf: float, m: int, s: Scenario, internal: RateSeries,
-                  external: RateSeries) -> float:
-    """Total training hours: surplus time times lf.
-
-    Raises :class:`InfeasibleTrainingError` if any period has no surplus
-    left after repairs and maintenance.
-    """
-    return lf_problem(m, s, internal, external).t_training(lf)
-
-
-def forgetting_time(lf: float, s: Scenario, internal: RateSeries, external: RateSeries,
-                    m: int) -> float:
-    """Training hours lost to forgetting.
-
-    The simple variant forgets every interrupted hour (repairs internal and
-    external plus maintenance).  The revised variant keeps the external term
-    but lets on-site rework recover part of the internally interrupted
-    training, leaving S + V lf^(1-2 eps).
-    """
-    return lf_problem(m, s, internal, external).t_forgetting(lf)
-
-
-def training_cost(lf: float, m: int, s: Scenario, internal: RateSeries,
-                  external: RateSeries) -> float:
-    """Training bill in dollars: hourly cost times total training hours."""
-    return s.learning.unit_training_cost * training_time(lf, m, s, internal, external)
-
-
-def learning_state(lf: float, m: int, s: Scenario, internal: RateSeries,
-                   external: RateSeries) -> LearningState:
-    """Evaluate the full time budget and multiplier at one lf."""
-    return lf_problem(m, s, internal, external).state(lf)
 
 
 def total_fs_cost(lf: float, m: int, s: Scenario, internal: RateSeries,

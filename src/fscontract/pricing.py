@@ -154,10 +154,6 @@ class MarketSide(NamedTuple):
     profit: np.ndarray
 
 
-#: No cost at all: the market share does not depend on the cost.
-_NO_COST = CostBreakdown(0.0, 0.0, 0.0, 0.0)
-
-
 def _risk_premium(alpha_max: float, beta, variance: float):
     """alpha_max (1 + beta)^2 Var / 4: what the pricing rule charges for the
     customers' risk aversion."""
@@ -224,17 +220,6 @@ def _market_side(fs_cost: CostBreakdown, osm: OsCostMoments, mk: MarketParams, b
         share = _clip(1.0 - tau / mk.alpha_max, 0.0, 1.0)
     profit = mk.d_customers * ((price - total) * share + beta * mean * (1.0 - share))
     return MarketSide(interior, lower, upper, price, share, profit)
-
-
-def fs_market_share(price: float, osm: OsCostMoments, mk: MarketParams) -> float:
-    """Fraction of customers whose risk aversion favors the fixed price."""
-    return float(market_side(_NO_COST, osm, mk, mk.beta, price).fs_share)
-
-
-def expected_profit(price: float, fs_cost: CostBreakdown, osm: OsCostMoments,
-                    mk: MarketParams) -> float:
-    """Market-wide expected profit at a posted price."""
-    return float(market_side(fs_cost, osm, mk, mk.beta, price).profit)
 
 
 def price_bounds(fs_cost: CostBreakdown, osm: OsCostMoments,

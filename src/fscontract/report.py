@@ -23,7 +23,9 @@ previous point's rates, maintenance plan, cost moments and feasible lf
 interval, the assumptions are checked once, and only the lf search and the
 market side rerun.
 ``phi_int_mean`` rescales the rates, so it builds one cost side per point,
-shared by that point's checks and its price.
+shared by that point's checks and its price.  Each point scales the base
+scenario's internal series, built once: the held cost side's where there
+is one, else before the first point.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .failure import internal_rate_series
 from .pricing import (
     CostSide,
     InfeasiblePriceError,
@@ -140,11 +143,13 @@ _CHANGED_KEYS = {
 }
 
 
-def _swept_scenario(s: Scenario, param: str, value: float) -> Scenario:
+def _swept_scenario(s: Scenario, param: str, value: float, internal=None) -> Scenario:
+    """``s`` with the swept parameter at ``value``; ``internal`` is the
+    internal series of ``s`` that a ``phi_int_mean`` point scales."""
     if param == "beta":
         return replace(s, market=replace(s.market, beta=value))
     if param == "phi_int_mean":
-        return scaled_to_mean(s, value)
+        return scaled_to_mean(s, value, internal)
     if param == "lf":
         return replace(s, learning=replace(s.learning, lf=value))
     return replace(s, learning=replace(s.learning, unit_training_cost=value))
@@ -168,11 +173,15 @@ def sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None = None) -> li
     """
     if spec.param == "beta":
         return _beta_sweep(spec, s, cost_side)
+    internal = None
+    if spec.param == "phi_int_mean":
+        internal = (internal_rate_series(s.failure, s.grid) if cost_side is None
+                    else cost_side.internal)
     records = []
     for value in spec.values:
         # once a checked cost side is held, only rules that read a swept key can fail
         keys = None if cost_side is None else _CHANGED_KEYS[spec.param]
-        scenario = _swept_scenario(s, spec.param, value)
+        scenario = _swept_scenario(s, spec.param, value, internal)
         if cost_side is None or spec.param == "phi_int_mean":
             violations, cost_side = _checked_cost_side(scenario, keys=keys)
             _raise_on(violations)
@@ -215,23 +224,6 @@ def _beta_sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None) -> lis
             for value, infeasible, price, profit, share in zip(
                 spec.values, (sides.lower > sides.upper).tolist(), sides.price.tolist(),
                 sides.profit.tolist(), sides.fs_share.tolist())]
-
-
-def profit_premium_sweep(s: Scenario, values: tuple[float, ...]) -> list[tuple[float, float]]:
-    """Full-model profit advantage over the old model per unit training cost.
-
-    The old model never trains, so its profit is evaluated once at the base
-    scenario.  The training cost enters only the lf problem, so every value
-    shares the base scenario's rates, maintenance plan and cost moments.
-    """
-    cost_side = CostSide(s)
-    auto_profit = cost_side.price("auto", s.market).profit
-    out = []
-    for value in values:
-        scenario = replace(s, learning=replace(s.learning, unit_training_cost=value))
-        full = cost_side.with_learning(scenario).price("full", scenario.market)
-        out.append((value, full.profit - auto_profit))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ The model mixes two natural scales and keeps both explicit:
 * market-side parameters (``market.price_ceiling``, ``market.tco`` ...) and
   every reported KPI (price, cost, profit) are in thousands of dollars, the
   usual convention for contract-level figures.  ``market.alpha_max`` is a
-  risk-aversion bound per (thousand dollars)^2.
+  risk-aversion bound per thousand dollars: the risk premium
+  alpha_max (1 + beta)^2 Var / 4 is in thousands of dollars, and the
+  variance Var in (thousands of dollars)^2.
 
 The pricing layer converts once (``DOLLARS_PER_REPORT_UNIT``).
 
@@ -156,9 +158,8 @@ class PeriodValues:
 class RateSeries(PeriodValues):
     """Per-period series of the model over the contract horizon.
 
-    ``kind`` is one of ``internal`` / ``external`` (failures per hour) or
-    ``aging`` (rate slope per hour^2).  Series compare and hash by kind and
-    rates.
+    ``kind`` is ``internal`` or ``external`` (failures per hour).  Series
+    compare and hash by kind and rates.
     """
 
     __slots__ = ("kind",)
@@ -240,11 +241,6 @@ class PeriodGrid:
     @classmethod
     def uniform(cls, z_periods: int, hours: float, calendar_hours: float) -> "PeriodGrid":
         return cls(z_periods, _constant(hours, z_periods), _constant(calendar_hours, z_periods))
-
-    @property
-    def contract_length_b(self) -> float:
-        """Total operating hours over the contract (sum of t_j)."""
-        return float(sum(self.t_j.values))
 
 
 @dataclass(frozen=True)
@@ -341,7 +337,7 @@ class MarketParams:
     """Market-side parameters, in thousands of dollars.
 
     ``beta`` is the pay-per-repair mark-up, ``alpha_max`` the upper bound of
-    the customers' uniformly distributed risk aversion (per k$^2) and
+    the customers' uniformly distributed risk aversion (per k$) and
     ``d_customers`` the market size.  The admissible price ceiling is either
     given directly (``price_ceiling``) or derived as ``tco - c_lease -
     c_ops``.
@@ -392,7 +388,7 @@ def default_scenario() -> Scenario:
     maintenance; $10,000 per delayed repair; 50 customers; 10 seasonal
     maintenance visits on the pay-per-repair side; installation failure rate
     7.5e-3/h with the bundled mean-0.0034 bathtub series; risk aversion
-    uniform on [0, 1e-3] per k$^2 and a 900 k$ price ceiling.  Unit repair
+    uniform on [0, 1e-3] per k$ and a 900 k$ price ceiling.  Unit repair
     cost ($1000), repair cost dispersion ($21,000) and delay probability
     (0.004) are calibrated so the baseline reproduces the documented model
     comparison orderings.
@@ -833,17 +829,20 @@ def load_internal_table(path: str | Path, column: str | int) -> tuple[float, ...
     return tuple(out)
 
 
-def scaled_to_mean(s: Scenario, target_mean: float) -> Scenario:
+def scaled_to_mean(s: Scenario, target_mean: float,
+                   series: RateSeries | None = None) -> Scenario:
     """Rescale the internal failure-rate series to a target mean.
 
     The realised series (override or parametric) is scaled linearly together
     with the installation rate, preserving the bathtub shape; everything
     else stays at the scenario values.  A series of mean zero has no shape
-    to scale: :class:`ScenarioValidationError`.
+    to scale: :class:`ScenarioValidationError`.  ``series`` is the
+    scenario's internal series where the caller holds it.
     """
-    from . import failure as failure_model
+    if series is None:
+        from .failure import internal_rate_series
 
-    series = failure_model.internal_rate_series(s.failure, s.grid)
+        series = internal_rate_series(s.failure, s.grid)
     current = series.mean
     if current <= 0:
         raise ScenarioValidationError([Violation(

@@ -15,6 +15,7 @@ from fscontract import (
     SweepSpec,
     brute_force_pm_count,
     compare_models,
+    contract_costs,
     default_scenario,
     emit_report,
     expected_failures,
@@ -162,9 +163,8 @@ def _random_pricing_scenario(rng):
         osm = os_cost_moments(s, internal).scaled(1.0 / DOLLARS_PER_REPORT_UNIT)
         beta, alpha = s.market.beta, s.market.alpha_max
         risk_premium = alpha * (1 + beta) ** 2 * osm.variance / 4
-        from fscontract import expected_delay_cost
-
-        half_delay = 0.5 * expected_delay_cost(s.cost.m0_os, s, internal) / DOLLARS_PER_REPORT_UNIT
+        delay = contract_costs(s.cost.m0_os, s, internal).delay
+        half_delay = 0.5 * delay / DOLLARS_PER_REPORT_UNIT
         if half_delay + 0.1 < risk_premium < 400.0:
             return s, osm
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,14 +11,18 @@ import pytest
 import fscontract
 from fscontract import (
     CostSide,
+    SweepSpec,
     default_scenario,
     internal_rate_series,
     lf_problem,
     optimal_pm_count,
     save_scenario,
     simulate_external_rates,
+    sweep,
 )
 from fscontract.cli import main
+from fscontract.failure import _aging_slopes
+from fscontract.scenario import _validated
 
 from conftest import count_calls
 
@@ -401,6 +406,58 @@ def test_floored_invalid_config_prints_one_stderr_line_in_a_process(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "validation error: learning.lf: no surplus time is left for training (R-S-Q-U <= 0)"]
+
+
+def test_phi_int_sweep_of_a_floored_base_warns_only_at_load_in_a_process(tmp_path):
+    # the base's four floored-rate warnings (two lines each) at load; the
+    # points scale the held series, so they warn no more; then the error
+    path = tmp_path / "floored.cfg"
+    path.write_text("failure.internal_series = none\nfailure.m = 1e6\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fscontract.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fscontract.cli", "sweep",
+                           "--config", str(path), "--param", "phi-int",
+                           "--values", "0.002,0.004", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 9
+    assert [line.split("UserWarning: ")[1].split(" (")[0] for line in lines[:-1:2]] == [
+        f"internal rate undershoots zero in period {j}" for j in (1, 2, 3, 4)]
+    assert lines[-1] == ("validation error: failure.ext_mean: external rate must stay "
+                         "below phi0_int")
+
+
+def test_phi_int_sweep_scales_the_held_internal_series(monkeypatch):
+    # a parametric base: the points scale the cost side's series, so no
+    # point rebuilds the aging slopes, and the records are those of a sweep
+    # that builds its own cost side
+    d = default_scenario()
+    s = replace(d, failure=replace(d.failure, internal_series_override=None))
+    mean = internal_rate_series(s.failure, s.grid).mean
+    spec = SweepSpec(param="phi_int_mean",
+                     values=tuple(mean * k for k in (0.6, 0.8, 1.0, 1.2, 1.4)))
+    want = sweep(spec, s)
+    assert all(r.feasible for r in want)
+    cost_side = _validated(s)
+    calls = count_calls(monkeypatch, _aging_slopes)
+    assert sweep(spec, s, cost_side) == want
+    assert len(calls["_aging_slopes"]) == 0
+
+
+def test_usage_errors_exit_2_and_negative_values_need_the_equals_form(capsys, config_path,
+                                                                      tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--config"])
+    assert exc.value.code == 2
+    # a value list that starts with a minus sign reads as an option
+    argv = ["sweep", "--config", str(config_path), "--param", "beta", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--values", "-1,0.5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, _, err = run(capsys, *argv, "--values=-1,0.5")
+    assert code == 1
+    assert err == "validation error: market.beta: must be >= 0\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,12 +5,12 @@ import pytest
 
 from fscontract import (
     CostBreakdown,
-    expected_delay_cost,
-    expected_repair_cost,
+    contract_costs,
     internal_rate_series,
     maintenance_cost,
     os_cost_moments,
 )
+from fscontract.failure import FailureCounts
 
 from conftest import make_scenario
 
@@ -29,29 +29,29 @@ class TestExpectedRepairCost:
     def test_zero_unit_cost(self):
         s = make_scenario(z=3, unit_repair_cost=0.0)
         internal = internal_rate_series(s.failure, s.grid)
-        assert expected_repair_cost(5, s, internal) == 0.0
+        assert FailureCounts(s, internal).repair_bill(5) == 0.0
 
     def test_single_period(self):
         s = make_scenario(z=1, t=1440.0, phi0=0.003, unit_repair_cost=1.0)
         internal = internal_rate_series(s.failure, s.grid)
-        assert expected_repair_cost(2, s, internal) == pytest.approx(4.32)
+        assert FailureCounts(s, internal).repair_bill(2) == pytest.approx(4.32)
 
     def test_linear_in_unit_costs(self, baseline, baseline_rates):
         internal, _ = baseline_rates
         doubled = replace(baseline, cost=replace(baseline.cost, unit_repair_cost=2000.0))
-        assert expected_repair_cost(3, doubled, internal) == pytest.approx(
-            2.0 * expected_repair_cost(3, baseline, internal), rel=1e-15)
+        assert FailureCounts(doubled, internal).repair_bill(3) == pytest.approx(
+            2.0 * FailureCounts(baseline, internal).repair_bill(3), rel=1e-15)
 
     def test_per_period_costs(self):
         s = make_scenario(z=2, t=1000.0, phi0=0.002)
         s = replace(s, cost=replace(s.cost, unit_repair_cost=(100.0, 300.0)))
         internal = internal_rate_series(s.failure, s.grid)
         # flat series: both periods expect 2 failures
-        assert expected_repair_cost(1, s, internal) == pytest.approx(2 * 100 + 2 * 300)
+        assert FailureCounts(s, internal).repair_bill(1) == pytest.approx(2 * 100 + 2 * 300)
 
     def test_decreases_with_more_maintenance_under_aging(self, baseline, baseline_rates):
         internal, _ = baseline_rates
-        costs = [expected_repair_cost(m, baseline, internal) for m in (1, 3, 10)]
+        costs = [FailureCounts(baseline, internal).repair_bill(m) for m in (1, 3, 10)]
         assert costs[0] > costs[1] > costs[2]
 
     def test_optimal_plan_beats_seasonal_plan_net_of_maintenance(self, baseline,
@@ -63,8 +63,9 @@ class TestExpectedRepairCost:
         m_star = optimal_pm_count(baseline, internal).m_count
         m0 = baseline.cost.m0_os
         c_bar = baseline.cost.avg_maintenance_cost
-        at_star = expected_repair_cost(m_star, baseline, internal) + maintenance_cost(m_star, c_bar)
-        at_m0 = expected_repair_cost(m0, baseline, internal) + maintenance_cost(m0, c_bar)
+        counts = FailureCounts(baseline, internal)
+        at_star = counts.repair_bill(m_star) + maintenance_cost(m_star, c_bar)
+        at_m0 = counts.repair_bill(m0) + maintenance_cost(m0, c_bar)
         assert at_star <= at_m0
 
 
@@ -87,12 +88,12 @@ class TestExpectedDelayCost:
     def test_zero_probability(self, baseline, baseline_rates):
         internal, _ = baseline_rates
         s = replace(baseline, cost=replace(baseline.cost, delay_probability=0.0))
-        assert expected_delay_cost(3, s, internal) == 0.0
+        assert contract_costs(3, s, internal).delay == 0.0
 
     def test_certain_delay_single_period(self):
         s = make_scenario(z=1, t=1000.0, phi0=0.002, p_d=1.0, unit_delay_cost=10000.0)
         internal = internal_rate_series(s.failure, s.grid)
-        assert expected_delay_cost(1, s, internal) == pytest.approx(20000.0)
+        assert contract_costs(1, s, internal).delay == pytest.approx(20000.0)
 
     def test_minor_component_on_baseline(self, baseline, baseline_rates):
         from fscontract import optimal_price

@@ -11,10 +11,8 @@ from fscontract import (
     FailureParams,
     PeriodGrid,
     aging_factor,
-    aging_series,
     brute_force_pm_count,
     expected_failures,
-    expected_failures_in_period,
     internal_rate_series,
     optimal_pm_count,
 )
@@ -69,9 +67,8 @@ class TestAgingFactor:
 
     def test_series_matches_scalar(self):
         f = bathtub_params()
-        series = aging_series(f, self.grid)
-        assert series.kind == "aging"
-        assert series.values == tuple(aging_factor(j, f, self.grid) for j in range(1, 9))
+        slopes = _aging_slopes(f, self.grid.z_periods)
+        assert slopes.tolist() == [aging_factor(j, f, self.grid) for j in range(1, 9)]
 
 
 class TestInternalRateSeries:
@@ -158,7 +155,6 @@ class TestInternalRateSeries:
             series = internal_rate_series(f, grid)
             assert series.values == want
             assert series.as_array().tobytes() == np.array(want).tobytes()
-            assert aging_series(f, grid).values == tuple(_aging_slopes(f, z).tolist())
 
     def test_bathtub_shape(self, baseline):
         z1, z2, z3 = baseline.failure.stage_bounds
@@ -184,14 +180,14 @@ class TestExpectedFailures:
     def test_flat_series_count(self):
         s = make_scenario(z=1, t=1440.0, phi0=0.003)
         internal = internal_rate_series(s.failure, s.grid)
-        assert expected_failures_in_period(1, 5, s, internal) == pytest.approx(4.32)
+        assert expected_failures(5, s, internal)[0] == pytest.approx(4.32)
 
     def test_slope_term_without_maintenance_improvement(self):
         # rho = 0: 0.003*10 + 10^2 * 1e-4 / 2 = 0.035, m drops out
         s = make_scenario(z=1, t=10.0, phi0=0.003, series=(0.003 + 1e-3,), rho=0.0)
         internal = internal_rate_series(s.failure, s.grid)
         for m in (1, 3, 50):
-            assert expected_failures_in_period(1, m, s, internal) == pytest.approx(0.035)
+            assert expected_failures(m, s, internal)[0] == pytest.approx(0.035)
 
     def test_perfect_maintenance_limit(self):
         # rho = 1 with positive slope: approaches phi_hat * t from above
@@ -200,7 +196,7 @@ class TestExpectedFailures:
         limit = 0.002 * 100.0
         previous = math.inf
         for m in (1, 2, 10, 100, 10000):
-            value = expected_failures_in_period(1, m, s, internal)
+            value = expected_failures(m, s, internal)[0]
             assert limit < value < previous
             previous = value
         assert previous == pytest.approx(limit, rel=1e-3)
@@ -208,15 +204,13 @@ class TestExpectedFailures:
     def test_strictly_decreasing_in_m_for_positive_slope(self):
         s = make_scenario(z=2, t=500.0, phi0=0.002, series=(0.003, 0.004), rho=0.6)
         internal = internal_rate_series(s.failure, s.grid)
-        values = [expected_failures_in_period(2, m, s, internal) for m in range(1, 8)]
+        values = [expected_failures(m, s, internal)[1] for m in range(1, 8)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_arguments(self, baseline, baseline_rates):
         internal, _ = baseline_rates
         with pytest.raises(ValueError):
-            expected_failures_in_period(0, 1, baseline, internal)
-        with pytest.raises(ValueError):
-            expected_failures_in_period(1, 0, baseline, internal)
+            expected_failures(0, baseline, internal)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12))

@@ -6,22 +6,18 @@ import pytest
 from fscontract import (
     InfeasibleTrainingError,
     LearningParams,
-    forgetting_time,
+    contract_costs,
     fs_cost_lf_derivative,
     internal_rate_series,
-    expected_delay_cost,
-    expected_repair_cost,
     learning_effect,
-    learning_state,
     lf_problem,
     maintenance_cost,
     reduced_terms,
     simulate_external_rates,
     total_fs_cost,
     total_repair_time,
-    training_cost,
-    training_time,
 )
+from fscontract.failure import FailureCounts
 
 from conftest import make_scenario
 
@@ -56,34 +52,33 @@ class TestTotalRepairTime:
 
 class TestTrainingTime:
     def test_linear_in_lf(self, baseline, baseline_rates):
-        internal, external = baseline_rates
-        one = training_time(0.005, 3, baseline, internal, external)
-        two = training_time(0.010, 3, baseline, internal, external)
+        problem = lf_problem(3, baseline, *baseline_rates)
+        one = problem.t_training(0.005)
+        two = problem.t_training(0.010)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_vanishes_as_lf_goes_to_zero(self, baseline, baseline_rates):
-        internal, external = baseline_rates
-        assert training_time(1e-12, 3, baseline, internal, external) < 1e-6
+        assert lf_problem(3, baseline, *baseline_rates).t_training(1e-12) < 1e-6
 
     def test_matches_reduced_form(self, baseline, baseline_rates):
         internal, external = baseline_rates
         terms = reduced_terms(3, baseline, internal, external)
-        direct = training_time(0.005, 3, baseline, internal, external)
+        direct = lf_problem(3, baseline, internal, external).t_training(0.005)
         assert direct == pytest.approx(terms.net * 0.005, rel=1e-9)
 
     def test_infeasible_surplus(self):
         # internal repairs alone exceed the working hours
         s = make_scenario(z=2, t=10.0, phi0=0.2, series=(1.5, 1.5))
-        internal, external = rates(s)
+        problem = lf_problem(1, s, *rates(s))
         with pytest.raises(InfeasibleTrainingError):
-            training_time(0.01, 1, s, internal, external)
+            problem.t_training(0.01)
 
     def test_rejects_lf_outside_unit_interval(self, baseline, baseline_rates):
-        internal, external = baseline_rates
+        problem = lf_problem(3, baseline, *baseline_rates)
         with pytest.raises(ValueError):
-            training_time(0.0, 3, baseline, internal, external)
+            problem.t_training(0.0)
         with pytest.raises(ValueError):
-            training_time(1.0, 3, baseline, internal, external)
+            problem.t_training(1.0)
 
 
 class TestForgettingTime:
@@ -91,21 +86,19 @@ class TestForgettingTime:
         s = make_scenario(z=2, t=1000.0, phi0=1e-9, series=(0.0, 0.0), ext_mean=0.0)
         s = replace(s, learning=replace(s.learning, maintenance_hours=0.0))
         internal, external = rates(s)
-        assert forgetting_time(0.01, s, internal, external, m=1) == 0.0
+        assert lf_problem(1, s, internal, external).t_forgetting(0.01) == 0.0
         simple = replace(s, learning=replace(s.learning, forgetting_model="simple"))
-        assert forgetting_time(0.01, simple, internal, external, m=1) == 0.0
+        assert lf_problem(1, simple, internal, external).t_forgetting(0.01) == 0.0
 
     def test_revised_vanishes_with_lf(self):
         s = make_scenario(z=2, t=1000.0, phi0=0.003, ext_mean=0.0)
-        internal, external = rates(s)
-        tiny = forgetting_time(1e-9, s, internal, external, m=1)
+        tiny = lf_problem(1, s, *rates(s)).t_forgetting(1e-9)
         assert tiny < 1e-3
 
     def test_revised_single_period_value(self):
         # 2 * (0.003/2)^0.95 * (1440 * 0.005)^0.9, external part zero
         s = make_scenario(z=1, t=1440.0, phi0=0.003, ext_mean=0.0)
-        internal, external = rates(s)
-        value = forgetting_time(0.005, s, internal, external, m=1)
+        value = lf_problem(1, s, *rates(s)).t_forgetting(0.005)
         assert value == pytest.approx(0.0245423383156980, rel=1e-12)
 
     def test_simple_counts_all_interruptions(self, baseline, baseline_rates):
@@ -113,7 +106,7 @@ class TestForgettingTime:
         simple = replace(baseline, learning=replace(baseline.learning,
                                                     forgetting_model="simple"))
         terms = reduced_terms(3, simple, internal, external)
-        value = forgetting_time(0.005, simple, internal, external, m=3)
+        value = lf_problem(3, simple, internal, external).t_forgetting(0.005)
         assert value == pytest.approx(terms.s + terms.q + terms.u, rel=1e-12)
 
 
@@ -136,8 +129,7 @@ class TestLearningEffect:
         assert values[0] > values[1] > values[2]
 
     def test_below_one_for_long_times(self, baseline, baseline_rates):
-        internal, external = baseline_rates
-        state = learning_state(0.005, 3, baseline, internal, external)
+        state = lf_problem(3, baseline, *baseline_rates).state(0.005)
         assert state.effective_training > 1.0
         assert state.t_repair > 1.0
         assert 0.0 < state.a_factor < 1.0
@@ -153,45 +145,39 @@ class TestLearningEffect:
 
 class TestTrainingCost:
     def test_free_training(self, baseline, baseline_rates):
-        internal, external = baseline_rates
         s = replace(baseline, learning=replace(baseline.learning, unit_training_cost=0.0))
-        assert training_cost(0.005, 3, s, internal, external) == 0.0
+        assert lf_problem(3, s, *baseline_rates).state(0.005).training_cost == 0.0
 
     def test_linear_in_lf(self, baseline, baseline_rates):
-        internal, external = baseline_rates
-        one = training_cost(0.004, 3, baseline, internal, external)
-        two = training_cost(0.008, 3, baseline, internal, external)
+        problem = lf_problem(3, baseline, *baseline_rates)
+        one = problem.state(0.004).training_cost
+        two = problem.state(0.008).training_cost
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_is_rate_times_hours(self, baseline, baseline_rates):
-        internal, external = baseline_rates
-        hours = training_time(0.005, 3, baseline, internal, external)
-        assert training_cost(0.005, 3, baseline, internal, external) == pytest.approx(
-            50.0 * hours, rel=1e-12)
+        problem = lf_problem(3, baseline, *baseline_rates)
+        hours = problem.t_training(0.005)
+        assert problem.state(0.005).training_cost == pytest.approx(50.0 * hours, rel=1e-12)
 
 
 class TestTotalFsCost:
     def test_all_extensions_off(self, baseline, baseline_rates):
         # zero exponents, free training, no delays: the plain benchmark cost
         # (the smallest feasible lf values sit just above the forgetting edge)
-        from fscontract import expected_repair_cost, maintenance_cost
-
         internal, external = baseline_rates
         s = replace(baseline,
                     cost=replace(baseline.cost, delay_probability=0.0),
                     learning=replace(baseline.learning, alpha_auto=0.0, alpha_indu=0.0,
                                      unit_training_cost=0.0))
         result = total_fs_cost(1e-3, 3, s, internal, external)
-        plain = expected_repair_cost(3, s, internal) + maintenance_cost(3, 300.0)
+        plain = FailureCounts(s, internal).repair_bill(3) + maintenance_cost(3, 300.0)
         assert result.breakdown.total == pytest.approx(plain, rel=1e-9)
         assert result.state.a_factor == 1.0
 
     def test_learning_lowers_repair_component(self, baseline, baseline_rates):
-        from fscontract import expected_repair_cost
-
         internal, external = baseline_rates
         result = total_fs_cost(0.005, 3, baseline, internal, external)
-        assert result.breakdown.repair < expected_repair_cost(3, baseline, internal)
+        assert result.breakdown.repair < FailureCounts(baseline, internal).repair_bill(3)
 
     def test_total_is_component_sum(self, baseline, baseline_rates):
         internal, external = baseline_rates
@@ -214,9 +200,9 @@ class TestTotalFsCost:
         internal, external = baseline_rates
         eps = baseline.learning.epsilon
         terms = reduced_terms(3, baseline, internal, external)
+        problem = lf_problem(3, baseline, internal, external)
         for lf in (0.002, 0.005, 0.05, 0.3):
-            direct = (training_time(lf, 3, baseline, internal, external)
-                      - forgetting_time(lf, baseline, internal, external, m=3))
+            direct = problem.t_training(lf) - problem.t_forgetting(lf)
             reduced = terms.net * lf - terms.s - terms.v * lf ** (1 - 2 * eps)
             assert direct == pytest.approx(reduced, rel=1e-9)
 
@@ -264,8 +250,8 @@ class TestLfProblem:
         problem = lf_problem(3, baseline, internal, external)
         terms = reduced_terms(3, baseline, internal, external)
         t_r = total_repair_time(internal, baseline.grid)
-        repair = expected_repair_cost(3, baseline, internal)
-        fixed = maintenance_cost(3, 300.0) + expected_delay_cost(3, baseline, internal)
+        repair = FailureCounts(baseline, internal).repair_bill(3)
+        fixed = maintenance_cost(3, 300.0) + contract_costs(3, baseline, internal).delay
         for lf in (0.002, 0.005, 0.05, 0.3):
             t_eff = terms.net * lf - terms.s - terms.v * lf ** (1 - 2 * lp.epsilon)
             closed = (repair * t_r ** -lp.alpha_auto * t_eff ** -lp.alpha_indu + fixed
@@ -278,7 +264,7 @@ class TestLfProblem:
         lf = 0.005
         assert problem.cost(lf) == total_fs_cost(lf, 3, baseline, internal, external).breakdown.total
         assert problem.evaluate(lf).breakdown.total == problem.cost(lf)
-        assert problem.state(lf) == learning_state(lf, 3, baseline, internal, external)
+        assert problem.state(lf) == total_fs_cost(lf, 3, baseline, internal, external).state
         assert problem.derivative(lf) == fs_cost_lf_derivative(lf, 3, baseline, internal,
                                                                 external)
 

@@ -25,9 +25,7 @@ from fscontract import (
     ReducedTerms,
     Violation,
     disutility,
-    expected_profit,
     fs_cost_lf_derivative,
-    fs_market_share,
     default_scenario,
     expected_failures,
     internal_rate_series,
@@ -277,37 +275,43 @@ class TestDisutility:
             disutility("OS", -1.0, 0.0, OsCostMoments(1.0, 0.0, 1.0), beta=0.5)
 
 
+#: No cost at all: the market share does not depend on the cost.
+NO_COST = CostBreakdown(0.0, 0.0, 0.0, 0.0)
+
+
 class TestMarketShare:
     def test_threshold_price_keeps_everyone(self):
-        osm = OsCostMoments(100.0, 0.0, 40.0)
-        assert fs_market_share(150.0, osm, market()) == 1.0
+        osm, mk = OsCostMoments(100.0, 0.0, 40.0), market()
+        assert market_side(NO_COST, osm, mk, mk.beta, 150.0).fs_share == 1.0
 
     def test_uniform_midpoint(self):
         # tau = alpha_max/2 at price 172.5 for these moments
-        osm = OsCostMoments(100.0, 0.0, 40000.0)
-        assert fs_market_share(172.5, osm, market()) == pytest.approx(0.5)
+        osm, mk = OsCostMoments(100.0, 0.0, 40000.0), market()
+        assert market_side(NO_COST, osm, mk, mk.beta, 172.5).fs_share == pytest.approx(0.5)
 
     def test_share_clipped_to_zero(self):
-        osm = OsCostMoments(100.0, 0.0, 40.0)
-        assert fs_market_share(1e9, osm, market()) == 0.0
+        osm, mk = OsCostMoments(100.0, 0.0, 40.0), market()
+        assert market_side(NO_COST, osm, mk, mk.beta, 1e9).fs_share == 0.0
 
     def test_degenerate_variance_splits_sharply(self):
-        osm = OsCostMoments(100.0, 0.0, 0.0)
-        assert fs_market_share(150.0, osm, market()) == 1.0
-        assert fs_market_share(150.0001, osm, market()) == 0.0
+        osm, mk = OsCostMoments(100.0, 0.0, 0.0), market()
+        assert market_side(NO_COST, osm, mk, mk.beta, 150.0).fs_share == 1.0
+        assert market_side(NO_COST, osm, mk, mk.beta, 150.0001).fs_share == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(p1=st.floats(100.0, 400.0), p2=st.floats(100.0, 400.0),
            var=st.floats(1e3, 1e6))
     def test_nonincreasing_in_price(self, p1, p2, var):
-        osm = OsCostMoments(100.0, 10.0, var)
+        osm, mk = OsCostMoments(100.0, 10.0, var), market()
         lo, hi = sorted((p1, p2))
-        assert fs_market_share(lo, osm, market()) >= fs_market_share(hi, osm, market())
+        assert (market_side(NO_COST, osm, mk, mk.beta, lo).fs_share
+                >= market_side(NO_COST, osm, mk, mk.beta, hi).fs_share)
 
     def test_nondecreasing_in_variance_above_mean(self):
         mk = market()
         price = 200.0
-        shares = [fs_market_share(price, OsCostMoments(100.0, 10.0, v), mk)
+        shares = [market_side(NO_COST, OsCostMoments(100.0, 10.0, v), mk, mk.beta,
+                              price).fs_share
                   for v in (5e3, 5e4, 5e5)]
         assert all(a <= b for a, b in zip(shares, shares[1:]))
 
@@ -318,16 +322,18 @@ class TestExpectedProfit:
         osm = OsCostMoments(200.0, 20.0, 1e5)
         mk = market(d=50)
         price = 250.0  # below (1+beta)*mean = 330 -> share 1
-        assert fs_market_share(price, osm, mk) == 1.0
-        assert expected_profit(price, cost, osm, mk) == pytest.approx(50 * (250.0 - 110.0))
+        sides = market_side(cost, osm, mk, mk.beta, price)
+        assert sides.fs_share == 1.0
+        assert sides.profit == pytest.approx(50 * (250.0 - 110.0))
 
     def test_pure_os_market(self):
         cost = CostBreakdown(100.0, 5.0, 3.0, 2.0)
         osm = OsCostMoments(200.0, 20.0, 1e2)
         mk = market(d=50)
         price = 1e6
-        assert fs_market_share(price, osm, mk) == 0.0
-        assert expected_profit(price, cost, osm, mk) == pytest.approx(50 * 0.5 * 220.0)
+        sides = market_side(cost, osm, mk, mk.beta, price)
+        assert sides.fs_share == 0.0
+        assert sides.profit == pytest.approx(50 * 0.5 * 220.0)
 
     def test_baseline_magnitude_from_rounded_kpis(self):
         # profit at full share is D * (price - cost); a 50-customer market
@@ -335,9 +341,9 @@ class TestExpectedProfit:
         cost = CostBreakdown(111.0, 0.0, 0.0, 0.0)
         osm = OsCostMoments(150.0, 1.33, 1e5)
         mk = market(d=50)
-        profit = expected_profit(198.0, cost, osm, mk)
-        assert fs_market_share(198.0, osm, mk) == 1.0
-        assert profit == pytest.approx(4323.0, rel=0.01)
+        sides = market_side(cost, osm, mk, mk.beta, 198.0)
+        assert sides.fs_share == 1.0
+        assert sides.profit == pytest.approx(4323.0, rel=0.01)
 
 
 class TestPriceBounds:
@@ -355,15 +361,6 @@ class TestPriceBounds:
         lower, upper = price_bounds(cost, osm, mk)
         assert upper == 0.0
         assert lower > upper
-
-
-def _kernel_rows(cost, osm, mk, betas):
-    """The kernel over an array of mark-ups, one tuple per mark-up, in the
-    oracle's field order."""
-    sides = market_side(cost, osm, mk, np.array(betas, dtype=float))
-    upper = [float(sides.upper)] * len(betas)
-    return list(zip(sides.interior.tolist(), sides.lower.tolist(), upper,
-                    sides.price.tolist(), sides.fs_share.tolist(), sides.profit.tolist()))
 
 
 #: Kernel inputs (cost, OS moments, alpha_max, ceiling, customers, mark-ups)
@@ -589,7 +586,7 @@ class TestPriceVariants:
         osm = OsCostMoments(100.0, 0.0, 40.0)
         mk = market()
         threshold = (1 + mk.beta) * osm.mean
-        assert fs_market_share(threshold, osm, mk) == 1.0
+        assert market_side(NO_COST, osm, mk, mk.beta, threshold).fs_share == 1.0
 
     def test_costly_training_inverts_full_vs_auto(self, baseline):
         expensive = replace(baseline,

@@ -21,7 +21,6 @@ from fscontract import (
     optimize_lf,
     os_cost_moments,
     price_variants,
-    profit_premium_sweep,
     read_kpi_csv,
     simulate_external_rates,
     sweep,
@@ -119,11 +118,16 @@ class TestSweep:
         assert math.isnan(records[1].price)
         assert len(records) == 2
 
-    def test_profit_premium_sweep(self, baseline):
-        pairs = profit_premium_sweep(baseline, (50.0, 100.0, 5000.0))
-        assert [l for l, _ in pairs] == [50.0, 100.0, 5000.0]
-        # premium shrinks as training gets more expensive
-        assert pairs[0][1] > pairs[2][1]
+    def test_profit_premium_shrinks_with_the_training_cost(self, baseline):
+        # the full model's profit over the old model's, per unit training cost
+        cost_side = CostSide(baseline)
+        auto_profit = cost_side.price("auto", baseline.market).profit
+        premiums = []
+        for value in (50.0, 100.0, 5000.0):
+            s = replace(baseline, learning=replace(baseline.learning, unit_training_cost=value))
+            premiums.append(cost_side.with_learning(s).price("full", s.market).profit
+                            - auto_profit)
+        assert premiums[0] > premiums[2]
 
     def test_sweep_other_variant(self, baseline):
         records = sweep(SweepSpec(param="beta", values=(0.5, 0.9), variant="auto"), baseline)
@@ -297,14 +301,17 @@ class TestCostSideReuse:
             "optimize_lf": 3, "simulate_external_rates": 1, "optimal_pm_count": 1,
             "os_cost_moments": 1}
 
-    def test_profit_premium_sweep_reuses_the_cost_side(self, monkeypatch, baseline):
-        values = (20.0, 50.0, 500.0)
-        alone = [(v, optimal_price(replace(baseline, learning=replace(
-                     baseline.learning, unit_training_cost=v)), "full").profit
-                  - optimal_price(baseline, "auto").profit) for v in values]
+    def test_profit_premium_reuses_the_cost_side(self, monkeypatch, baseline):
+        scenarios = [replace(baseline, learning=replace(baseline.learning, unit_training_cost=v))
+                     for v in (20.0, 50.0, 500.0)]
+        alone = [optimal_price(s, "full").profit - optimal_price(baseline, "auto").profit
+                 for s in scenarios]
         calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates,
                             optimal_pm_count)
-        assert profit_premium_sweep(baseline, values) == alone
+        cost_side = CostSide(baseline)
+        auto_profit = cost_side.price("auto", baseline.market).profit
+        assert [cost_side.with_learning(s).price("full", s.market).profit - auto_profit
+                for s in scenarios] == alone
         assert {name: len(c) for name, c in calls.items()} == {
             "optimize_lf": 3, "simulate_external_rates": 1, "optimal_pm_count": 1}
 

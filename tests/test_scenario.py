@@ -60,9 +60,6 @@ class TestDefaults:
         series = internal_rate_series(baseline.failure, baseline.grid)
         assert series.mean == pytest.approx(0.0034, abs=1e-12)
 
-    def test_contract_length(self, baseline):
-        assert baseline.grid.contract_length_b == sum(baseline.grid.t_j.values)
-
     def test_default_passes_validation(self, baseline):
         assert validate_scenario(baseline) == []
 
