@@ -15,6 +15,7 @@ from .failure import (
     expected_failures,
     internal_rate_series,
     optimal_pm_count,
+    scaled_to_mean,
 )
 from .learning import (
     FsCostResult,
@@ -67,7 +68,6 @@ from .scenario import (
     load_internal_table,
     load_scenario,
     save_scenario,
-    scaled_to_mean,
     simulate_external_rates,
     validate_scenario,
 )

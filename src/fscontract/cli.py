@@ -24,14 +24,10 @@ from .pricing import (
     CostSide,
     InfeasiblePriceError,
     InfeasibleTrainingError,
-)
-from .report import SweepSpec, compare_models, emit_report, sweep
-from .scenario import (
-    ConfigError,
-    ScenarioValidationError,
-    _read_scenario,
     _validated,
 )
+from .report import SweepSpec, compare_models, emit_report, sweep
+from .scenario import ConfigError, ScenarioValidationError, _read_scenario
 
 _PARAM_BY_FLAG = {
     "beta": "beta",

@@ -53,11 +53,19 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import FailureParams, PeriodGrid, RateSeries, Scenario
+from .scenario import (
+    FailureParams,
+    PeriodGrid,
+    RateSeries,
+    Scenario,
+    ScenarioValidationError,
+    Violation,
+)
 
 #: Internal rates are floored at zero; undershoot beyond this tolerance is
 #: reported as a model warning.
@@ -136,6 +144,28 @@ def internal_rate_series(f: FailureParams, grid: PeriodGrid,
         rest = np.add.accumulate(np.concatenate((run_in[-1:], steps[n:])))[1:]
         rates = np.concatenate((run_in, rest))
     return RateSeries._taking("internal", rates)
+
+
+def scaled_to_mean(s: Scenario, target_mean: float,
+                   series: RateSeries | None = None) -> Scenario:
+    """Rescale the internal failure-rate series to a target mean.
+
+    The realised series (override or parametric) is scaled linearly together
+    with the installation rate, preserving the bathtub shape; everything
+    else stays at the scenario values.  A series of mean zero has no shape
+    to scale: :class:`ScenarioValidationError`.  ``series`` is the
+    scenario's internal series where the caller holds it.
+    """
+    if series is None:
+        series = internal_rate_series(s.failure, s.grid)
+    current = series.mean
+    if current <= 0:
+        raise ScenarioValidationError([Violation(
+            "failure.internal_series", "a series of mean 0 cannot be rescaled to a target mean")])
+    factor = target_mean / current
+    f = replace(s.failure, phi0_int=s.failure.phi0_int * factor,
+                internal_series_override=series.as_array() * factor)
+    return replace(s, failure=f)
 
 
 def rate_increments(f: FailureParams, grid: PeriodGrid, internal: RateSeries) -> np.ndarray:

@@ -190,6 +190,7 @@ class LfProblem:
 
     def t_forgetting(self, lf: float) -> float:
         """Training hours lost to forgetting: S + Q + U, or S + V lf^(1-2 eps)."""
+        self._check(lf)
         return self._budget(lf)[1]
 
     def state(self, lf: float) -> LearningState:
@@ -247,7 +248,9 @@ class LfProblem:
         else:
             p = self._p
             w = self.terms.v * lf ** p
-            t_f, d_eff, dd_eff = self.terms.s + w, net - p * w / lf, p * (1.0 - p) * w / (lf * lf)
+            t_f, d_eff = self.terms.s + w, net - p * w / lf
+            # lf^2 underflows to 0 below about 1e-162, where E'' is +inf
+            dd_eff = p * (1.0 - p) * w / (lf * lf) if lf * lf else math.inf
         return t_l, t_f, t_l - t_f, d_eff, dd_eff
 
     @_kept

@@ -28,14 +28,16 @@ Cost side and market side
 Pricing one scenario splits in two.  The cost side (:class:`CostSide`) is
 all that does not depend on the market parameters: the internal and
 external rate series, the expected failure counts, the maintenance plan,
-the pay-per-repair cost moments, the scalar lf problem with its optimum
-lf*, and each variant's cost breakdown.  Its parts are computed on first
-use and kept for the life of the object (one pricing call, one comparison
-or one sweep), so neither a ``bench`` nor an ``auto`` price draws the
-external rates or builds the lf problem, and a second variant reuses the
-first one's work.  The lf problem computes the scalar constants of its cost
-once (see :mod:`fscontract.learning`), not at each evaluation of the lf
-search.  Each Z-long array is computed once per cost side: the rate
+the pay-per-repair cost moments, and the scalar lf problem with its
+optimum lf*.  Its parts are computed on first use and kept for the life of
+the object (one pricing call, one comparison or one sweep), so neither a
+``bench`` nor an ``auto`` price draws the external rates or builds the lf
+problem, and a second variant reuses the first one's work.  The
+optimizer's standing assumptions are checked on these parts
+(:meth:`CostSide.violations`), which pricing then reuses.  The lf problem
+computes the scalar constants of its cost once (see
+:mod:`fscontract.learning`), not at each evaluation of the lf search.
+Each Z-long array is computed once per cost side: the rate
 increments, the per-period repair costs, and the failure counts and repair
 bill at each maintenance count (at M*, shared by the plan objective and the
 bills before learning that ``auto`` and the lf problem share; at the
@@ -55,6 +57,8 @@ are converted once on entry.
 
 from __future__ import annotations
 
+import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -73,7 +77,13 @@ from .scenario import (
     MarketParams,
     RateSeries,
     Scenario,
+    ScenarioValidationError,
+    Violation,
+    _GETTERS,
+    _checks,
+    _field_violations,
     _kept,
+    _violations,
     simulate_external_rates,
 )
 
@@ -234,9 +244,8 @@ class CostSide:
 
     The internal rates are built on construction, or taken as given, and so
     are the external rates where they are given.  The external draw, the
-    failure counts, maintenance plan, cost moments, lf problem, lf search
-    and variant costs are computed on first use and then kept.  Nothing
-    outlives the object.
+    failure counts, maintenance plan, cost moments, lf problem and lf search
+    are computed on first use and then kept.  Nothing outlives the object.
     """
 
     def __init__(self, s: Scenario, internal: RateSeries | None = None,
@@ -245,7 +254,6 @@ class CostSide:
         self.internal = internal_rate_series(s.failure, s.grid) if internal is None else internal
         if external is not None:
             self.external = external
-        self._variant_costs: dict = {}
 
     @_kept
     def external(self) -> RateSeries:
@@ -284,6 +292,54 @@ class CostSide:
         return optimize_lf(self.plan.m_count, self.scenario, self.internal, self.external,
                            problem=self.problem)
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def violations(self) -> list[Violation]:
+        """The optimizer's standing assumptions on this cost side's rates,
+        plan and lf problem: a finite series, maintenance count, time budget
+        and bills (finite inputs can overflow), surplus time R-S-Q-U > 0 that
+        dominates the external time S, a finite pay-per-repair variance and
+        bill, and a finite risk premium in the scenario's market.  numpy's
+        overflow and invalid-value warnings are silenced."""
+        if not np.isfinite(self.internal.as_array()).all():
+            return [Violation("failure.internal_series",
+                              "the parametric series must be finite (it overflows)")]
+        try:
+            self.plan
+        except OverflowError:
+            return [Violation("cost.avg_maintenance_cost",
+                              "the optimal maintenance count must be finite (it overflows)")]
+        problem = self.problem
+        terms = problem.terms
+        if not all(map(math.isfinite, terms)):
+            return [Violation("learning.lf", "the time budget R, S, Q, U, V must be finite")]
+        v = [Violation(key, f"the expected {name} bill must be finite (it overflows)")
+             for key, name in _BILLS if not math.isfinite(getattr(problem.base, name))]
+        if v:
+            return v
+        net = terms.net
+        if net <= 0:
+            return [Violation("learning.lf",
+                              "no surplus time is left for training (R-S-Q-U <= 0)")]
+        if net < _DOMINANCE * terms.s:
+            return [Violation(
+                "failure.ext_mean",
+                f"external interruptions too large: R-S-Q-U = {net:.3f} "
+                f"< {_DOMINANCE} * S = {_DOMINANCE * terms.s:.3f}",
+            )]
+        variance = self.os_moments.variance
+        if not math.isfinite(variance):
+            sd = self.scenario.cost.repair_cost_sd
+            key = "cost.unit_repair_cost" if math.isfinite(sd * sd) else "cost.repair_cost_sd"
+            return [Violation(key,
+                              "the pay-per-repair cost variance must be finite (it overflows)")]
+        if not math.isfinite(self.os_moments.mean):
+            return [Violation("cost.avg_maintenance_cost",
+                              "the pay-per-repair maintenance bill must be finite (it overflows)")]
+        market = self.scenario.market
+        if not math.isfinite(_risk_premium(market.alpha_max, market.beta, variance)):
+            return [_PREMIUM_OVERFLOWS]
+        return []
+
     def with_learning(self, s: Scenario) -> "CostSide":
         """The cost side of ``s``, a scenario that differs from this one's
         only in learning parameters that stay out of the lf problem's
@@ -316,25 +372,21 @@ class CostSide:
         """
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        key = (variant, lf)
-        if key not in self._variant_costs:
-            s = self.scenario
-            lf_star = None
-            if variant == "bench":
-                m = s.cost.m0_os
-                breakdown = contract_costs(m, s, self.internal, self.counts)
-            elif variant == "auto":
-                m = self.plan.m_count
-                base = self.base
-                breakdown = base._replace(repair=base.repair
-                                          * s.grid.z_periods ** -s.learning.alpha_auto)
-            else:
-                m = self.plan.m_count
-                lf_star = self.lf_solution.lf_star if lf is None else lf
-                breakdown = self.problem.evaluate(lf_star).breakdown
-            self._variant_costs[key] = (breakdown.scaled(1.0 / DOLLARS_PER_REPORT_UNIT), m,
-                                        lf_star)
-        return self._variant_costs[key]
+        s = self.scenario
+        lf_star = None
+        if variant == "bench":
+            m = s.cost.m0_os
+            breakdown = contract_costs(m, s, self.internal, self.counts)
+        elif variant == "auto":
+            m = self.plan.m_count
+            base = self.base
+            breakdown = base._replace(repair=base.repair
+                                      * s.grid.z_periods ** -s.learning.alpha_auto)
+        else:
+            m = self.plan.m_count
+            lf_star = self.lf_solution.lf_star if lf is None else lf
+            breakdown = self.problem.evaluate(lf_star).breakdown
+        return breakdown.scaled(1.0 / DOLLARS_PER_REPORT_UNIT), m, lf_star
 
     def price(self, variant: str, mk: MarketParams, lf: float | None = None) -> PricingSolution:
         """The market side: price one variant's cost in the market ``mk``
@@ -348,6 +400,70 @@ class CostSide:
         return PricingSolution(float(sides.price), lower, upper, float(sides.interior),
                                float(sides.fs_share), float(sides.profit), breakdown, variant,
                                m, lf_star)
+
+
+#: R-S-Q-U must be at least this many times the external interruption time S.
+_DOMINANCE = 10
+
+#: Config key of each bill before learning, and its :class:`CostBreakdown` field.
+_BILLS = (("cost.unit_repair_cost", "repair"), ("cost.avg_maintenance_cost", "maintenance"),
+          ("cost.unit_delay_cost", "delay"))
+
+#: The pricing rule's risk premium alpha_max (1 + beta)^2 Var / 4 is not
+#: finite.  It names alpha_max, the one factor that no other check bounds:
+#: the field rules bound (1 + beta)^2 and the cost-side checks the variance.
+_PREMIUM_OVERFLOWS = Violation(
+    "market.alpha_max",
+    "the risk premium alpha_max (1 + beta)^2 Var / 4 must be finite (it overflows)")
+
+
+def _checked_cost_side(s: Scenario) -> tuple[list[Violation], CostSide | None]:
+    """The violations of :func:`~fscontract.scenario.validate_scenario` and
+    the cost side they were checked on (``None`` where a field invariant
+    fails first).  The internal series is built with numpy's overflow and
+    invalid-value warnings silenced, since the checks report the overflow;
+    the warning of each floored internal rate is issued once they pass."""
+    v = _field_violations(s)
+    if v:
+        return v, None
+    undershoots: list[str] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost_side = CostSide(s, internal_rate_series(s.failure, s.grid, undershoots))
+    v = cost_side.violations()
+    if not v:
+        for message in undershoots:
+            warnings.warn(message, stacklevel=2)
+    return v, cost_side
+
+
+def _validated(s: Scenario) -> CostSide:
+    """The cost side of ``s`` that its checks were run on; raises
+    :class:`ScenarioValidationError` if ``s`` is invalid."""
+    violations, cost_side = _checked_cost_side(s)
+    if violations:
+        raise ScenarioValidationError(violations)
+    return cost_side
+
+
+def _swept_beta_violations(s: Scenario, betas: np.ndarray, variance: float) -> list[Violation]:
+    """The violations of the first mark-up in ``betas`` that breaks a
+    ``market.beta`` rule or overflows the risk premium at the pay-per-repair
+    ``variance`` in the market of ``s``: what checking each value on its
+    own reports.  The ``market.beta`` predicates run once, on the whole
+    array (non-finite values included, which are flagged anyway)."""
+    keys = ("market.beta",)
+    _, rules, reads = _checks(keys)
+    values = {key: _GETTERS[key](s) for key in reads}
+    values["market.beta"] = betas
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(betas) | ~np.isfinite(_risk_premium(s.market.alpha_max, betas,
+                                                                variance))
+        for _, read, fails, _ in rules:
+            bad |= fails(values[read]) if read.__class__ is str else fails(*read(values))
+    if not bad.any():
+        return []
+    values["market.beta"] = float(betas[bad.argmax()])
+    return _violations(values, keys) or [_PREMIUM_OVERFLOWS]
 
 
 def optimal_price(s: Scenario, variant: str = "full",

@@ -25,7 +25,8 @@ market side rerun.
 ``phi_int_mean`` rescales the rates, so it builds one cost side per point,
 shared by that point's checks and its price.  Each point scales the base
 scenario's internal series, built once: the held cost side's where there
-is one, else before the first point.
+is one, else before the first point.  All points share one external draw:
+a point changes neither the seed, the horizon nor the external moments.
 """
 
 from __future__ import annotations
@@ -37,23 +38,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .failure import internal_rate_series
+from .failure import internal_rate_series, scaled_to_mean
 from .pricing import (
     CostSide,
     InfeasiblePriceError,
     InfeasibleTrainingError,
     PricingSolution,
+    _checked_cost_side,
+    _swept_beta_violations,
     market_side,
 )
-from .scenario import (
-    Scenario,
-    ScenarioValidationError,
-    Violation,
-    _checked_cost_side,
-    _field_violations,
-    _swept_beta_violations,
-    scaled_to_mean,
-)
+from .scenario import Scenario, ScenarioValidationError, Violation, _field_violations
 
 SWEEP_PARAMS = ("beta", "phi_int_mean", "lf", "unit_training_cost")
 FORMATS = ("csv", "markdown", "plotdata", "svg")
@@ -179,16 +174,19 @@ def sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None = None) -> li
                     else cost_side.internal)
     records = []
     for value in spec.values:
-        # once a checked cost side is held, only rules that read a swept key can fail
-        keys = None if cost_side is None else _CHANGED_KEYS[spec.param]
         scenario = _swept_scenario(s, spec.param, value, internal)
-        if cost_side is None or spec.param == "phi_int_mean":
-            violations, cost_side = _checked_cost_side(scenario, keys=keys)
+        if cost_side is None:
+            violations, cost_side = _checked_cost_side(scenario)
             _raise_on(violations)
         else:
-            # a fixed lf keeps the cost side whole (see the module docstring)
-            _raise_on(_field_violations(scenario, keys))
-            if spec.param == "unit_training_cost":
+            # once a checked cost side is held, only rules that read a swept key
+            # can fail; a fixed lf keeps the cost side whole (see the module docstring)
+            _raise_on(_field_violations(scenario, _CHANGED_KEYS[spec.param]))
+            if spec.param == "phi_int_mean":
+                # new rates; the seed, horizon and external moments stay
+                cost_side = CostSide(scenario, external=cost_side.external)
+                _raise_on(cost_side.violations())
+            elif spec.param == "unit_training_cost":
                 cost_side = cost_side.with_learning(scenario)
         lf = value if spec.param == "lf" and spec.variant == "full" else None
         try:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import warnings
 from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cache
 from importlib import resources
@@ -226,8 +225,9 @@ class PeriodGrid:
 
     ``t_j`` are operating hours per period (e.g. 8 h/day over 180 days);
     ``t_jm`` are the matching calendar hours (24 h/day), kept for reference
-    as the maintenance-interval length.  Both are held as
-    :class:`PeriodValues` (a tuple or an array given here is converted).
+    as the maintenance-interval length: checked and saved, but nothing
+    prices with them.  Both are held as :class:`PeriodValues` (a tuple or
+    an array given here is converted).
     """
 
     z_periods: int
@@ -316,8 +316,10 @@ class LearningParams:
     ``alpha_auto``/``alpha_indu`` are the power-law exponents for autonomous
     and induced (training-driven) learning; ``epsilon`` is the small rework
     exponent governing how on-site practice partially offsets forgetting.
-    ``lf`` is the fraction of surplus working time spent training and
-    ``unit_training_cost`` its hourly cost in dollars.  ``repair_hours`` and
+    ``lf`` is the fraction of surplus working time spent training, checked
+    and saved but priced with nowhere (``full`` optimises lf, and an lf
+    sweep sets the value it prices at), and ``unit_training_cost`` its
+    hourly cost in dollars.  ``repair_hours`` and
     ``maintenance_hours`` convert event counts into hours wherever the time
     budget needs them (defaults: 1 h per repair, 8 h per maintenance visit).
     """
@@ -437,47 +439,21 @@ def simulate_external_rates(s: Scenario) -> RateSeries:
     return RateSeries._taking("external", np.maximum(draws, 0.0, out=draws))
 
 
-def validate_scenario(s: Scenario, dominance_factor: float = 10.0) -> list[Violation]:
+def validate_scenario(s: Scenario) -> list[Violation]:
     """Check every field invariant plus the standing assumptions of the
     training-frequency optimizer.
 
     Returns an empty list iff the scenario is valid.  Every numeric field
-    must be finite.  The optimizer assumptions require the rate series, the
-    maintenance count, the time-budget aggregates, the bills before
-    learning and the pay-per-repair variance to be finite, and the net
-    trainable-time coefficient R-S-Q-U to be positive and to dominate the
-    external interruption time S by ``dominance_factor``; they are checked
-    only once the fields are valid.
+    must be finite.  The optimizer assumptions, among them surplus time
+    R-S-Q-U that is positive and at least ten times the external
+    interruption time S, are checked on the scenario's cost side once the
+    fields are valid (:meth:`~fscontract.pricing.CostSide.violations`).
     """
-    return _checked_cost_side(s, dominance_factor)[0]
+    # the checks live in pricing, beside the cost side they read; pricing
+    # imports this module, so this import runs at call time
+    from .pricing import _checked_cost_side
 
-
-def _checked_cost_side(s: Scenario, dominance_factor: float = 10.0,
-                       keys: tuple[str, ...] | None = None):
-    """The violations of :func:`validate_scenario` and the cost side they
-    were checked on (``None`` where a field invariant fails first).
-
-    ``keys`` limits the field checks to those that read one of these config
-    keys, for a scenario that differs from a valid one only there.  numpy's
-    overflow and invalid-value warnings are silenced while the fields are
-    checked and the cost side is built and checked: the checks report the
-    overflow.  The model's warning of each floored internal rate is issued
-    only once the checks pass.
-    """
-    from .failure import internal_rate_series
-    from .pricing import CostSide
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _field_violations(s, keys)
-        if v:
-            return v, None
-        undershoots: list[str] = []
-        cost_side = CostSide(s, internal_rate_series(s.failure, s.grid, undershoots))
-        v = _cost_side_violations(cost_side, dominance_factor)
-    if not v:
-        for message in undershoots:
-            warnings.warn(message, stacklevel=2)
-    return v, cost_side
+    return _checked_cost_side(s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -685,17 +661,18 @@ def _checks(keys: tuple[str, ...] | None):
 def _non_finite(value) -> bool:
     """A float, or per-period values through their sum, that is NaN or
     +-inf.  The sum is non-finite if any value is, or if it overflows, as
-    the model's own sums over the values would (its overflow warning is
-    left to the caller's error state)."""
+    the model's own sums over the values would."""
     if value.__class__ is PeriodValues:
         value = np.add.reduce(value.as_array())
     return isinstance(value, float) and not math.isfinite(value)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _field_violations(s: Scenario, keys: tuple[str, ...] | None = None) -> list[Violation]:
     """The field invariants of :func:`validate_scenario`, or only those
     that read one of ``keys``: no rate series, maintenance plan or lf
-    problem is needed to check them.  Non-finite values are reported alone."""
+    problem is needed to check them.  Non-finite values are reported alone,
+    and a sum that overflows is one: numpy's overflow warning is silenced."""
     return _violations({key: _GETTERS[key](s) for key in _checks(keys)[2]}, keys)
 
 
@@ -711,90 +688,6 @@ def _violations(values: dict, keys: tuple[str, ...] | None = None) -> list[Viola
         if fails(values[reads]) if reads.__class__ is str else fails(*reads(values)):
             v.append(Violation(key, message))
     return v
-
-
-#: The pricing rule's risk premium alpha_max (1 + beta)^2 Var / 4 is not
-#: finite.  It names alpha_max, the one factor that no other check bounds:
-#: the field rules bound (1 + beta)^2 and the cost-side checks the variance.
-_PREMIUM_OVERFLOWS = Violation(
-    "market.alpha_max",
-    "the risk premium alpha_max (1 + beta)^2 Var / 4 must be finite (it overflows)")
-
-
-def _swept_beta_violations(s: Scenario, betas: np.ndarray, variance: float) -> list[Violation]:
-    """The violations of the first mark-up in ``betas`` that breaks a
-    ``market.beta`` rule or overflows the risk premium at the pay-per-repair
-    ``variance`` in the market of ``s``: what checking each value on its
-    own reports.  The ``market.beta`` predicates run once, on the whole
-    array (non-finite values included, which are flagged anyway)."""
-    from .pricing import _risk_premium
-
-    keys = ("market.beta",)
-    _, rules, reads = _checks(keys)
-    values = {key: _GETTERS[key](s) for key in reads}
-    values["market.beta"] = betas
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(betas) | ~np.isfinite(_risk_premium(s.market.alpha_max, betas,
-                                                                variance))
-        for _, read, fails, _ in rules:
-            bad |= fails(values[read]) if read.__class__ is str else fails(*read(values))
-    if not bad.any():
-        return []
-    values["market.beta"] = float(betas[bad.argmax()])
-    return _violations(values, keys) or [_PREMIUM_OVERFLOWS]
-
-
-#: Config key of each bill before learning, and its :class:`CostBreakdown` field.
-_BILLS = (("cost.unit_repair_cost", "repair"), ("cost.avg_maintenance_cost", "maintenance"),
-          ("cost.unit_delay_cost", "delay"))
-
-
-def _cost_side_violations(cost_side, dominance_factor: float = 10.0) -> list[Violation]:
-    """The optimizer's standing assumptions, on the cost side's actual rate
-    series, maintenance plan and lf problem: a finite series, maintenance
-    count, time budget and bills (finite inputs can still overflow), enough
-    trainable time, a finite pay-per-repair variance and bill (the mean of
-    its repairs plus maintenance), and a finite risk premium in the
-    scenario's own market."""
-    if not np.isfinite(cost_side.internal.as_array()).all():
-        return [Violation("failure.internal_series",
-                          "the parametric series must be finite (it overflows)")]
-    try:
-        cost_side.plan
-    except OverflowError:
-        return [Violation("cost.avg_maintenance_cost",
-                          "the optimal maintenance count must be finite (it overflows)")]
-    problem = cost_side.problem
-    terms = problem.terms
-    if not all(map(math.isfinite, terms)):
-        return [Violation("learning.lf", "the time budget R, S, Q, U, V must be finite")]
-    v = [Violation(key, f"the expected {name} bill must be finite (it overflows)")
-         for key, name in _BILLS if not math.isfinite(getattr(problem.base, name))]
-    if v:
-        return v
-    net = terms.net
-    if net <= 0:
-        return [Violation("learning.lf", "no surplus time is left for training (R-S-Q-U <= 0)")]
-    if net < dominance_factor * terms.s:
-        return [Violation(
-            "failure.ext_mean",
-            f"external interruptions too large: R-S-Q-U = {net:.3f} "
-            f"< {dominance_factor:g} * S = {dominance_factor * terms.s:.3f}",
-        )]
-    variance = cost_side.os_moments.variance
-    if not math.isfinite(variance):
-        sd = cost_side.scenario.cost.repair_cost_sd
-        key = "cost.unit_repair_cost" if math.isfinite(sd * sd) else "cost.repair_cost_sd"
-        return [Violation(key, "the pay-per-repair cost variance must be finite (it overflows)")]
-    if not math.isfinite(cost_side.os_moments.mean):
-        return [Violation("cost.avg_maintenance_cost",
-                          "the pay-per-repair maintenance bill must be finite (it overflows)")]
-    from .pricing import _risk_premium
-
-    market = cost_side.scenario.market
-    if not math.isfinite(_risk_premium(market.alpha_max, market.beta, variance)):
-        return [_PREMIUM_OVERFLOWS]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -827,33 +720,6 @@ def load_internal_table(path: str | Path, column: str | int) -> tuple[float, ...
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"{path}: bad row {ln!r}") from exc
     return tuple(out)
-
-
-def scaled_to_mean(s: Scenario, target_mean: float,
-                   series: RateSeries | None = None) -> Scenario:
-    """Rescale the internal failure-rate series to a target mean.
-
-    The realised series (override or parametric) is scaled linearly together
-    with the installation rate, preserving the bathtub shape; everything
-    else stays at the scenario values.  A series of mean zero has no shape
-    to scale: :class:`ScenarioValidationError`.  ``series`` is the
-    scenario's internal series where the caller holds it.
-    """
-    if series is None:
-        from .failure import internal_rate_series
-
-        series = internal_rate_series(s.failure, s.grid)
-    current = series.mean
-    if current <= 0:
-        raise ScenarioValidationError([Violation(
-            "failure.internal_series", "a series of mean 0 cannot be rescaled to a target mean")])
-    factor = target_mean / current
-    f = replace(
-        s.failure,
-        phi0_int=s.failure.phi0_int * factor,
-        internal_series_override=series.as_array() * factor,
-    )
-    return replace(s, failure=f)
 
 
 # ---------------------------------------------------------------------------
@@ -957,22 +823,18 @@ def _read_scenario(path: str | Path) -> Scenario:
                                    base_dir=path.parent)
 
 
-def _validated(s: Scenario):
-    """The cost side of ``s`` that its checks were run on; raises
-    :class:`ScenarioValidationError` if ``s`` is invalid."""
-    violations, cost_side = _checked_cost_side(s)
-    if violations:
-        raise ScenarioValidationError(violations)
-    return cost_side
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Load, complete (from defaults) and validate a scenario config file.
 
     Raises :class:`ConfigError` on parse problems and
-    :class:`ScenarioValidationError` when any field invariant fails.
+    :class:`ScenarioValidationError` when :func:`validate_scenario` finds
+    any violation.
     """
-    return _validated(_read_scenario(path)).scenario
+    s = _read_scenario(path)
+    violations = validate_scenario(s)
+    if violations:
+        raise ScenarioValidationError(violations)
+    return s
 
 
 def _fmt(value) -> str:

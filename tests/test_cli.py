@@ -22,7 +22,7 @@ from fscontract import (
 )
 from fscontract.cli import main
 from fscontract.failure import _aging_slopes
-from fscontract.scenario import _validated
+from fscontract.pricing import _validated
 
 from conftest import count_calls
 
@@ -475,6 +475,17 @@ def test_each_command_builds_one_cost_side(capsys, monkeypatch, config_path, tmp
     assert code == 0
     assert {name: len(c) for name, c in calls.items()} == {
         "simulate_external_rates": 1, "internal_rate_series": 1, "optimal_pm_count": 1}
+
+
+def test_phi_int_sweep_draws_the_external_rates_once(capsys, monkeypatch, config_path,
+                                                     tmp_path):
+    # the validation draws them; a point changes neither the seed, the
+    # horizon nor the external rate's moments, so it takes that draw
+    calls = count_calls(monkeypatch, simulate_external_rates)
+    code, _, _ = run(capsys, "sweep", "--config", str(config_path), "--param", "phi-int",
+                     "--values", "0.0025,0.003,0.0034,0.004,0.0046", "--out", str(tmp_path))
+    assert code == 0
+    assert len(calls["simulate_external_rates"]) == 1
 
 
 class TestCompareCommand:

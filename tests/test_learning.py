@@ -110,6 +110,17 @@ class TestForgettingTime:
         assert value == pytest.approx(terms.s + terms.q + terms.u, rel=1e-12)
 
 
+    @pytest.mark.parametrize("model", ["simple", "revised"])
+    def test_rejects_lf_outside_unit_interval(self, baseline, baseline_rates, model):
+        # revised forgetting divided by zero at 0 and took a complex power
+        # below it; simple forgetting returned S + Q + U for any lf
+        s = replace(baseline, learning=replace(baseline.learning, forgetting_model=model))
+        problem = lf_problem(3, s, *baseline_rates)
+        for lf in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="lf must lie in"):
+                problem.t_forgetting(lf)
+
+
 class TestLearningEffect:
     def test_no_learning_without_exponents(self):
         lp = LearningParams(alpha_auto=0.0, alpha_indu=0.0, epsilon=0.05, lf=0.005,
@@ -276,6 +287,14 @@ class TestLfProblem:
         below = lo * (1 - 1e-9)
         assert problem.t_training(below) - problem.t_forgetting(below) <= 0.0
         assert hi < 1.0
+
+    @pytest.mark.parametrize("lf", [5e-324, 1e-300])
+    def test_lf_whose_square_underflows_is_infeasible(self, baseline, baseline_rates, lf):
+        # the revised model's E'' divided by lf^2, which is 0 here
+        problem = lf_problem(3, baseline, *baseline_rates)
+        assert problem.t_forgetting(lf) == pytest.approx(problem.terms.s)
+        with pytest.raises(InfeasibleTrainingError, match="exhausted"):
+            problem.state(lf)
 
     def test_short_period_makes_every_lf_infeasible(self):
         s = make_scenario(z=2, t=10.0, phi0=0.2, series=(1.5, 1.5))

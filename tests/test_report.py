@@ -22,11 +22,13 @@ from fscontract import (
     os_cost_moments,
     price_variants,
     read_kpi_csv,
+    scaled_to_mean,
     simulate_external_rates,
     sweep,
     validate_scenario,
 )
 
+from fscontract import pricing as pricing_module
 from fscontract import scenario as scenario_module
 from fscontract.failure import rate_increments
 from fscontract.pricing import market_side
@@ -214,7 +216,9 @@ class TestSweepChecks:
             checked.append(keys)
             return violations(values, keys)
 
-        monkeypatch.setattr(scenario_module, "_violations", recorded)
+        # the beta sweep's checks call pricing's binding of _violations
+        for module in (scenario_module, pricing_module):
+            monkeypatch.setattr(module, "_violations", recorded)
         cost_side = CostSide(baseline) if given else None
         records = sweep(SweepSpec(param=param, values=values), baseline, cost_side)
         assert all(r.feasible for r in records)
@@ -334,6 +338,17 @@ class TestCostSideReuse:
             "lf_problem": 3, "optimize_lf": 4, "rate_increments": 5, "expected_failures": 9,
             "simulate_external_rates": 3}
 
+    @pytest.mark.parametrize("given", [False, True])
+    def test_phi_int_sweep_draws_the_external_rates_once(self, monkeypatch, baseline, given):
+        # a point changes neither the seed, the horizon nor the external
+        # rate's moments, so it takes the draw of the cost side before it
+        cost_side = CostSide(baseline) if given else None
+        calls = count_calls(monkeypatch, simulate_external_rates)
+        values = tuple(0.0034 * k for k in (0.6, 0.8, 1.0, 1.2, 1.4))
+        records = sweep(SweepSpec(param="phi_int_mean", values=values), baseline, cost_side)
+        assert all(r.feasible for r in records)
+        assert len(calls["simulate_external_rates"]) == 1
+
     def test_compare_runs_one_lf_search(self, monkeypatch, baseline):
         calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates)
         compare_models(baseline)
@@ -344,12 +359,15 @@ class TestCostSideReuse:
         ("beta", (0.5, 1.7, 4.0)),
         ("lf", (0.004, 0.005, 0.02)),
         ("unit_training_cost", (20.0, 50.0, 500.0)),
+        ("phi_int_mean", (0.0025, 0.0034, 0.0046)),
     ])
     def test_rows_equal_pricing_each_point_alone(self, baseline, param, values):
         records = sweep(SweepSpec(param=param, values=values), baseline)
         for r in records:
             if param == "beta":
                 s = replace(baseline, market=replace(baseline.market, beta=r.swept_value))
+            elif param == "phi_int_mean":
+                s = scaled_to_mean(baseline, r.swept_value)
             else:
                 s = replace(baseline, learning=replace(baseline.learning,
                                                        **{param: r.swept_value}))

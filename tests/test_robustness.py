@@ -1,13 +1,17 @@
 """Robustness property: every config either prices to finite KPIs with exit 0
 or exits with its documented code (1 validation, 2 infeasible) and one line
 on stderr, never with a traceback.  The one warning a run may print is the
-model's floored-rate warning, and only for a config that passed its checks:
-a config that fails them prints its one validation error alone.
+model's floored-rate warning, at most once per text, and only for a config
+that passed its checks: a config that fails them prints its one validation
+error alone.
 
 Each example takes a base config (the shipped baseline or a generated
 benchmark base) and sets one to three fields to an extreme value or to a
 value next to the bound of a field rule, then runs one CLI command in
 process.  Horizons stay small: a horizon that fits an index is allocated.
+Two more properties draw the swept values of a sweep from the same kind of
+extremes, and edit the command line into an argparse usage error, which
+exits 2 with argparse's usage text.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -140,8 +145,9 @@ def _run(tmp_path_factory, base: int, changes: dict, argv) -> None:
         code = main([*argv, "--config", str(path), *out])
     # the model's only warning is a floored parametric rate, which a process
     # prints on stderr before the outcome; numpy's warnings are silenced
-    assert all(str(w.message).startswith("internal rate undershoots zero")
-               for w in caught), [str(w.message) for w in caught]
+    messages = [str(w.message) for w in caught]
+    assert all(m.startswith("internal rate undershoots zero") for m in messages), messages
+    assert len(set(messages)) == len(messages), messages
     if code == 1 and caught:
         # only once the config passed its checks, and a sweep point or the
         # comparison's pay-per-repair row failed after them
@@ -188,3 +194,63 @@ def test_zero_variance_market_at_an_overflowing_premium(tmp_path_factory):
                "cost.repair_cost_sd": "0.0", "cost.unit_repair_cost": "0.0"}
     for argv in COMMANDS:
         _run(tmp_path_factory, 0, changes, argv)
+
+
+#: Swept values: extremes, zero, a negative value and the values next to 1.
+SWEPT = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, -1e308, 5e-324, 1e300, 1e-300,
+         math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+
+
+@st.composite
+def swept_values(draw):
+    """One to three distinct swept values, increasing (NaN last), as the
+    text of ``--values=``."""
+    values = draw(st.lists(st.sampled_from(SWEPT), min_size=1, max_size=3, unique_by=repr))
+    values.sort(key=lambda v: (math.isnan(v), v))
+    return ",".join(map(repr, values))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(base=st.integers(0, len(BASES) - 1),
+       param=st.sampled_from(("beta", "phi-int", "lf", "unit-training-cost")),
+       values=swept_values())
+# lf^2 underflows to zero: the revised model's E'' divided by it
+@example(base=0, param="lf", values="5e-324,nan")
+def test_swept_values_give_finite_kpis_or_a_documented_exit(tmp_path_factory, base, param,
+                                                            values):
+    _run(tmp_path_factory, base, {}, ("sweep", "--param", param, f"--values={values}"))
+
+
+@st.composite
+def usage_errors(draw):
+    """A command with one edit that argparse refuses: an option left with no
+    value, a negative value list given without ``=``, or an unknown flag."""
+    kind = draw(st.sampled_from(("missing", "negative", "unknown")))
+    sweeps = [c for c in COMMANDS if c[0] == "sweep"]
+    argv = list(draw(st.sampled_from(sweeps if kind == "negative" else COMMANDS)))
+    if kind == "missing":
+        # followed by another option: the config path comes last
+        argv.insert(1, draw(st.sampled_from(("--config", "--seed"))))
+    elif kind == "negative":
+        i = argv.index("--values") + 1
+        argv[i] = "-1," + argv[i]
+    else:
+        argv.insert(draw(st.integers(1, len(argv))), "--bogus")
+    return argv
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(argv=usage_errors())
+def test_usage_errors_exit_2(tmp_path_factory, argv):
+    work = tmp_path_factory.mktemp("usage")
+    path = work / "c.cfg"
+    save_scenario(default_scenario(), path)
+    out = ("--out", str(work / "out")) if argv[0] in ("compare", "sweep") else ()
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+            pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(path), *out])
+    assert exc.value.code == 2
+    err = stderr.getvalue().splitlines()
+    assert err[0].startswith("usage: fscontract"), err
+    assert err[-1].startswith("fscontract") and ": error: " in err[-1], err
