@@ -28,7 +28,6 @@ from .learning import (
     lf_problem,
     reduced_terms,
     total_fs_cost,
-    total_repair_time,
 )
 from .pricing import (
     ConvergenceError,
@@ -60,7 +59,6 @@ from .scenario import (
     MarketParams,
     PeriodGrid,
     PeriodValues,
-    RateSeries,
     Scenario,
     ScenarioValidationError,
     Violation,

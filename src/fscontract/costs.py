@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .failure import FailureCounts, maintenance_cost
-from .scenario import RateSeries, Scenario
+from .scenario import PeriodValues, Scenario
 
 
 class CostBreakdown(NamedTuple):
@@ -54,7 +54,7 @@ class OsCostMoments(NamedTuple):
                              self.variance * factor * factor)
 
 
-def contract_costs(m: int, s: Scenario, internal: RateSeries,
+def contract_costs(m: int, s: Scenario, internal: PeriodValues,
                    counts: FailureCounts | None = None) -> CostBreakdown:
     """Repair, maintenance and delay bills under m maintenance actions, from
     one set of expected failure counts: no learning multiplier, no training.
@@ -74,7 +74,7 @@ def contract_costs(m: int, s: Scenario, internal: RateSeries,
     )
 
 
-def os_cost_moments(s: Scenario, internal: RateSeries,
+def os_cost_moments(s: Scenario, internal: PeriodValues,
                     counts: FailureCounts | None = None) -> OsCostMoments:
     """Cost moments of the pay-per-repair alternative.
 

@@ -61,7 +61,7 @@ import numpy as np
 from .scenario import (
     FailureParams,
     PeriodGrid,
-    RateSeries,
+    PeriodValues,
     Scenario,
     ScenarioValidationError,
     Violation,
@@ -110,17 +110,17 @@ def _aging_slopes(f: FailureParams, z: int) -> np.ndarray:
 
 
 def internal_rate_series(f: FailureParams, grid: PeriodGrid,
-                         undershoots: list[str] | None = None) -> RateSeries:
+                         undershoots: list[str] | None = None) -> PeriodValues:
     """Internal failure rate at the end of each period.
 
-    With an override the stored series is returned verbatim.  Otherwise the
+    With an override the stored series itself is returned.  Otherwise the
     rate follows phi_j = phi_{j-1} + g_j t_j from phi_0, floored at zero
     (aggressive run-in parameters can undershoot; each undershooting period
     is reported as a warning, not an error).  ``undershoots``, a list where
     given, takes the text of each such warning in place of the warning.
     """
     if f.internal_series_override is not None:
-        return RateSeries._taking("internal", f.internal_series_override.as_array())
+        return f.internal_series_override
     slopes = _aging_slopes(f, grid.z_periods)
     # the steps g_j t_j, written behind phi_0 for the running sum
     sums = np.empty(grid.z_periods + 1)
@@ -143,11 +143,11 @@ def internal_rate_series(f: FailureParams, grid: PeriodGrid,
         run_in = np.maximum(run_in, 0.0)
         rest = np.add.accumulate(np.concatenate((run_in[-1:], steps[n:])))[1:]
         rates = np.concatenate((run_in, rest))
-    return RateSeries._taking("internal", rates)
+    return PeriodValues._taking(rates)
 
 
 def scaled_to_mean(s: Scenario, target_mean: float,
-                   series: RateSeries | None = None) -> Scenario:
+                   series: PeriodValues | None = None) -> Scenario:
     """Rescale the internal failure-rate series to a target mean.
 
     The realised series (override or parametric) is scaled linearly together
@@ -168,7 +168,7 @@ def scaled_to_mean(s: Scenario, target_mean: float,
     return replace(s, failure=f)
 
 
-def rate_increments(f: FailureParams, grid: PeriodGrid, internal: RateSeries) -> np.ndarray:
+def rate_increments(f: FailureParams, internal: PeriodValues) -> np.ndarray:
     """Per-period rate changes phi_j - phi_{j-1} realised by the series.
 
     Derived from the series itself so that overrides and floored series stay
@@ -179,7 +179,7 @@ def rate_increments(f: FailureParams, grid: PeriodGrid, internal: RateSeries) ->
     return phi - prev
 
 
-def _count_terms(s: Scenario, internal: RateSeries,
+def _count_terms(s: Scenario, internal: PeriodValues,
                  increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two per-period terms of :func:`expected_failures` that do not
     depend on the maintenance count: the start-of-period count
@@ -191,7 +191,7 @@ def _count_terms(s: Scenario, internal: RateSeries,
     return start_rate * t, t * increments / 2.0
 
 
-def expected_failures(m: int, s: Scenario, internal: RateSeries,
+def expected_failures(m: int, s: Scenario, internal: PeriodValues,
                       terms: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Expected failure counts for all periods under m maintenance actions.
 
@@ -204,7 +204,7 @@ def expected_failures(m: int, s: Scenario, internal: RateSeries,
     if m < 1:
         raise ValueError("maintenance count must be >= 1")
     if terms is None:
-        terms = _count_terms(s, internal, rate_increments(s.failure, s.grid, internal))
+        terms = _count_terms(s, internal, rate_increments(s.failure, internal))
     start, growth = terms
     rho = s.failure.rho
     return np.maximum(start + growth * ((1.0 - rho) + rho / m), 0.0)
@@ -221,10 +221,10 @@ class FailureCounts:
     value per period) that the bills weigh the counts with.
     """
 
-    def __init__(self, s: Scenario, internal: RateSeries):
+    def __init__(self, s: Scenario, internal: PeriodValues):
         self.scenario = s
         self.internal = internal
-        self.increments = rate_increments(s.failure, s.grid, internal)
+        self.increments = rate_increments(s.failure, internal)
         self._terms = _count_terms(s, internal, self.increments)
         self.repair_costs = s.cost.repair_costs(s.grid.z_periods)
         self._by_count: dict[int, np.ndarray] = {}
@@ -264,7 +264,7 @@ def _plan(m: int, is_optimal: bool, s: Scenario, counts: FailureCounts) -> Maint
                            + maintenance_cost(m, s.cost.avg_maintenance_cost))
 
 
-def optimal_pm_count(s: Scenario, internal: RateSeries,
+def optimal_pm_count(s: Scenario, internal: PeriodValues,
                      counts: FailureCounts | None = None) -> MaintenancePlan:
     """Closed-form optimal number of preventive maintenance actions.
 
@@ -295,7 +295,7 @@ def optimal_pm_count(s: Scenario, internal: RateSeries,
     return _plan(m_star, True, s, counts)
 
 
-def brute_force_pm_count(s: Scenario, internal: RateSeries, m_max: int) -> MaintenancePlan:
+def brute_force_pm_count(s: Scenario, internal: PeriodValues, m_max: int) -> MaintenancePlan:
     """Exhaustive integer argmin of expected repair + maintenance cost.
 
     Ties break toward the smaller count.  Serves as the oracle for

@@ -5,9 +5,9 @@ function of the training frequency lf.
 Time budget
 -----------
 Repair time is one block of ``repair_hours`` per expected failure, so the
-cumulative repair time is t_r = sum_j phi_j t_j * repair_hours.  Each period
-also loses time to external failures and to maintenance visits; what is
-left is surplus, and the fraction lf of it goes to training:
+cumulative repair time is t_r = Q = sum_j phi_j t_j * repair_hours.  Each
+period also loses time to external failures and to maintenance visits; what
+is left is surplus, and the fraction lf of it goes to training:
 
     t_l = [R - S - Q - U] * lf
 
@@ -33,8 +33,8 @@ Total contract cost
 -------------------
 cost(lf) = repair(m) * A(lf) + c_M (m - 1) + delay(m) + l * t_l(lf).
 Once the maintenance count m and the rate series are fixed, everything but
-lf is a constant: the aggregates R - S - Q - U, S, Q, U and V, the
-cumulative repair time, and the repair, maintenance and delay bills before
+lf is a constant: the aggregates R - S - Q - U, S, Q (the cumulative
+repair time), U and V, and the repair, maintenance and delay bills before
 learning.  :class:`LfProblem` collects them once, and cost, time budget,
 derivative and feasible interval become scalar functions of lf.  It also
 holds the scalar constants those functions share (T = R - S - Q - U,
@@ -46,7 +46,7 @@ cost has an interior minimum, where the closed-form lf-derivative
     c'(lf) = l T - a B K E^(-a-1) E'(lf),   E = t_l - t_f,
 
 changes sign (a = alpha_indu, B the repair bill before learning,
-K = t_r^(-alpha_auto), T = R - S - Q - U, l the hourly training cost).
+K = Q^(-alpha_auto), T = R - S - Q - U, l the hourly training cost).
 :meth:`LfProblem.solve` finds that root on scalar floats.  Under simple
 forgetting E = T lf - F with F = S + Q + U, so
 
@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostBreakdown, contract_costs
-from .scenario import PeriodGrid, LearningParams, RateSeries, Scenario, _kept
+from .scenario import LearningParams, PeriodValues, Scenario, _kept
 
 
 #: Newton step in ln lf (or bracket width) below which the solve has converged.
@@ -85,7 +85,8 @@ class ConvergenceError(RuntimeError):
 
 
 class ReducedTerms(NamedTuple):
-    """Aggregates of the time budget: q, r, s, u and the forgetting scale v."""
+    """Aggregates of the time budget: q (the cumulative repair time t_r), r,
+    s, u and the forgetting scale v."""
 
     q: float
     r: float
@@ -135,11 +136,6 @@ class LfSolution(NamedTuple):
     residual: float
 
 
-def total_repair_time(internal: RateSeries, grid: PeriodGrid, repair_hours: float = 1.0) -> float:
-    """Cumulative repair hours: sum_j phi_j t_j, scaled by hours per repair."""
-    return float(np.dot(internal.as_array(), grid.t_j.as_array())) * repair_hours
-
-
 def learning_effect(t_r: float, t_eff: float, lp: LearningParams) -> float:
     """Efficiency multiplier t_r^(-alpha_auto) * t_eff^(-alpha_indu).
 
@@ -166,11 +162,10 @@ class LfProblem:
     and so again by :func:`dataclasses.replace`: T = R - S - Q - U, the
     simple model's forgetting S + Q + U, the rework exponent 1 - 2 eps and
     the training slope l T.  B K (:attr:`_repair_scale`) is computed on
-    first use, as t_r^(-alpha_auto) raises where t_r is not positive.
+    first use, as Q^(-alpha_auto) raises where Q is not positive.
     """
 
     terms: ReducedTerms
-    t_repair: float
     base: CostBreakdown
     learning: LearningParams
     short_period: int = 0
@@ -183,22 +178,14 @@ class LfProblem:
         object.__setattr__(self, "_p", 1.0 - 2.0 * lp.epsilon)
         object.__setattr__(self, "_training_slope", lp.unit_training_cost * net)
 
-    def t_training(self, lf: float) -> float:
-        """Total training hours: surplus time times lf."""
-        self._check(lf)
-        return self._budget(lf)[0]
-
-    def t_forgetting(self, lf: float) -> float:
-        """Training hours lost to forgetting: S + Q + U, or S + V lf^(1-2 eps)."""
-        self._check(lf)
-        return self._budget(lf)[1]
-
     def state(self, lf: float) -> LearningState:
-        """The time budget and efficiency multiplier at lf."""
+        """The time budget and efficiency multiplier at lf: the repair time
+        t_r = Q, the training time t_l = T lf, the forgetting t_f (S + Q + U,
+        or S + V lf^(1-2 eps)) and their difference E."""
         self._check(lf)
         t_l, t_f, t_eff, _, _ = self._budget(lf)
-        return LearningState(self.t_repair, t_l, t_f, t_eff,
-                             learning_effect(self.t_repair, t_eff, self.learning),
+        t_r = self.terms.q
+        return LearningState(t_r, t_l, t_f, t_eff, learning_effect(t_r, t_eff, self.learning),
                              self.learning.unit_training_cost * t_l)
 
     def evaluate(self, lf: float) -> FsCostResult:
@@ -255,8 +242,8 @@ class LfProblem:
 
     @_kept
     def _repair_scale(self) -> float:
-        """B K: the repair bill before learning times t_r^(-alpha_auto)."""
-        return self.base.repair * self.t_repair ** -self.learning.alpha_auto
+        """B K: the repair bill before learning times Q^(-alpha_auto)."""
+        return self.base.repair * self.terms.q ** -self.learning.alpha_auto
 
     def solve(self) -> LfSolution:
         """The cost-minimising lf on the feasible interval (see the module
@@ -393,7 +380,7 @@ class LfProblem:
         return root, hi
 
 
-def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries,
+def lf_problem(m: int, s: Scenario, internal: PeriodValues, external: PeriodValues,
                base: CostBreakdown | None = None) -> LfProblem:
     """Collect the lf-independent part of the contract cost for m
     maintenance actions and the given rate series.  ``base`` is the
@@ -417,26 +404,26 @@ def lf_problem(m: int, s: Scenario, internal: RateSeries, external: RateSeries,
     )
     return LfProblem(
         terms=terms,
-        t_repair=total_repair_time(internal, s.grid, lp.repair_hours),
         base=contract_costs(m, s, internal) if base is None else base,
         learning=lp,
         short_period=int(np.flatnonzero(short)[0]) + 1 if short.any() else 0,
     )
 
 
-def reduced_terms(m: int, s: Scenario, internal: RateSeries, external: RateSeries) -> ReducedTerms:
+def reduced_terms(m: int, s: Scenario, internal: PeriodValues,
+                  external: PeriodValues) -> ReducedTerms:
     """The q/r/s/u/v aggregates for m maintenance actions."""
     return lf_problem(m, s, internal, external).terms
 
 
-def total_fs_cost(lf: float, m: int, s: Scenario, internal: RateSeries,
-                  external: RateSeries) -> FsCostResult:
+def total_fs_cost(lf: float, m: int, s: Scenario, internal: PeriodValues,
+                  external: PeriodValues) -> FsCostResult:
     """Total full-service contract cost (dollars) at training frequency lf."""
     return lf_problem(m, s, internal, external).evaluate(lf)
 
 
-def fs_cost_lf_derivative(lf: float, m: int, s: Scenario, internal: RateSeries,
-                          external: RateSeries) -> float:
+def fs_cost_lf_derivative(lf: float, m: int, s: Scenario, internal: PeriodValues,
+                          external: PeriodValues) -> float:
     """Analytic d(total cost)/d(lf) at a feasible lf.
 
     With T = R - S - Q - U the training bill contributes l T, and the repair

@@ -75,7 +75,7 @@ from .learning import (
 from .scenario import (
     DOLLARS_PER_REPORT_UNIT,
     MarketParams,
-    RateSeries,
+    PeriodValues,
     Scenario,
     ScenarioValidationError,
     Violation,
@@ -118,7 +118,7 @@ class PricingSolution(NamedTuple):
     lf_star: float | None = None
 
 
-def optimize_lf(m: int, s: Scenario, internal: RateSeries, external: RateSeries,
+def optimize_lf(m: int, s: Scenario, internal: PeriodValues, external: PeriodValues,
                 problem: LfProblem | None = None) -> LfSolution:
     """Minimize total contract cost over the feasible training frequencies.
 
@@ -248,15 +248,15 @@ class CostSide:
     are computed on first use and then kept.  Nothing outlives the object.
     """
 
-    def __init__(self, s: Scenario, internal: RateSeries | None = None,
-                 external: RateSeries | None = None):
+    def __init__(self, s: Scenario, internal: PeriodValues | None = None,
+                 external: PeriodValues | None = None):
         self.scenario = s
         self.internal = internal_rate_series(s.failure, s.grid) if internal is None else internal
         if external is not None:
             self.external = external
 
     @_kept
-    def external(self) -> RateSeries:
+    def external(self) -> PeriodValues:
         return simulate_external_rates(self.scenario)
 
     @_kept
@@ -466,16 +466,9 @@ def _swept_beta_violations(s: Scenario, betas: np.ndarray, variance: float) -> l
     return _violations(values, keys) or [_PREMIUM_OVERFLOWS]
 
 
-def optimal_price(s: Scenario, variant: str = "full",
-                  internal: RateSeries | None = None,
-                  external: RateSeries | None = None,
-                  lf: float | None = None) -> PricingSolution:
-    """Price one model variant (see :meth:`CostSide.variant_cost`).
-
-    ``lf`` fixes the full model's training frequency instead of optimizing
-    it.
-    """
-    return CostSide(s, internal, external).price(variant, s.market, lf)
+def optimal_price(s: Scenario, variant: str = "full") -> PricingSolution:
+    """Price one model variant (see :meth:`CostSide.variant_cost`)."""
+    return CostSide(s).price(variant, s.market)
 
 
 def price_variants(s: Scenario) -> dict[str, PricingSolution]:

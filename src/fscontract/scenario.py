@@ -96,12 +96,13 @@ class PeriodValues:
 
     The config values given per period (operating and calendar hours, repair
     costs, an internal-rate override) are held as this type, and so is every
-    rate series of the model (:class:`RateSeries`).  The floats are held as
-    one read-only float array, copied from ``values`` (any sequence of
-    floats or a numpy array), which the model computes on directly
-    (:meth:`as_array`).  Values are immutable and compare by value; they
-    hash as the tuple of their floats (:attr:`values`), which is built only
-    when asked for.
+    rate series of the model, internal and external alike.  The floats are
+    held as one read-only float array, copied from ``values`` (any sequence
+    of floats or a numpy array), which the model computes on directly
+    (:meth:`as_array`); a series that the model builds takes its own array
+    without a copy (:meth:`_taking`).  Values are immutable and compare by
+    value; they hash as the tuple of their floats (:attr:`values`), which is
+    built only when asked for.
     """
 
     __slots__ = ("_array",)
@@ -111,11 +112,17 @@ class PeriodValues:
 
     @classmethod
     def of(cls, values) -> "PeriodValues":
-        """``values`` as per-period values: itself if it already is one, the
-        rates of a rate series."""
-        if type(values) is PeriodValues:
-            return values
-        return cls(values.as_array() if isinstance(values, PeriodValues) else values)
+        """``values`` as per-period values: itself if it already is one."""
+        return values if isinstance(values, PeriodValues) else cls(values)
+
+    @classmethod
+    def _taking(cls, array: np.ndarray) -> "PeriodValues":
+        """Values that take ``array``, a float array that nothing else writes
+        to, as their own: made read-only, not copied."""
+        array.flags.writeable = False
+        values = object.__new__(cls)
+        object.__setattr__(values, "_array", array)
+        return values
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -152,44 +159,6 @@ class PeriodValues:
     @property
     def mean(self) -> float:
         return float(np.mean(self._array))
-
-
-class RateSeries(PeriodValues):
-    """Per-period series of the model over the contract horizon.
-
-    ``kind`` is ``internal`` or ``external`` (failures per hour).  Series
-    compare and hash by kind and rates.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str, values):
-        object.__setattr__(self, "kind", kind)
-        super().__init__(values)
-
-    @classmethod
-    def _taking(cls, kind: str, array: np.ndarray) -> "RateSeries":
-        """A series that takes ``array``, a float array that nothing else
-        writes to, as its own: made read-only, not copied."""
-        array.flags.writeable = False
-        series = object.__new__(cls)
-        object.__setattr__(series, "kind", kind)
-        object.__setattr__(series, "_array", array)
-        return series
-
-    def __reduce__(self):
-        return RateSeries, (self.kind, self._array)
-
-    def __eq__(self, other):
-        if not isinstance(other, RateSeries):
-            return NotImplemented
-        return self.kind == other.kind and np.array_equal(self._array, other._array)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.values))
-
-    def __repr__(self) -> str:
-        return f"RateSeries(kind={self.kind!r}, values={self.values!r})"
 
 
 class _kept:
@@ -428,7 +397,7 @@ def default_scenario() -> Scenario:
     )
 
 
-def simulate_external_rates(s: Scenario) -> RateSeries:
+def simulate_external_rates(s: Scenario) -> PeriodValues:
     """Draw the per-period external failure rates.
 
     Z normal draws (mean ``ext_mean``, sd ``ext_sd``) truncated below at
@@ -436,7 +405,7 @@ def simulate_external_rates(s: Scenario) -> RateSeries:
     """
     rng = np.random.default_rng(s.rng_seed)
     draws = rng.normal(s.failure.ext_mean, s.failure.ext_sd, s.grid.z_periods)
-    return RateSeries._taking("external", np.maximum(draws, 0.0, out=draws))
+    return PeriodValues._taking(np.maximum(draws, 0.0, out=draws))
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:

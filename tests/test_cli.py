@@ -125,6 +125,30 @@ class TestPriceCommand:
         assert "infeasible" in err
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (("price",), 2, "infeasible model: cumulative repair time must be > 0\n"),
+    (("optimize-lf",), 2, "infeasible model: cumulative repair time must be > 0\n"),
+    (("compare", "--out", "{out}"), 2, "infeasible model: cumulative repair time must be > 0\n"),
+    (("price", "--variant", "auto"), 0, ""),
+    (("price", "--variant", "bench"), 0, ""),
+    (("sweep", "--param", "phi-int", "--values", "0.002,0.004", "--out", "{out}"), 1,
+     "validation error: failure.internal_series: "
+     "a series of mean 0 cannot be rescaled to a target mean\n"),
+], ids=["price", "optimize-lf", "compare", "price-auto", "price-bench", "sweep-phi-int"])
+def test_zero_repair_time(capsys, tmp_path, argv, code, err):
+    # no internal failures: the cumulative repair time t_r = Q is 0, so only
+    # the variants without the lf problem price, and no series can be rescaled
+    config = tmp_path / "zero.cfg"
+    config.write_text("failure.internal_series = " + ",".join(["0.0"] * 20) + "\n")
+    argv = [arg.format(out=tmp_path) for arg in argv]
+    got = run(capsys, argv[0], "--config", str(config), *argv[1:])
+    assert (got[0], got[2]) == (code, err)
+    if code:
+        assert got[1] == ""
+    else:
+        assert got[1].startswith(f"variant = {argv[-1]}\nprice = ")
+
+
 class TestOptimizeLfCommand:
     def test_reports_solution(self, capsys, config_path):
         code, out, _ = run(capsys, "optimize-lf", "--config", str(config_path))

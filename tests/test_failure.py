@@ -90,6 +90,7 @@ class TestInternalRateSeries:
     def test_override_returned_verbatim(self, baseline):
         series = internal_rate_series(baseline.failure, baseline.grid)
         assert series.values == baseline.failure.internal_series_override.values
+        assert series is baseline.failure.internal_series_override
 
     def test_floor_warns(self):
         grid = PeriodGrid.uniform(4, 1440.0, 4320.0)

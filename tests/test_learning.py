@@ -15,7 +15,6 @@ from fscontract import (
     reduced_terms,
     simulate_external_rates,
     total_fs_cost,
-    total_repair_time,
 )
 from fscontract.failure import FailureCounts
 
@@ -27,43 +26,49 @@ def rates(s):
 
 
 class TestTotalRepairTime:
+    """The cumulative repair time t_r is the aggregate Q of the lf problem."""
+
     def test_zero_rates(self):
         s = make_scenario(z=4, phi0=1e-6, series=(0.0,) * 4)
-        internal, _ = rates(s)
-        assert total_repair_time(internal, s.grid) == 0.0
+        assert lf_problem(1, s, *rates(s)).terms.q == 0.0
 
     def test_single_period(self):
         s = make_scenario(z=1, t=1440.0, phi0=0.003)
-        internal, _ = rates(s)
-        assert total_repair_time(internal, s.grid) == pytest.approx(4.32)
+        assert lf_problem(1, s, *rates(s)).terms.q == pytest.approx(4.32)
 
     def test_matches_running_total(self, baseline, baseline_rates):
         internal, _ = baseline_rates
         total = 0.0
         for phi, t in zip(internal.values, baseline.grid.t_j.values):
             total += phi * t
-        assert total_repair_time(internal, baseline.grid) == pytest.approx(total, rel=1e-12)
+        assert lf_problem(3, baseline, *baseline_rates).terms.q == pytest.approx(total,
+                                                                                  rel=1e-12)
 
     def test_repair_hours_scaling(self, baseline, baseline_rates):
-        internal, _ = baseline_rates
-        assert total_repair_time(internal, baseline.grid, repair_hours=2.0) == pytest.approx(
-            2.0 * total_repair_time(internal, baseline.grid))
+        twice = replace(baseline, learning=replace(baseline.learning, repair_hours=2.0))
+        assert lf_problem(3, twice, *baseline_rates).terms.q == pytest.approx(
+            2.0 * lf_problem(3, baseline, *baseline_rates).terms.q)
+
+    def test_is_the_repair_time_of_the_state(self, baseline, baseline_rates):
+        problem = lf_problem(3, baseline, *baseline_rates)
+        assert problem.state(0.005).t_repair == problem.terms.q
 
 
 class TestTrainingTime:
     def test_linear_in_lf(self, baseline, baseline_rates):
         problem = lf_problem(3, baseline, *baseline_rates)
-        one = problem.t_training(0.005)
-        two = problem.t_training(0.010)
+        one = problem.state(0.005).t_training
+        two = problem.state(0.010).t_training
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_vanishes_as_lf_goes_to_zero(self, baseline, baseline_rates):
-        assert lf_problem(3, baseline, *baseline_rates).t_training(1e-12) < 1e-6
+        # t_l of the time budget: no lf this small is feasible, so the state raises
+        assert lf_problem(3, baseline, *baseline_rates)._budget(1e-12)[0] < 1e-6
 
     def test_matches_reduced_form(self, baseline, baseline_rates):
         internal, external = baseline_rates
         terms = reduced_terms(3, baseline, internal, external)
-        direct = lf_problem(3, baseline, internal, external).t_training(0.005)
+        direct = lf_problem(3, baseline, internal, external).state(0.005).t_training
         assert direct == pytest.approx(terms.net * 0.005, rel=1e-9)
 
     def test_infeasible_surplus(self):
@@ -71,34 +76,36 @@ class TestTrainingTime:
         s = make_scenario(z=2, t=10.0, phi0=0.2, series=(1.5, 1.5))
         problem = lf_problem(1, s, *rates(s))
         with pytest.raises(InfeasibleTrainingError):
-            problem.t_training(0.01)
+            problem.state(0.01)
 
     def test_rejects_lf_outside_unit_interval(self, baseline, baseline_rates):
         problem = lf_problem(3, baseline, *baseline_rates)
         with pytest.raises(ValueError):
-            problem.t_training(0.0)
+            problem.state(0.0)
         with pytest.raises(ValueError):
-            problem.t_training(1.0)
+            problem.state(1.0)
 
 
 class TestForgettingTime:
     def test_zero_interruptions(self):
+        # t_f of the time budget: with no repairs t_r = 0, so the state raises
         s = make_scenario(z=2, t=1000.0, phi0=1e-9, series=(0.0, 0.0), ext_mean=0.0)
         s = replace(s, learning=replace(s.learning, maintenance_hours=0.0))
         internal, external = rates(s)
-        assert lf_problem(1, s, internal, external).t_forgetting(0.01) == 0.0
+        assert lf_problem(1, s, internal, external)._budget(0.01)[1] == 0.0
         simple = replace(s, learning=replace(s.learning, forgetting_model="simple"))
-        assert lf_problem(1, simple, internal, external).t_forgetting(0.01) == 0.0
+        assert lf_problem(1, simple, internal, external)._budget(0.01)[1] == 0.0
 
     def test_revised_vanishes_with_lf(self):
         s = make_scenario(z=2, t=1000.0, phi0=0.003, ext_mean=0.0)
-        tiny = lf_problem(1, s, *rates(s)).t_forgetting(1e-9)
+        # t_f of the time budget: no lf this small is feasible, so the state raises
+        tiny = lf_problem(1, s, *rates(s))._budget(1e-9)[1]
         assert tiny < 1e-3
 
     def test_revised_single_period_value(self):
         # 2 * (0.003/2)^0.95 * (1440 * 0.005)^0.9, external part zero
         s = make_scenario(z=1, t=1440.0, phi0=0.003, ext_mean=0.0)
-        value = lf_problem(1, s, *rates(s)).t_forgetting(0.005)
+        value = lf_problem(1, s, *rates(s)).state(0.005).t_forgetting
         assert value == pytest.approx(0.0245423383156980, rel=1e-12)
 
     def test_simple_counts_all_interruptions(self, baseline, baseline_rates):
@@ -106,7 +113,7 @@ class TestForgettingTime:
         simple = replace(baseline, learning=replace(baseline.learning,
                                                     forgetting_model="simple"))
         terms = reduced_terms(3, simple, internal, external)
-        value = lf_problem(3, simple, internal, external).t_forgetting(0.005)
+        value = lf_problem(3, simple, internal, external).state(0.005).t_forgetting
         assert value == pytest.approx(terms.s + terms.q + terms.u, rel=1e-12)
 
 
@@ -118,7 +125,7 @@ class TestForgettingTime:
         problem = lf_problem(3, s, *baseline_rates)
         for lf in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="lf must lie in"):
-                problem.t_forgetting(lf)
+                problem.state(lf)
 
 
 class TestLearningEffect:
@@ -167,7 +174,7 @@ class TestTrainingCost:
 
     def test_is_rate_times_hours(self, baseline, baseline_rates):
         problem = lf_problem(3, baseline, *baseline_rates)
-        hours = problem.t_training(0.005)
+        hours = problem.state(0.005).t_training
         assert problem.state(0.005).training_cost == pytest.approx(50.0 * hours, rel=1e-12)
 
 
@@ -213,7 +220,8 @@ class TestTotalFsCost:
         terms = reduced_terms(3, baseline, internal, external)
         problem = lf_problem(3, baseline, internal, external)
         for lf in (0.002, 0.005, 0.05, 0.3):
-            direct = problem.t_training(lf) - problem.t_forgetting(lf)
+            state = problem.state(lf)
+            direct = state.t_training - state.t_forgetting
             reduced = terms.net * lf - terms.s - terms.v * lf ** (1 - 2 * eps)
             assert direct == pytest.approx(reduced, rel=1e-9)
 
@@ -260,7 +268,7 @@ class TestLfProblem:
         lp = baseline.learning
         problem = lf_problem(3, baseline, internal, external)
         terms = reduced_terms(3, baseline, internal, external)
-        t_r = total_repair_time(internal, baseline.grid)
+        t_r = float(np.dot(internal.as_array(), baseline.grid.t_j.as_array()))
         repair = FailureCounts(baseline, internal).repair_bill(3)
         fixed = maintenance_cost(3, 300.0) + contract_costs(3, baseline, internal).delay
         for lf in (0.002, 0.005, 0.05, 0.3):
@@ -285,14 +293,15 @@ class TestLfProblem:
         lo, hi = problem.feasible_range()
         assert problem.state(lo).effective_training > 0.0
         below = lo * (1 - 1e-9)
-        assert problem.t_training(below) - problem.t_forgetting(below) <= 0.0
+        with pytest.raises(InfeasibleTrainingError, match="exhausted"):
+            problem.state(below)  # t_r > 0: it raises where t_l - t_f <= 0
         assert hi < 1.0
 
     @pytest.mark.parametrize("lf", [5e-324, 1e-300])
     def test_lf_whose_square_underflows_is_infeasible(self, baseline, baseline_rates, lf):
         # the revised model's E'' divided by lf^2, which is 0 here
         problem = lf_problem(3, baseline, *baseline_rates)
-        assert problem.t_forgetting(lf) == pytest.approx(problem.terms.s)
+        assert problem._budget(lf)[1] == pytest.approx(problem.terms.s)  # t_f
         with pytest.raises(InfeasibleTrainingError, match="exhausted"):
             problem.state(lf)
 

@@ -146,7 +146,7 @@ class TestOptimizeLf:
         sol = optimize_lf(3, s, internal, external, problem=problem)
         lp, terms = s.learning, problem.terms
         a = lp.alpha_indu
-        scale = problem.base.repair * problem.t_repair ** -lp.alpha_auto
+        scale = problem.base.repair * terms.q ** -lp.alpha_auto
         want = (terms.s + terms.q + terms.u
                 + (a * scale / lp.unit_training_cost) ** (1 / (a + 1))) / terms.net
         assert sol.iterations == 0
@@ -215,20 +215,19 @@ class TestLfSolverOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(r=st.floats(1e3, 1e5), q=st.floats(1e-4, 0.05), s=st.floats(0.0, 0.005),
-           u=st.floats(0.0, 0.02), v=st.floats(0.0, 3.0), t_repair=st.floats(0.5, 2.0),
+           u=st.floats(0.0, 0.02), v=st.floats(0.0, 3.0),
            repair=st.floats(1e3, 1e7), fixed=st.floats(0.0, 1e5),
            alpha_auto=st.floats(0.0, 0.3),
            alpha_indu=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
            epsilon=st.floats(0.01, 0.49),
            unit_training_cost=st.one_of(st.just(0.0), st.floats(1.0, 1e3)),
            model=st.sampled_from(("simple", "revised")))
-    def test_drawn_problems(self, r, q, s, u, v, t_repair, repair, fixed, alpha_auto,
+    def test_drawn_problems(self, r, q, s, u, v, repair, fixed, alpha_auto,
                             alpha_indu, epsilon, unit_training_cost, model):
-        # q, s and u are shares of R, v and t_repair multiples of Q
+        # q, s and u are shares of R, v a multiple of Q
         terms = ReducedTerms(q=q * r, r=r, s=s * r, u=u * r, v=v * q * r)
         problem = LfProblem(
             terms=terms,
-            t_repair=t_repair * terms.q,
             base=CostBreakdown(repair, fixed, fixed / 2.0, 0.0),
             learning=LearningParams(alpha_auto=alpha_auto, alpha_indu=alpha_indu,
                                     epsilon=epsilon, lf=0.005,

@@ -371,7 +371,8 @@ class TestCostSideReuse:
             else:
                 s = replace(baseline, learning=replace(baseline.learning,
                                                        **{param: r.swept_value}))
-            sol = optimal_price(s, "full", lf=r.swept_value if param == "lf" else None)
+            sol = CostSide(s).price("full", s.market,
+                                    r.swept_value if param == "lf" else None)
             assert (r.price, r.cost, r.profit, r.fs_share) == (
                 sol.price, sol.breakdown.total, sol.profit, sol.fs_share)
 

@@ -19,7 +19,6 @@ from fscontract import (
     MarketParams,
     PeriodGrid,
     PeriodValues,
-    RateSeries,
     ScenarioValidationError,
     Violation,
     default_scenario,
@@ -305,8 +304,8 @@ class TestPeriodValues:
         assert grid == PeriodGrid(3, np.array([1.0, 2.0, 3.0]), [4.0, 5.0, 6.0])
         assert grid.t_j.values == (1.0, 2.0, 3.0) and len(grid.t_j) == 3
         assert PeriodGrid(3, grid.t_j, grid.t_jm).t_j is grid.t_j
-        series = RateSeries("internal", (1.0, 2.0, 3.0))
-        assert type(PeriodGrid(3, series, series).t_j) is PeriodValues
+        draw = simulate_external_rates(baseline)
+        assert PeriodGrid(20, draw, draw).t_j is draw
         cost = replace(baseline.cost, unit_repair_cost=(1.0, 2.0))
         assert cost.unit_repair_cost == PeriodValues((1.0, 2.0))
         assert replace(baseline.cost, unit_repair_cost=5).unit_repair_cost == 5
@@ -321,7 +320,6 @@ class TestPeriodValues:
         assert hash(PeriodValues(values)) == hash(values)
         assert PeriodValues(values) != PeriodValues(values[:-1])
         assert PeriodValues(values) != PeriodValues(values[:-1] + (1.0,))
-        assert PeriodValues(values) != RateSeries("internal", values)
         # a scenario hashes as it did when its per-period values were tuples
         assert hash(baseline.grid) == hash((20, (1440.0,) * 20, (4320.0,) * 20))
         per_period = replace(baseline.cost, unit_repair_cost=values)
@@ -351,44 +349,56 @@ class TestPeriodValues:
         assert eval(repr(value), {"PeriodValues": PeriodValues}) == value
 
 class TestRateSeries:
-    """A series holds one read-only array and compares by kind and rates."""
+    """A rate series of the model is per-period values: one read-only array
+    that compares, hashes and pickles by its rates."""
 
     RATES = (0.0054, 0.0038, 5e-324, 0.0, 1.7976931348623157e308, 0.1 + 0.2)
 
-    def test_equal_and_hash_equal_to_one_built_from_the_tuple(self):
-        from_array = RateSeries("internal", np.array(self.RATES))
-        from_tuple = RateSeries("internal", self.RATES)
-        assert from_array == from_tuple
-        assert hash(from_array) == hash(from_tuple)
-        assert from_array != RateSeries("external", self.RATES)
-        assert from_array != RateSeries("internal", self.RATES[:-1])
-        assert from_array != RateSeries("internal", self.RATES[:-1] + (0.3,))
+    @staticmethod
+    def model_series(s):
+        """The internal series of ``s`` (its override and the parametric
+        one) and its external draw."""
+        parametric = replace(s, failure=replace(s.failure, internal_series_override=None))
+        return [internal_rate_series(x.failure, x.grid) for x in (s, parametric)] + [
+            simulate_external_rates(s)]
 
-    def test_array_is_read_only_and_assignment_raises(self):
+    def test_equal_and_hash_equal_to_one_built_from_the_tuple(self, baseline):
+        for series in self.model_series(baseline) + [PeriodValues(self.RATES)]:
+            from_array = PeriodValues(np.array(series.values))
+            from_tuple = PeriodValues(series.values)
+            assert series == from_array == from_tuple
+            assert hash(series) == hash(from_array) == hash(from_tuple)
+            assert series != PeriodValues(series.values[:-1])
+            assert series != PeriodValues(series.values[:-1] + (0.3,))
+
+    def test_array_is_read_only_and_assignment_raises(self, baseline):
         source = np.array(self.RATES)
-        series = RateSeries("internal", source)
-        source[0] = 1.0  # the series holds its own copy
-        array = series.as_array()
-        assert array is series.as_array()
-        assert array.dtype == np.float64 and not array.flags.writeable
-        assert array[0] == self.RATES[0]
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-        for name in ("kind", "values", "_array", "other"):
+        copied = PeriodValues(source)
+        source[0] = 1.0  # the values hold their own copy
+        assert copied.as_array()[0] == self.RATES[0]
+        for series in self.model_series(baseline) + [copied]:
+            array = series.as_array()
+            assert array is series.as_array()
+            assert array.dtype == np.float64 and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            for name in ("values", "_array", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(series, name, None)
             with pytest.raises(AttributeError):
-                setattr(series, name, None)
-        with pytest.raises(AttributeError):
-            del series.kind
+                del series._array
 
-    def test_values_round_trip_losslessly(self):
-        series = RateSeries("aging", self.RATES)
+    def test_values_round_trip_losslessly(self, baseline):
+        series = PeriodValues(self.RATES)
         assert series.values == self.RATES
-        assert all(type(x) is float for x in series.values)
-        assert RateSeries("aging", series.values) == series
-        assert eval(repr(series), {"RateSeries": RateSeries}) == series
-        assert repr(series) == f"RateSeries(kind='aging', values={self.RATES!r})"
-        for copied in (copy.deepcopy(series), pickle.loads(pickle.dumps(series))):
-            assert copied == series and not copied.as_array().flags.writeable
+        assert repr(series) == f"PeriodValues({self.RATES!r})"
+        for series in self.model_series(baseline) + [series]:
+            assert all(type(x) is float for x in series.values)
+            assert PeriodValues(series.values) == series
+            assert eval(repr(series), {"PeriodValues": PeriodValues}) == series
+            for copied in (copy.deepcopy(series), pickle.loads(pickle.dumps(series))):
+                assert copied == series and hash(copied) == hash(series)
+                assert type(copied) is PeriodValues and not copied.as_array().flags.writeable
 
     def test_external_draw_is_bit_identical_to_the_numpy_draw(self, baseline):
         for s in [baseline] + generated_scenarios((1,)):
