@@ -26,15 +26,10 @@ from .pricing import (
     InfeasibleTrainingError,
     _validated,
 )
-from .report import SweepSpec, compare_models, emit_report, sweep
+from .report import FORMATS, SWEEP_PARAMS, SweepSpec, compare_models, emit_report, sweep
 from .scenario import ConfigError, ScenarioValidationError, _read_scenario
 
-_PARAM_BY_FLAG = {
-    "beta": "beta",
-    "phi-int": "phi_int_mean",
-    "lf": "lf",
-    "unit-training-cost": "unit_training_cost",
-}
+_PARAM_BY_FLAG = {flag: param for param, (flag, _) in SWEEP_PARAMS.items()}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -88,14 +83,7 @@ def _cmd_optimize_lf(args) -> int:
 
 def _cmd_compare(args) -> int:
     cost_side = _load(args)
-    records = compare_models(cost_side.scenario, cost_side)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "md"
-    path = out / f"compare.{ext}"
-    emit_report(records, args.format, path)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write(compare_models(cost_side.scenario, cost_side), args, "compare")
 
 
 def _cmd_sweep(args) -> int:
@@ -111,11 +99,14 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    records = sweep(spec, cost_side.scenario, cost_side)
+    return _write(sweep(spec, cost_side.scenario, cost_side), args, f"sweep_{param}")
+
+
+def _write(records, args, stem: str) -> int:
+    """Emit the records to ``--out``/``stem`` in ``--format``, with its extension."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ext = {"csv": "csv", "plotdata": "dat", "svg": "svg"}[args.format]
-    path = out / f"sweep_{param}.{ext}"
+    path = out / f"{stem}.{FORMATS[args.format][0]}"
     emit_report(records, args.format, path)
     print(f"wrote {path}")
     return EXIT_OK

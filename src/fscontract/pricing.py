@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -77,13 +78,11 @@ from .scenario import (
     MarketParams,
     PeriodValues,
     Scenario,
-    ScenarioValidationError,
     Violation,
-    _GETTERS,
-    _checks,
+    _beta_fails,
     _field_violations,
     _kept,
-    _violations,
+    _raise_on,
     simulate_external_rates,
 )
 
@@ -296,7 +295,8 @@ class CostSide:
     def violations(self) -> list[Violation]:
         """The optimizer's standing assumptions on this cost side's rates,
         plan and lf problem: a finite series, maintenance count, time budget
-        and bills (finite inputs can overflow), surplus time R-S-Q-U > 0 that
+        and bills (finite inputs can overflow), a positive expected repair
+        time Q (the full model's experience), surplus time R-S-Q-U > 0 that
         dominates the external time S, a finite pay-per-repair variance and
         bill, and a finite risk premium in the scenario's market.  numpy's
         overflow and invalid-value warnings are silenced."""
@@ -316,6 +316,9 @@ class CostSide:
              for key, name in _BILLS if not math.isfinite(getattr(problem.base, name))]
         if v:
             return v
+        if terms.q <= 0:
+            return [Violation("failure.internal_series",
+                              "the expected repair time Q must be > 0 (no internal failures)")]
         net = terms.net
         if net <= 0:
             return [Violation("learning.lf",
@@ -417,31 +420,20 @@ _PREMIUM_OVERFLOWS = Violation(
     "the risk premium alpha_max (1 + beta)^2 Var / 4 must be finite (it overflows)")
 
 
-def _checked_cost_side(s: Scenario) -> tuple[list[Violation], CostSide | None]:
-    """The violations of :func:`~fscontract.scenario.validate_scenario` and
-    the cost side they were checked on (``None`` where a field invariant
-    fails first).  The internal series is built with numpy's overflow and
+def _validated(s: Scenario) -> CostSide:
+    """The cost side of ``s``, checked by its field invariants and then by
+    :meth:`CostSide.violations`; raises
+    :class:`~fscontract.scenario.ScenarioValidationError` on the first that
+    fails.  The internal series is built with numpy's overflow and
     invalid-value warnings silenced, since the checks report the overflow;
-    the warning of each floored internal rate is issued once they pass."""
-    v = _field_violations(s)
-    if v:
-        return v, None
+    each floored internal rate warns once they pass."""
+    _raise_on(_field_violations(s))
     undershoots: list[str] = []
     with np.errstate(over="ignore", invalid="ignore"):
         cost_side = CostSide(s, internal_rate_series(s.failure, s.grid, undershoots))
-    v = cost_side.violations()
-    if not v:
-        for message in undershoots:
-            warnings.warn(message, stacklevel=2)
-    return v, cost_side
-
-
-def _validated(s: Scenario) -> CostSide:
-    """The cost side of ``s`` that its checks were run on; raises
-    :class:`ScenarioValidationError` if ``s`` is invalid."""
-    violations, cost_side = _checked_cost_side(s)
-    if violations:
-        raise ScenarioValidationError(violations)
+    _raise_on(cost_side.violations())
+    for message in undershoots:
+        warnings.warn(message, stacklevel=2)
     return cost_side
 
 
@@ -449,21 +441,15 @@ def _swept_beta_violations(s: Scenario, betas: np.ndarray, variance: float) -> l
     """The violations of the first mark-up in ``betas`` that breaks a
     ``market.beta`` rule or overflows the risk premium at the pay-per-repair
     ``variance`` in the market of ``s``: what checking each value on its
-    own reports.  The ``market.beta`` predicates run once, on the whole
-    array (non-finite values included, which are flagged anyway)."""
-    keys = ("market.beta",)
-    _, rules, reads = _checks(keys)
-    values = {key: _GETTERS[key](s) for key in reads}
-    values["market.beta"] = betas
+    own reports.  The ``market.beta`` checks run once, on the whole array;
+    the messages are built for the first failing mark-up alone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(betas) | ~np.isfinite(_risk_premium(s.market.alpha_max, betas,
-                                                                variance))
-        for _, read, fails, _ in rules:
-            bad |= fails(values[read]) if read.__class__ is str else fails(*read(values))
+        bad = _beta_fails(s, betas) | ~np.isfinite(_risk_premium(s.market.alpha_max, betas,
+                                                                  variance))
     if not bad.any():
         return []
-    values["market.beta"] = float(betas[bad.argmax()])
-    return _violations(values, keys) or [_PREMIUM_OVERFLOWS]
+    first = replace(s, market=replace(s.market, beta=float(betas[bad.argmax()])))
+    return _field_violations(first, ("market.beta",)) or [_PREMIUM_OVERFLOWS]
 
 
 def optimal_price(s: Scenario, variant: str = "full") -> PricingSolution:

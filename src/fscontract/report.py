@@ -44,14 +44,20 @@ from .pricing import (
     InfeasiblePriceError,
     InfeasibleTrainingError,
     PricingSolution,
-    _checked_cost_side,
     _swept_beta_violations,
+    _validated,
     market_side,
 )
-from .scenario import Scenario, ScenarioValidationError, Violation, _field_violations
+from .scenario import Scenario, ScenarioValidationError, Violation, _field_violations, _raise_on
 
-SWEEP_PARAMS = ("beta", "phi_int_mean", "lf", "unit_training_cost")
-FORMATS = ("csv", "markdown", "plotdata", "svg")
+#: One row per sweep parameter: its command-line flag, and the config keys
+#: whose values its points change.
+SWEEP_PARAMS = {
+    "beta": ("beta", ("market.beta",)),
+    "phi_int_mean": ("phi-int", ("failure.phi0_int", "failure.internal_series")),
+    "lf": ("lf", ("learning.lf",)),
+    "unit_training_cost": ("unit-training-cost", ("learning.unit_training_cost",)),
+}
 
 CSV_HEADER = "variant,param,value,price,cost,profit,fs_share"
 
@@ -130,14 +136,6 @@ def compare_models(s: Scenario, cost_side: CostSide | None = None) -> list[KpiRe
     return [_record(full, None, float("nan")), _record(auto, None, float("nan")), os_row]
 
 
-#: The config keys whose values each sweep parameter but ``beta`` changes.
-_CHANGED_KEYS = {
-    "phi_int_mean": ("failure.phi0_int", "failure.internal_series"),
-    "lf": ("learning.lf",),
-    "unit_training_cost": ("learning.unit_training_cost",),
-}
-
-
 def _swept_scenario(s: Scenario, param: str, value: float, internal=None) -> Scenario:
     """``s`` with the swept parameter at ``value``; ``internal`` is the
     internal series of ``s`` that a ``phi_int_mean`` point scales."""
@@ -148,11 +146,6 @@ def _swept_scenario(s: Scenario, param: str, value: float, internal=None) -> Sce
     if param == "lf":
         return replace(s, learning=replace(s.learning, lf=value))
     return replace(s, learning=replace(s.learning, unit_training_cost=value))
-
-
-def _raise_on(violations) -> None:
-    if violations:
-        raise ScenarioValidationError(violations)
 
 
 def sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None = None) -> list[KpiRecord]:
@@ -176,12 +169,11 @@ def sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None = None) -> li
     for value in spec.values:
         scenario = _swept_scenario(s, spec.param, value, internal)
         if cost_side is None:
-            violations, cost_side = _checked_cost_side(scenario)
-            _raise_on(violations)
+            cost_side = _validated(scenario)
         else:
             # once a checked cost side is held, only rules that read a swept key
             # can fail; a fixed lf keeps the cost side whole (see the module docstring)
-            _raise_on(_field_violations(scenario, _CHANGED_KEYS[spec.param]))
+            _raise_on(_field_violations(scenario, SWEEP_PARAMS[spec.param][1]))
             if spec.param == "phi_int_mean":
                 # new rates; the seed, horizon and external moments stay
                 cost_side = CostSide(scenario, external=cost_side.external)
@@ -206,8 +198,7 @@ def _beta_sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None) -> lis
     """A mark-up sweep: one checked cost side, its market side over the
     whole array of mark-ups (see the module docstring)."""
     if cost_side is None:
-        violations, cost_side = _checked_cost_side(_swept_scenario(s, "beta", spec.values[0]))
-        _raise_on(violations)
+        cost_side = _validated(_swept_scenario(s, "beta", spec.values[0]))
     osm = cost_side.os_moments
     betas = np.array(spec.values, dtype=float)
     _raise_on(_swept_beta_violations(s, betas, osm.variance))
@@ -269,7 +260,7 @@ def _svg_polyline(points: list[tuple[float, float]]) -> str:
     return f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" points="{coords}"/>'
 
 
-def _svg_text(records: list[KpiRecord]) -> str:
+def _svg_lines(records: list[KpiRecord]) -> list[str]:
     xs = [r.swept_value for r in records]
     if any(math.isnan(x) for x in xs):
         xs = list(range(1, len(records) + 1))
@@ -311,7 +302,17 @@ def _svg_text(records: list[KpiRecord]) -> str:
                      f'font-family="monospace" font-size="10">{x_hi:.6g}</text>')
         parts.append('</g>')
     parts.append('</svg>')
-    return "\n".join(parts) + "\n"
+    return parts
+
+
+#: One row per output format: its file extension, and the function that
+#: returns the lines of its text.
+FORMATS = {
+    "csv": ("csv", _csv_lines),
+    "markdown": ("md", _markdown_lines),
+    "plotdata": ("dat", _plotdata_lines),
+    "svg": ("svg", _svg_lines),
+}
 
 
 def emit_report(records: list[KpiRecord], fmt: str, path: str | Path) -> None:
@@ -320,15 +321,8 @@ def emit_report(records: list[KpiRecord], fmt: str, path: str | Path) -> None:
         raise ValueError("no records to emit")
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "csv":
-        text = "\n".join(_csv_lines(records)) + "\n"
-    elif fmt == "markdown":
-        text = "\n".join(_markdown_lines(records)) + "\n"
-    elif fmt == "plotdata":
-        text = "\n".join(_plotdata_lines(records)) + "\n"
-    else:
-        text = _svg_text(records)
-    Path(path).write_text(text, encoding="utf-8")
+    lines = FORMATS[fmt][1](records)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_kpi_csv(path: str | Path) -> list[KpiRecord]:

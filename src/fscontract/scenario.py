@@ -81,6 +81,12 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(str(v) for v in violations))
 
 
+def _raise_on(violations: list["Violation"]) -> None:
+    """Raise :class:`ScenarioValidationError` if there is any violation."""
+    if violations:
+        raise ScenarioValidationError(violations)
+
+
 class Violation(NamedTuple):
     """One violated rule, keyed by the config name of the offending field."""
 
@@ -420,9 +426,13 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     """
     # the checks live in pricing, beside the cost side they read; pricing
     # imports this module, so this import runs at call time
-    from .pricing import _checked_cost_side
+    from .pricing import _validated
 
-    return _checked_cost_side(s)[0]
+    try:
+        _validated(s)
+    except ScenarioValidationError as exc:
+        return exc.violations
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -642,26 +652,41 @@ def _field_violations(s: Scenario, keys: tuple[str, ...] | None = None) -> list[
     that read one of ``keys``: no rate series, maintenance plan or lf
     problem is needed to check them.  Non-finite values are reported alone,
     and a sum that overflows is one: numpy's overflow warning is silenced."""
-    return _violations({key: _GETTERS[key](s) for key in _checks(keys)[2]}, keys)
-
-
-def _violations(values: dict, keys: tuple[str, ...] | None = None) -> list[Violation]:
-    """:func:`_field_violations` on config values given by key: ``values``
-    holds every key that the checks of ``keys`` read (for ``market.beta``,
-    that key alone)."""
-    finite, rules, _ = _checks(keys)
+    finite, rules, reads = _checks(keys)
+    values = {key: _GETTERS[key](s) for key in reads}
     v = [Violation(key, "must be finite") for key in finite if _non_finite(values[key])]
     if v:
         return v
-    for key, reads, fails, message in rules:
-        if fails(values[reads]) if reads.__class__ is str else fails(*reads(values)):
+    for key, read, fails, message in rules:
+        if fails(values[read]) if read.__class__ is str else fails(*read(values)):
             v.append(Violation(key, message))
     return v
+
+
+def _beta_fails(s: Scenario, betas: np.ndarray) -> np.ndarray:
+    """Whether each mark-up of ``betas``, in place of the one of ``s``, is
+    not finite or breaks a ``market.beta`` rule (a huge mark-up overflows:
+    the caller silences numpy's warnings)."""
+    _, rules, reads = _checks(("market.beta",))
+    values = {key: _GETTERS[key](s) for key in reads}
+    values["market.beta"] = betas
+    bad = ~np.isfinite(betas)
+    for _, read, fails, _ in rules:
+        bad |= fails(values[read]) if read.__class__ is str else fails(*read(values))
+    return bad
 
 
 # ---------------------------------------------------------------------------
 # Internal-rate table (packaged asset or user CSV)
 # ---------------------------------------------------------------------------
+
+def _read_text(path: Path) -> str:
+    """A config file's or rate table's text; :class:`ConfigError` if not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
 
 def load_internal_table(path: str | Path, column: str | int) -> tuple[float, ...]:
     """Load one column of an internal-rate table CSV.
@@ -670,7 +695,7 @@ def load_internal_table(path: str | Path, column: str | int) -> tuple[float, ...
     column may be given by name (``phi6``) or 1-based position (``6``).
     """
     path = Path(path)
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty internal-rate table")
     header = [h.strip() for h in lines[0].split(",")]
@@ -788,8 +813,7 @@ def _read_scenario(path: str | Path) -> Scenario:
     """Parse a scenario config file and complete it from the defaults,
     without validating it."""
     path = Path(path)
-    return scenario_from_overrides(parse_config(path.read_text(encoding="utf-8")),
-                                   base_dir=path.parent)
+    return scenario_from_overrides(parse_config(_read_text(path)), base_dir=path.parent)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -800,9 +824,7 @@ def load_scenario(path: str | Path) -> Scenario:
     any violation.
     """
     s = _read_scenario(path)
-    violations = validate_scenario(s)
-    if violations:
-        raise ScenarioValidationError(violations)
+    _raise_on(validate_scenario(s))
     return s
 
 

@@ -1,0 +1,63 @@
+"""The abstract's sensitivity claims on the generated bases with Z <= 300 of
+seeds 1-3 (72 bases), on the grids where they hold on every base.
+
+Criteria 09 and 10 of the acceptance suite check the claims on the
+baseline.  Wider grids break them on some bases: over 0.6-6x the base
+mean the price reaches the ceiling, and profit can fall after it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fscontract import CostSide, SweepSpec, sweep
+
+from conftest import generated_scenarios
+
+BASES = [s for s in generated_scenarios((1, 2, 3)) if s.grid.z_periods <= 300]
+
+
+@pytest.fixture(scope="module")
+def cost_sides():
+    assert len(BASES) == 72
+    return [CostSide(s) for s in BASES]
+
+
+def test_phi_int_raises_price_and_profit(cost_sides):
+    # "if internal failure rate increases, the optimized FS price rises
+    # gradually ... and profitability to the OEM increases overall": 10
+    # geometric points over 0.6-1.5x the base mean
+    for index, cost_side in enumerate(cost_sides):
+        mean = cost_side.internal.mean
+        values = tuple(np.geomspace(0.6 * mean, 1.5 * mean, 10).tolist())
+        records = sweep(SweepSpec("phi_int_mean", values), cost_side.scenario, cost_side)
+        assert all(r.feasible for r in records), index
+        for kpi in ("price", "profit"):
+            series = [getattr(r, kpi) for r in records]
+            assert series == sorted(series), (index, kpi)
+
+
+def test_lf_gives_an_interior_price_minimum_and_flat_profit(cost_sides):
+    # "the optimal FS price rises after a short-term downward trend, with a
+    # stable profitability": 9 geometric points over
+    # [max(1.01 edge, lf*/4), min(0.99, 4 lf*)], with edge the smallest
+    # feasible lf.  The price is lowest inside the grid.  The pricing rule
+    # passes the lf-dependent cost through one-for-one, so where every
+    # customer signs (share 1 at every point) profit does not depend on lf:
+    # it spreads by at most 8 ulps (6 at most on the 35 such bases).
+    flat = 0
+    for index, cost_side in enumerate(cost_sides):
+        sol = cost_side.lf_solution
+        lo = max(1.01 * sol.feasible_range[0], sol.lf_star / 4)
+        hi = min(0.99, 4 * sol.lf_star)
+        values = tuple(np.geomspace(lo, hi, 9).tolist())
+        records = sweep(SweepSpec("lf", values), cost_side.scenario, cost_side)
+        prices = [r.price for r in records]
+        assert 0 < prices.index(min(prices)) < len(prices) - 1, index
+        if all(r.fs_share == 1.0 for r in records):
+            flat += 1
+            profits = [r.profit for r in records]
+            spread = max(profits) - min(profits)
+            assert spread <= 8 * math.ulp(max(map(abs, profits))), index
+    assert flat == 35

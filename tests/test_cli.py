@@ -125,28 +125,42 @@ class TestPriceCommand:
         assert "infeasible" in err
 
 
-@pytest.mark.parametrize("argv, code, err", [
-    (("price",), 2, "infeasible model: cumulative repair time must be > 0\n"),
-    (("optimize-lf",), 2, "infeasible model: cumulative repair time must be > 0\n"),
-    (("compare", "--out", "{out}"), 2, "infeasible model: cumulative repair time must be > 0\n"),
-    (("price", "--variant", "auto"), 0, ""),
-    (("price", "--variant", "bench"), 0, ""),
-    (("sweep", "--param", "phi-int", "--values", "0.002,0.004", "--out", "{out}"), 1,
-     "validation error: failure.internal_series: "
-     "a series of mean 0 cannot be rescaled to a target mean\n"),
-], ids=["price", "optimize-lf", "compare", "price-auto", "price-bench", "sweep-phi-int"])
-def test_zero_repair_time(capsys, tmp_path, argv, code, err):
-    # no internal failures: the cumulative repair time t_r = Q is 0, so only
-    # the variants without the lf problem price, and no series can be rescaled
+@pytest.mark.parametrize("argv", [
+    ("price",), ("optimize-lf",), ("compare", "--out", "{out}"), ("price", "--variant", "auto"),
+    ("price", "--variant", "bench"),
+    ("sweep", "--param", "phi-int", "--values", "0.002,0.004", "--out", "{out}"),
+    ("sweep", "--param", "beta", "--values", "0.5,0.6", "--out", "{out}"),
+    ("sweep", "--param", "lf", "--values", "0.004,0.005", "--out", "{out}"),
+], ids=["price", "optimize-lf", "compare", "price-auto", "price-bench", "sweep-phi-int",
+        "sweep-beta", "sweep-lf"])
+@pytest.mark.parametrize("series", ["failure.internal_series = " + ",".join(["0.0"] * 20),
+                                    "failure.internal_series = none\nfailure.m = 1e-308\n"
+                                    "failure.stage_bounds = 4,20,20"],
+                         ids=["zeros", "floored"])
+def test_zero_repair_time(capsys, tmp_path, argv, series):
+    # no internal failures, given or floored: the expected repair time Q is
+    # 0, which the full model cannot price, so every command rejects the
+    # config, and no floored-rate warning comes before the error
     config = tmp_path / "zero.cfg"
-    config.write_text("failure.internal_series = " + ",".join(["0.0"] * 20) + "\n")
+    config.write_text(series + "\n")
     argv = [arg.format(out=tmp_path) for arg in argv]
-    got = run(capsys, argv[0], "--config", str(config), *argv[1:])
-    assert (got[0], got[2]) == (code, err)
-    if code:
-        assert got[1] == ""
-    else:
-        assert got[1].startswith(f"variant = {argv[-1]}\nprice = ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(capsys, argv[0], "--config", str(config), *argv[1:])
+    assert got == (1, "", "validation error: failure.internal_series: "
+                          "the expected repair time Q must be > 0 (no internal failures)\n")
+
+
+@pytest.mark.parametrize("via_table", [False, True], ids=["config", "rate-table"])
+def test_file_that_is_not_utf8_is_a_validation_error(capsys, tmp_path, via_table):
+    binary = tmp_path / "bin.cfg"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    config = binary
+    if via_table:
+        config = tmp_path / "table.cfg"
+        config.write_text("failure.internal_table = bin.cfg:1\n")
+    assert run(capsys, "price", "--config", str(config)) == (
+        1, "", f"validation error: {binary}: not UTF-8 text (byte 0)\n")
 
 
 class TestOptimizeLfCommand:

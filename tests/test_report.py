@@ -29,6 +29,7 @@ from fscontract import (
 )
 
 from fscontract import pricing as pricing_module
+from fscontract import report as report_module
 from fscontract import scenario as scenario_module
 from fscontract.failure import rate_increments
 from fscontract.pricing import market_side
@@ -210,15 +211,16 @@ class TestSweepChecks:
     def test_points_check_only_the_swept_keys(self, monkeypatch, baseline, given, param,
                                               values, keys):
         checked = []
-        violations = scenario_module._violations
+        violations = scenario_module._field_violations
 
-        def recorded(values, keys=None):
+        def recorded(s, keys=None):
             checked.append(keys)
-            return violations(values, keys)
+            return violations(s, keys)
 
-        # the beta sweep's checks call pricing's binding of _violations
-        for module in (scenario_module, pricing_module):
-            monkeypatch.setattr(module, "_violations", recorded)
+        # the whole check (pricing._validated) and the check of a failing
+        # mark-up call pricing's binding; the later points call report's
+        for module in (scenario_module, pricing_module, report_module):
+            monkeypatch.setattr(module, "_field_violations", recorded)
         cost_side = CostSide(baseline) if given else None
         records = sweep(SweepSpec(param=param, values=values), baseline, cost_side)
         assert all(r.feasible for r in records)

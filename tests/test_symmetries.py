@@ -1,6 +1,7 @@
-"""Exact symmetries of the model, checked end to end: each one crosses every
-layer at once and needs no reference.  They run on the baseline and the
-generated bases of seeds 1-3."""
+"""Symmetries of the model, checked end to end: each one crosses every layer
+at once and needs no reference.  They run on the baseline and the generated
+bases of seeds 1-3, exactly where the arithmetic is exact and within stated
+relative tolerances where it rounds."""
 
 from dataclasses import replace
 
@@ -45,6 +46,36 @@ def test_money_units_scale_every_price_cost_and_profit():
                 2.0 * sol.price, 2.0 * sol.breakdown.total, 2.0 * sol.profit), (index, variant)
             assert (doubled.fs_share, doubled.m_count, doubled.lf_star) == (
                 sol.fs_share, sol.m_count, sol.lf_star), (index, variant)
+
+
+@pytest.mark.parametrize("k", [3.0, 0.1, 1000.0])
+def test_money_units_scale_within_rounding(k):
+    # at a k that is not a power of two each product rounds on its own: on
+    # the 85 bases price, cost and profit scaled within 1.8e-15 relative,
+    # the share within 3e-15 absolute and lf* within 1.1e-15 relative
+    for index, s in enumerate(BASES):
+        before, after = price_variants(s), price_variants(in_money_units(s, k))
+        for variant, sol in before.items():
+            scaled = after[variant]
+            assert (scaled.price, scaled.breakdown.total, scaled.profit) == pytest.approx(
+                (k * sol.price, k * sol.breakdown.total, k * sol.profit), rel=1e-14,
+                abs=0.0), (index, variant)
+            assert scaled.fs_share == pytest.approx(sol.fs_share, rel=0.0, abs=1e-13), (
+                index, variant)
+            assert scaled.m_count == sol.m_count, (index, variant)
+            if sol.lf_star is not None:
+                assert scaled.lf_star == pytest.approx(sol.lf_star, rel=1e-13, abs=0.0), index
+
+
+def test_market_size_scales_only_the_profit():
+    # d_customers multiplies the profit and nothing else: price, cost and
+    # share are equal, and the profit triples within 1e-15 relative (2.4e-16
+    # at most on the 85 bases)
+    for index, s in enumerate(BASES):
+        tripled = replace(s, market=replace(s.market, d_customers=3 * s.market.d_customers))
+        for before, after in zip(compare_models(s), compare_models(tripled)):
+            assert repr(after._replace(profit=0.0)) == repr(before._replace(profit=0.0)), index
+            assert after.profit == pytest.approx(3 * before.profit, rel=1e-15, abs=0.0), index
 
 
 def test_seed_moves_only_the_full_model():
