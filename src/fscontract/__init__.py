@@ -39,7 +39,6 @@ from .pricing import (
     optimal_price,
     optimize_lf,
     price_bounds,
-    price_variants,
 )
 from .report import (
     KpiRecord,

@@ -10,24 +10,22 @@ Exit codes: 0 success, 1 validation error, 2 infeasible model, 3 I/O error.
 argparse also exits 2 on a usage error (a missing or unknown option, an
 option with no value).  A ``--values`` list that starts with a minus sign
 reads as an option: give negative sweep values as ``--values=-1,0.5``.
+A config that does not parse fails first; ``sweep`` then checks its
+``--values`` list, and only then the scenario.  Each floored internal rate
+prints one ``warning: <text>`` line on stderr, after the checks pass.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .pricing import (
-    ConvergenceError,
-    CostSide,
-    InfeasiblePriceError,
-    InfeasibleTrainingError,
-    _validated,
-)
+from .pricing import ConvergenceError, InfeasiblePriceError, InfeasibleTrainingError, _validated
 from .report import FORMATS, SWEEP_PARAMS, SweepSpec, compare_models, emit_report, sweep
-from .scenario import ConfigError, ScenarioValidationError, _read_scenario
+from .scenario import ConfigError, Scenario, ScenarioValidationError, _read_scenario
 
 _PARAM_BY_FLAG = {flag: param for param, (flag, _) in SWEEP_PARAMS.items()}
 
@@ -37,17 +35,17 @@ EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 
 
-def _load(args) -> CostSide:
-    """The cost side of the config's scenario with the ``--seed`` override,
-    validated once; the command prices on the same cost side."""
+def _load(args) -> Scenario:
+    """The config's scenario with the ``--seed`` override; each command
+    checks it once, on the cost side it prices with."""
     scenario = _read_scenario(args.config)
     if args.seed is not None:
         scenario = replace(scenario, rng_seed=args.seed)
-    return _validated(scenario)
+    return scenario
 
 
 def _cmd_price(args) -> int:
-    cost_side = _load(args)
+    cost_side = _validated(_load(args))
     sol = cost_side.price(args.variant, cost_side.scenario.market)
     print(f"variant = {sol.variant}")
     print(f"price = {sol.price:.6f}")
@@ -68,7 +66,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_optimize_lf(args) -> int:
-    cost_side = _load(args)
+    cost_side = _validated(_load(args))
     sol = cost_side.lf_solution
     m = cost_side.plan.m_count
     print(f"lf_star = {sol.lf_star:.8f}")
@@ -82,12 +80,11 @@ def _cmd_optimize_lf(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cost_side = _load(args)
-    return _write(compare_models(cost_side.scenario, cost_side), args, "compare")
+    return _write(compare_models(_load(args)), args, "compare")
 
 
 def _cmd_sweep(args) -> int:
-    cost_side = _load(args)
+    s = _load(args)
     try:
         values = tuple(float(x) for x in args.values.split(","))
     except ValueError:
@@ -99,7 +96,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return _write(sweep(spec, cost_side.scenario, cost_side), args, f"sweep_{param}")
+    return _write(sweep(spec, s), args, f"sweep_{param}")
 
 
 def _write(records, args, stem: str) -> int:
@@ -146,8 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """``warning: <text>``, in place of Python's two lines with the source."""
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except (ConfigError, ScenarioValidationError) as exc:
@@ -159,6 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

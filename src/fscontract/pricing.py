@@ -245,6 +245,7 @@ class CostSide:
     are the external rates where they are given.  The external draw, the
     failure counts, maintenance plan, cost moments, lf problem and lf search
     are computed on first use and then kept.  Nothing outlives the object.
+    It does not check its scenario; :func:`_validated` does.
     """
 
     def __init__(self, s: Scenario, internal: PeriodValues | None = None,
@@ -453,11 +454,8 @@ def _swept_beta_violations(s: Scenario, betas: np.ndarray, variance: float) -> l
 
 
 def optimal_price(s: Scenario, variant: str = "full") -> PricingSolution:
-    """Price one model variant (see :meth:`CostSide.variant_cost`)."""
+    """Price one model variant (see :meth:`CostSide.variant_cost`).
+
+    Does not check ``s``; call :func:`~fscontract.scenario.validate_scenario`
+    first."""
     return CostSide(s).price(variant, s.market)
-
-
-def price_variants(s: Scenario) -> dict[str, PricingSolution]:
-    """Price all three model variants on one shared cost side."""
-    cost_side = CostSide(s)
-    return {v: cost_side.price(v, s.market) for v in VARIANTS}

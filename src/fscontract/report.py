@@ -6,27 +6,27 @@ swept parameter.  Emitters produce CSV, markdown, plain x/y plot data and a
 dependency-free SVG line chart; all outputs are byte-deterministic for
 identical inputs.
 
-A comparison prices every row from one :class:`~fscontract.pricing.CostSide`,
-so the rates, maintenance plan, cost moments and lf search are computed
-once.  A sweep checks every field rule once, at its first point (not at
-all when it is handed a checked cost side), and at each later point only
-the rules that read the config keys its parameter changes.  It shares the
-cost side between points wherever the swept value leaves it unchanged.  The
-mark-up ``beta`` and a fixed ``lf`` leave it whole: the sweep builds it
-once, checks the optimizer's assumptions on it once, and reruns only the
-market side.  A ``beta`` sweep checks and prices its whole array of
+A comparison and a sweep check the scenario they are given with the CLI's
+check (:func:`~fscontract.pricing._validated`): what
+:func:`~fscontract.scenario.validate_scenario` rejects raises
+:class:`~fscontract.scenario.ScenarioValidationError`, and floored-rate
+warnings come only once the check passes.  A comparison prices every row
+on that one checked :class:`~fscontract.pricing.CostSide`, so the rates,
+maintenance plan, cost moments and lf search are computed once.
+
+A sweep checks the base at its own values, and each point only against
+the rules that read the config keys its parameter changes.  The mark-up
+``beta`` and a fixed ``lf`` leave the base's cost side whole, and only the
+market side reruns.  A ``beta`` sweep checks and prices its whole array of
 mark-ups at once: the ``market.beta`` rules and the risk premium on the
-array, then one call of the market-side kernel on the held cost side, with
-no new scenario or market per point.
-``unit_training_cost`` enters only the lf problem: each point shares the
-previous point's rates, maintenance plan, cost moments and feasible lf
-interval, the assumptions are checked once, and only the lf search and the
-market side rerun.
-``phi_int_mean`` rescales the rates, so it builds one cost side per point,
-shared by that point's checks and its price.  Each point scales the base
-scenario's internal series, built once: the held cost side's where there
-is one, else before the first point.  All points share one external draw:
-a point changes neither the seed, the horizon nor the external moments.
+array, then one call of the market-side kernel.  ``unit_training_cost``
+enters only the lf problem: each point shares the base's rates,
+maintenance plan and cost moments and the previous point's feasible lf
+interval, and reruns the lf search and the market side.  ``phi_int_mean``
+rescales the rates: each point builds one cost side on the base's internal
+series, scaled, and the base's external draw (a point changes neither the
+seed, the horizon nor the external moments), checks the optimizer's
+assumptions on it and prices on it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .failure import internal_rate_series, scaled_to_mean
+from .failure import scaled_to_mean
 from .pricing import (
     CostSide,
     InfeasiblePriceError,
@@ -104,17 +104,16 @@ def _record(sol: PricingSolution, param: str | None, value: float) -> KpiRecord:
     )
 
 
-def compare_models(s: Scenario, cost_side: CostSide | None = None) -> list[KpiRecord]:
+def compare_models(s: Scenario) -> list[KpiRecord]:
     """The three-way KPI comparison: full model, old model, pay-per-repair.
 
-    The pay-per-repair row prices at cost plus mark-up; its market share is
-    not applicable and reported as NaN.  Its profit, d_customers beta E, is
-    bounded only through the mark-up: one that overflows raises
-    :class:`ScenarioValidationError`.  ``cost_side`` is a cost side of ``s``
-    that the caller already holds.
+    ``s`` is checked first (see the module docstring).  The pay-per-repair
+    row prices at cost plus mark-up; its market share is not applicable and
+    reported as NaN.  Its profit, d_customers beta E, is bounded only
+    through the mark-up: one that overflows raises
+    :class:`ScenarioValidationError`.
     """
-    if cost_side is None:
-        cost_side = CostSide(s)
+    cost_side = _validated(s)
     full = cost_side.price("full", s.market)
     auto = cost_side.price("auto", s.market)
     osm = cost_side.os_moments
@@ -136,11 +135,9 @@ def compare_models(s: Scenario, cost_side: CostSide | None = None) -> list[KpiRe
     return [_record(full, None, float("nan")), _record(auto, None, float("nan")), os_row]
 
 
-def _swept_scenario(s: Scenario, param: str, value: float, internal=None) -> Scenario:
+def _swept_scenario(s: Scenario, param: str, value: float, internal) -> Scenario:
     """``s`` with the swept parameter at ``value``; ``internal`` is the
     internal series of ``s`` that a ``phi_int_mean`` point scales."""
-    if param == "beta":
-        return replace(s, market=replace(s.market, beta=value))
     if param == "phi_int_mean":
         return scaled_to_mean(s, value, internal)
     if param == "lf":
@@ -148,38 +145,33 @@ def _swept_scenario(s: Scenario, param: str, value: float, internal=None) -> Sce
     return replace(s, learning=replace(s.learning, unit_training_cost=value))
 
 
-def sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None = None) -> list[KpiRecord]:
+def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
     """Evaluate the KPI set at each swept value, everything else held fixed.
 
+    ``s`` is checked first, at its own values (see the module docstring).
     An lf sweep prices the full model at the given training frequency
     instead of re-optimizing it.  A swept value that breaks a scenario
     invariant raises :class:`ScenarioValidationError`; a value that is
     merely infeasible (training exhausted, empty price interval) yields a
-    flagged NaN record and the sweep continues.  ``cost_side`` is a cost
-    side of ``s`` that the caller already holds and has checked; the
-    sweep starts from it wherever the swept value leaves it whole.
+    flagged NaN record and the sweep continues.
     """
+    base = _validated(s)
     if spec.param == "beta":
-        return _beta_sweep(spec, s, cost_side)
-    internal = None
-    if spec.param == "phi_int_mean":
-        internal = (internal_rate_series(s.failure, s.grid) if cost_side is None
-                    else cost_side.internal)
+        return _beta_sweep(spec, base)
     records = []
+    cost_side = base
     for value in spec.values:
-        scenario = _swept_scenario(s, spec.param, value, internal)
-        if cost_side is None:
-            cost_side = _validated(scenario)
-        else:
-            # once a checked cost side is held, only rules that read a swept key
-            # can fail; a fixed lf keeps the cost side whole (see the module docstring)
-            _raise_on(_field_violations(scenario, SWEEP_PARAMS[spec.param][1]))
-            if spec.param == "phi_int_mean":
-                # new rates; the seed, horizon and external moments stay
-                cost_side = CostSide(scenario, external=cost_side.external)
-                _raise_on(cost_side.violations())
-            elif spec.param == "unit_training_cost":
-                cost_side = cost_side.with_learning(scenario)
+        scenario = _swept_scenario(s, spec.param, value, base.internal)
+        # only rules that read a swept key can fail; a fixed lf keeps the
+        # cost side whole (see the module docstring)
+        _raise_on(_field_violations(scenario, SWEEP_PARAMS[spec.param][1]))
+        if spec.param == "phi_int_mean":
+            # new rates; the seed, horizon and external moments stay
+            cost_side = CostSide(scenario, external=base.external)
+            _raise_on(cost_side.violations())
+        elif spec.param == "unit_training_cost":
+            # from the point before, whose lf search found the feasible interval
+            cost_side = cost_side.with_learning(scenario)
         lf = value if spec.param == "lf" and spec.variant == "full" else None
         try:
             sol = cost_side.price(spec.variant, scenario.market, lf)
@@ -194,11 +186,10 @@ def _infeasible(spec: SweepSpec, value: float) -> KpiRecord:
     return KpiRecord(spec.variant, spec.param, value, nan, nan, nan, nan, feasible=False)
 
 
-def _beta_sweep(spec: SweepSpec, s: Scenario, cost_side: CostSide | None) -> list[KpiRecord]:
-    """A mark-up sweep: one checked cost side, its market side over the
-    whole array of mark-ups (see the module docstring)."""
-    if cost_side is None:
-        cost_side = _validated(_swept_scenario(s, "beta", spec.values[0]))
+def _beta_sweep(spec: SweepSpec, cost_side: CostSide) -> list[KpiRecord]:
+    """A mark-up sweep: the base's checked cost side, its market side over
+    the whole array of mark-ups (see the module docstring)."""
+    s = cost_side.scenario
     osm = cost_side.os_moments
     betas = np.array(spec.values, dtype=float)
     _raise_on(_swept_beta_violations(s, betas, osm.variance))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fscontract import (
+    CostSide,
     SweepSpec,
     brute_force_pm_count,
     compare_models,
@@ -26,7 +27,6 @@ from fscontract import (
     optimal_price,
     optimize_lf,
     os_cost_moments,
-    price_variants,
     read_kpi_csv,
     save_scenario,
     simulate_external_rates,
@@ -288,7 +288,8 @@ def test_criterion_11_training_cost_break_even():
     with _timer(11, 5.0, "price ordering full < auto < bench; finite training-cost "
                          "break-even flips full vs auto"):
         s = default_scenario()
-        sols = price_variants(s)
+        cost_side = CostSide(s)
+        sols = {v: cost_side.price(v, s.market) for v in ("full", "auto", "bench")}
         assert sols["full"].price < sols["auto"].price < sols["bench"].price
 
         auto_price = sols["auto"].price

@@ -31,7 +31,7 @@ def test_phi_int_raises_price_and_profit(cost_sides):
     for index, cost_side in enumerate(cost_sides):
         mean = cost_side.internal.mean
         values = tuple(np.geomspace(0.6 * mean, 1.5 * mean, 10).tolist())
-        records = sweep(SweepSpec("phi_int_mean", values), cost_side.scenario, cost_side)
+        records = sweep(SweepSpec("phi_int_mean", values), cost_side.scenario)
         assert all(r.feasible for r in records), index
         for kpi in ("price", "profit"):
             series = [getattr(r, kpi) for r in records]
@@ -52,7 +52,7 @@ def test_lf_gives_an_interior_price_minimum_and_flat_profit(cost_sides):
         lo = max(1.01 * sol.feasible_range[0], sol.lf_star / 4)
         hi = min(0.99, 4 * sol.lf_star)
         values = tuple(np.geomspace(lo, hi, 9).tolist())
-        records = sweep(SweepSpec("lf", values), cost_side.scenario, cost_side)
+        records = sweep(SweepSpec("lf", values), cost_side.scenario)
         prices = [r.price for r in records]
         assert 0 < prices.index(min(prices)) < len(prices) - 1, index
         if all(r.fs_share == 1.0 for r in records):

@@ -11,18 +11,22 @@ import pytest
 import fscontract
 from fscontract import (
     CostSide,
+    ScenarioValidationError,
     SweepSpec,
+    compare_models,
     default_scenario,
     internal_rate_series,
     lf_problem,
     optimal_pm_count,
+    optimal_price,
     save_scenario,
+    scaled_to_mean,
     simulate_external_rates,
     sweep,
 )
 from fscontract.cli import main
 from fscontract.failure import _aging_slopes
-from fscontract.pricing import _validated
+from fscontract.scenario import _read_scenario
 
 from conftest import count_calls
 
@@ -422,6 +426,44 @@ def test_floored_rates_of_an_invalid_config_print_no_warning(capsys, tmp_path):
                    "(R-S-Q-U <= 0)\n")
 
 
+@pytest.mark.parametrize("text", [
+    # the CI smoke run's configs that parse: a risk premium that overflows
+    # to inf and to NaN, a pay-per-repair maintenance bill that overflows,
+    # markets of 10^308 and 10^309 customers, a floored series that fails
+    # the cost-side checks, an all-zero series
+    "market.alpha_max = 1e308\n",
+    "market.alpha_max = 1e308\nmarket.beta = 1\ncost.repair_cost_sd = 0\n"
+    "cost.unit_repair_cost = 0\n",
+    "cost.avg_maintenance_cost = 1e308\ncost.delay_probability = 1e-300\n"
+    "market.price_ceiling = 1178.22\n",
+    "market.d_customers = 1" + "0" * 308 + "\n",
+    "market.d_customers = 1" + "0" * 309 + "\n",
+    "failure.internal_series = none\nfailure.m = 1e-308\n",
+    "failure.internal_series = " + ",".join(["0"] * 20) + "\n",
+    # an lf outside (0, 1), which a lf sweep replaces at every point; a
+    # floored series that fails a field rule
+    "learning.lf = 2\n",
+    "failure.internal_series = none\nfailure.m = 1e8\nmarket.beta = -1\n",
+], ids=["inf", "nan", "maintenance", "customers308", "customers309", "floored", "zero", "lf",
+        "floored-beta"])
+def test_library_rejects_what_the_cli_rejects(capsys, tmp_path, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code, out, err = run(capsys, "compare", "--config", str(path), "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("validation error: ")
+    message = err[len("validation error: "):-1]
+    s = _read_scenario(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ScenarioValidationError) as compared:
+            compare_models(s)
+        with pytest.raises(ScenarioValidationError) as swept:
+            sweep(SweepSpec("lf", (0.01, 0.02)), s)
+    assert str(compared.value) == str(swept.value) == message
+    assert caught == []
+
+
 def test_floored_rates_of_a_valid_config_still_warn(capsys, tmp_path):
     path = tmp_path / "floored.cfg"
     path.write_text("failure.internal_series = none\nfailure.m = 1e8\n")
@@ -447,8 +489,8 @@ def test_floored_invalid_config_prints_one_stderr_line_in_a_process(tmp_path):
 
 
 def test_phi_int_sweep_of_a_floored_base_warns_only_at_load_in_a_process(tmp_path):
-    # the base's four floored-rate warnings (two lines each) at load; the
-    # points scale the held series, so they warn no more; then the error
+    # the base's four floored-rate warnings (one line each) once its checks
+    # pass; the points scale its series, so they warn no more; then the error
     path = tmp_path / "floored.cfg"
     path.write_text("failure.internal_series = none\nfailure.m = 1e6\n")
     env = dict(os.environ, PYTHONPATH=str(Path(fscontract.__file__).parents[1]))
@@ -458,28 +500,28 @@ def test_phi_int_sweep_of_a_floored_base_warns_only_at_load_in_a_process(tmp_pat
                           capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
-    assert len(lines) == 9
-    assert [line.split("UserWarning: ")[1].split(" (")[0] for line in lines[:-1:2]] == [
-        f"internal rate undershoots zero in period {j}" for j in (1, 2, 3, 4)]
+    assert len(lines) == 5
+    assert [line.split(" (")[0] for line in lines[:-1]] == [
+        f"warning: internal rate undershoots zero in period {j}" for j in (1, 2, 3, 4)]
     assert lines[-1] == ("validation error: failure.ext_mean: external rate must stay "
                          "below phi0_int")
 
 
 def test_phi_int_sweep_scales_the_held_internal_series(monkeypatch):
-    # a parametric base: the points scale the cost side's series, so no
-    # point rebuilds the aging slopes, and the records are those of a sweep
-    # that builds its own cost side
+    # a parametric base: the points scale the base's series, so only the
+    # base builds the aging slopes, and each record prices what pricing
+    # the rescaled scenario on its own does
     d = default_scenario()
     s = replace(d, failure=replace(d.failure, internal_series_override=None))
     mean = internal_rate_series(s.failure, s.grid).mean
     spec = SweepSpec(param="phi_int_mean",
                      values=tuple(mean * k for k in (0.6, 0.8, 1.0, 1.2, 1.4)))
-    want = sweep(spec, s)
-    assert all(r.feasible for r in want)
-    cost_side = _validated(s)
+    want = [optimal_price(scaled_to_mean(s, value)) for value in spec.values]
     calls = count_calls(monkeypatch, _aging_slopes)
-    assert sweep(spec, s, cost_side) == want
-    assert len(calls["_aging_slopes"]) == 0
+    records = sweep(spec, s)
+    assert len(calls["_aging_slopes"]) == 1
+    assert [(r.price, r.cost, r.profit, r.fs_share) for r in records] == [
+        (w.price, w.breakdown.total, w.profit, w.fs_share) for w in want]
 
 
 def test_usage_errors_exit_2_and_negative_values_need_the_equals_form(capsys, config_path,

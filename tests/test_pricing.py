@@ -35,12 +35,11 @@ from fscontract import (
     optimal_price,
     optimize_lf,
     price_bounds,
-    price_variants,
     simulate_external_rates,
     total_fs_cost,
 )
 from fscontract.failure import rate_increments
-from fscontract.pricing import market_side
+from fscontract.pricing import VARIANTS, market_side
 
 from conftest import count_calls, generated_scenarios, golden_section, market_side_oracle
 
@@ -526,7 +525,9 @@ class TestOptimalPrice:
             optimal_price(broke, "full")
 
     def test_sandwich_on_baseline_variants(self, baseline):
-        for sol in price_variants(baseline).values():
+        cost_side = CostSide(baseline)
+        for variant in VARIANTS:
+            sol = cost_side.price(variant, baseline.market)
             assert sol.lower_bound <= sol.price <= sol.upper_bound
 
     def test_interior_matches_profit_argmax_benchmark_regime(self, baseline):
@@ -564,7 +565,8 @@ class TestPriceVariants:
                     cost=replace(baseline.cost, m0_os=3),
                     learning=replace(baseline.learning, alpha_auto=0.0, alpha_indu=0.0,
                                      unit_training_cost=0.0))
-        sols = price_variants(s)
+        cost_side = CostSide(s)
+        sols = {v: cost_side.price(v, s.market) for v in VARIANTS}
         # with both exponents and the training bill zeroed, and matching
         # maintenance plans, the three prices collapse (up to the training
         # hours carried at zero cost)
@@ -572,11 +574,13 @@ class TestPriceVariants:
         assert sols["auto"].price == pytest.approx(sols["full"].price, rel=1e-9)
 
     def test_baseline_ordering(self, baseline):
-        sols = price_variants(baseline)
+        cost_side = CostSide(baseline)
+        sols = {v: cost_side.price(v, baseline.market) for v in VARIANTS}
         assert sols["full"].price < sols["auto"].price < sols["bench"].price
 
     def test_full_records_lf_star(self, baseline):
-        sols = price_variants(baseline)
+        cost_side = CostSide(baseline)
+        sols = {v: cost_side.price(v, baseline.market) for v in VARIANTS}
         assert sols["full"].lf_star is not None
         assert sols["auto"].lf_star is None
         assert sols["bench"].m_count == baseline.cost.m0_os
@@ -590,7 +594,8 @@ class TestPriceVariants:
     def test_costly_training_inverts_full_vs_auto(self, baseline):
         expensive = replace(baseline,
                             learning=replace(baseline.learning, unit_training_cost=5000.0))
-        sols = price_variants(expensive)
+        cost_side = CostSide(expensive)
+        sols = {v: cost_side.price(v, expensive.market) for v in ("full", "auto")}
         assert sols["full"].price > sols["auto"].price
 
 

@@ -9,6 +9,7 @@ from fscontract import (
     CostSide,
     InfeasiblePriceError,
     KpiRecord,
+    LfProblem,
     Scenario,
     ScenarioValidationError,
     SweepSpec,
@@ -20,7 +21,6 @@ from fscontract import (
     optimal_price,
     optimize_lf,
     os_cost_moments,
-    price_variants,
     read_kpi_csv,
     scaled_to_mean,
     simulate_external_rates,
@@ -74,9 +74,9 @@ class TestCompareModels:
             baseline.market.d_customers * baseline.market.beta * os_row.cost)
 
     def test_matches_pricing_layer(self, baseline, comparison):
-        sols = price_variants(baseline)
-        assert comparison[0].price == sols["full"].price
-        assert comparison[1].price == sols["auto"].price
+        cost_side = CostSide(baseline)
+        assert comparison[0].price == cost_side.price("full", baseline.market).price
+        assert comparison[1].price == cost_side.price("auto", baseline.market).price
 
     def test_variants_collapse_without_learning(self, baseline):
         s = replace(baseline,
@@ -159,48 +159,39 @@ class TestSweepChecks:
             sweep(SweepSpec(param=param, values=values), baseline)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("given", [False, True])
     @pytest.mark.parametrize("bad, message", [
         (math.inf, "market.beta: must be finite"),
         (1e308, "market.beta: (1 + beta)^2 must be finite (it overflows)"),
     ])
-    def test_bad_beta_after_feasible_and_infeasible_points(self, baseline, given, bad,
-                                                            message):
+    def test_bad_beta_after_feasible_and_infeasible_points(self, baseline, bad, message):
         # 100 puts the floor far above the 900 k$ ceiling: a flagged row, not
         # an error; the bad value after it raises what a per-point check did
-        cost_side = CostSide(baseline) if given else None
-        records = sweep(SweepSpec(param="beta", values=(0.5, 100.0)), baseline, cost_side)
+        records = sweep(SweepSpec(param="beta", values=(0.5, 100.0)), baseline)
         assert [r.feasible for r in records] == [True, False]
         assert math.isnan(records[1].price)
         with pytest.raises(ScenarioValidationError) as err:
-            sweep(SweepSpec(param="beta", values=(0.5, 100.0, bad)), baseline, cost_side)
+            sweep(SweepSpec(param="beta", values=(0.5, 100.0, bad)), baseline)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("given", [False, True])
-    def test_beta_that_overflows_the_risk_premium(self, baseline, given):
+    def test_beta_that_overflows_the_risk_premium(self, baseline):
         # the base mark-up passes; at 1e10 alpha_max (1 + beta)^2 Var / 4 overflows
         s = replace(baseline, market=replace(baseline.market, alpha_max=1e300))
-        cost_side = CostSide(s) if given else None
-        assert all(r.feasible for r in sweep(SweepSpec(param="beta", values=(0.5, 2.0)), s,
-                                             cost_side))
+        assert all(r.feasible for r in sweep(SweepSpec(param="beta", values=(0.5, 2.0)), s))
         with pytest.raises(ScenarioValidationError) as err:
-            sweep(SweepSpec(param="beta", values=(0.5, 2.0, 1e10)), s, cost_side)
+            sweep(SweepSpec(param="beta", values=(0.5, 2.0, 1e10)), s)
         assert str(err.value) == ("market.alpha_max: the risk premium alpha_max "
                                   "(1 + beta)^2 Var / 4 must be finite (it overflows)")
 
-    @pytest.mark.parametrize("given", [False, True])
-    def test_negative_rate_mean_breaks_three_rules(self, baseline, given):
-        # on a given cost side even the first point gets only the rules that
-        # read a swept key; the ext_mean rule is a cross-field rule that
-        # reads failure.phi0_int
-        cost_side = CostSide(baseline) if given else None
+    def test_negative_rate_mean_breaks_three_rules(self, baseline):
+        # the base is checked whole, so even the first point gets only the
+        # rules that read a swept key; the ext_mean rule is a cross-field
+        # rule that reads failure.phi0_int
         with pytest.raises(ScenarioValidationError) as err:
-            sweep(SweepSpec(param="phi_int_mean", values=(-1.0, 0.0034)), baseline, cost_side)
+            sweep(SweepSpec(param="phi_int_mean", values=(-1.0, 0.0034)), baseline)
         assert str(err.value) == ("failure.phi0_int: must be > 0; "
                                   "failure.ext_mean: external rate must stay below phi0_int; "
                                   "failure.internal_series: rates must be >= 0")
 
-    @pytest.mark.parametrize("given", [False, True])
     @pytest.mark.parametrize("param, values, keys", [
         ("beta", (0.5, 0.6, 0.7), ("market.beta",)),
         ("lf", (0.004, 0.005, 0.006), ("learning.lf",)),
@@ -208,8 +199,8 @@ class TestSweepChecks:
         ("phi_int_mean", (0.0025, 0.0034, 0.0046),
          ("failure.phi0_int", "failure.internal_series")),
     ])
-    def test_points_check_only_the_swept_keys(self, monkeypatch, baseline, given, param,
-                                              values, keys):
+    def test_points_check_only_the_swept_keys(self, monkeypatch, baseline, param, values,
+                                              keys):
         checked = []
         violations = scenario_module._field_violations
 
@@ -221,13 +212,12 @@ class TestSweepChecks:
         # mark-up call pricing's binding; the later points call report's
         for module in (scenario_module, pricing_module, report_module):
             monkeypatch.setattr(module, "_field_violations", recorded)
-        cost_side = CostSide(baseline) if given else None
-        records = sweep(SweepSpec(param=param, values=values), baseline, cost_side)
+        records = sweep(SweepSpec(param=param, values=values), baseline)
         assert all(r.feasible for r in records)
-        # a beta sweep checks its values as one array, and builds the
-        # messages per value only for a value that fails
-        points = [] if param == "beta" else [keys] * 3
-        assert checked == (points if given else [None] + points[1:])
+        # the base is checked whole, once; a beta sweep checks its values as
+        # one array, and builds the messages per value only for a value
+        # that fails
+        assert checked == [None] + ([] if param == "beta" else [keys] * 3)
 
 
 class TestCostSideReuse:
@@ -246,7 +236,6 @@ class TestCostSideReuse:
     def test_beta_points_on_a_held_cost_side_build_only_a_market(self, monkeypatch,
                                                                 baseline):
         spec = SweepSpec(param="beta", values=self.BETAS)
-        cost_side = CostSide(baseline)
         want = sweep(spec, baseline)
         built = []
         for cls in (Scenario, CostSide):
@@ -255,8 +244,9 @@ class TestCostSideReuse:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counted)
-        assert sweep(spec, baseline, cost_side) == want
-        assert built == []
+        # the base's cost side, and nothing per point but the market side
+        assert sweep(spec, baseline) == want
+        assert built == ["CostSide"]
 
     def test_beta_sweep_prices_all_points_in_one_kernel_call(self, monkeypatch, baseline):
         calls = count_calls(monkeypatch, market_side)
@@ -307,6 +297,23 @@ class TestCostSideReuse:
             "optimize_lf": 3, "simulate_external_rates": 1, "optimal_pm_count": 1,
             "os_cost_moments": 1}
 
+    def test_training_cost_sweep_finds_the_feasible_interval_once(self, monkeypatch,
+                                                                 baseline):
+        # each point's lf problem takes the feasible interval that the lf
+        # search of the point before it found
+        found = []
+        edges = LfProblem._edges.method
+
+        def counted(problem):
+            found.append(problem.learning.unit_training_cost)
+            return edges(problem)
+
+        kept = scenario_module._kept(counted)
+        kept.name = "_edges"
+        monkeypatch.setattr(LfProblem, "_edges", kept)
+        sweep(SweepSpec(param="unit_training_cost", values=(20.0, 50.0, 500.0)), baseline)
+        assert found == [20.0]
+
     def test_profit_premium_reuses_the_cost_side(self, monkeypatch, baseline):
         scenarios = [replace(baseline, learning=replace(baseline.learning, unit_training_cost=v))
                      for v in (20.0, 50.0, 500.0)]
@@ -340,14 +347,12 @@ class TestCostSideReuse:
             "lf_problem": 3, "optimize_lf": 4, "rate_increments": 5, "expected_failures": 9,
             "simulate_external_rates": 3}
 
-    @pytest.mark.parametrize("given", [False, True])
-    def test_phi_int_sweep_draws_the_external_rates_once(self, monkeypatch, baseline, given):
+    def test_phi_int_sweep_draws_the_external_rates_once(self, monkeypatch, baseline):
         # a point changes neither the seed, the horizon nor the external
-        # rate's moments, so it takes the draw of the cost side before it
-        cost_side = CostSide(baseline) if given else None
+        # rate's moments, so it takes the base's draw
         calls = count_calls(monkeypatch, simulate_external_rates)
         values = tuple(0.0034 * k for k in (0.6, 0.8, 1.0, 1.2, 1.4))
-        records = sweep(SweepSpec(param="phi_int_mean", values=values), baseline, cost_side)
+        records = sweep(SweepSpec(param="phi_int_mean", values=values), baseline)
         assert all(r.feasible for r in records)
         assert len(calls["simulate_external_rates"]) == 1
 

@@ -7,11 +7,18 @@ from dataclasses import replace
 
 import pytest
 
-from fscontract import CostSide, PeriodValues, compare_models, default_scenario, price_variants
+from fscontract import CostSide, PeriodValues, compare_models, default_scenario
+from fscontract.pricing import VARIANTS
 
 from conftest import generated_scenarios
 
 BASES = [default_scenario()] + generated_scenarios((1, 2, 3))
+
+
+def variant_prices(s):
+    """Every variant's price, on one cost side of ``s``."""
+    cost_side = CostSide(s)
+    return {v: cost_side.price(v, s.market) for v in VARIANTS}
 
 
 def in_money_units(s, k: float):
@@ -39,7 +46,7 @@ def test_money_units_scale_every_price_cost_and_profit():
     # k = 2 is a power of two: every product and quotient scales exactly
     assert len(BASES) == 85
     for index, s in enumerate(BASES):
-        before, after = price_variants(s), price_variants(in_money_units(s, 2.0))
+        before, after = variant_prices(s), variant_prices(in_money_units(s, 2.0))
         for variant, sol in before.items():
             doubled = after[variant]
             assert (doubled.price, doubled.breakdown.total, doubled.profit) == (
@@ -54,7 +61,7 @@ def test_money_units_scale_within_rounding(k):
     # the 85 bases price, cost and profit scaled within 1.8e-15 relative,
     # the share within 3e-15 absolute and lf* within 1.1e-15 relative
     for index, s in enumerate(BASES):
-        before, after = price_variants(s), price_variants(in_money_units(s, k))
+        before, after = variant_prices(s), variant_prices(in_money_units(s, k))
         for variant, sol in before.items():
             scaled = after[variant]
             assert (scaled.price, scaled.breakdown.total, scaled.profit) == pytest.approx(
@@ -81,9 +88,8 @@ def test_market_size_scales_only_the_profit():
 def test_seed_moves_only_the_full_model():
     # only the full model prices with the external draw
     def rows(s):
-        cost_side = CostSide(s)
-        _, auto, os_row = compare_models(s, cost_side)
-        return repr((auto, os_row, cost_side.price("bench", s.market)))
+        _, auto, os_row = compare_models(s)
+        return repr((auto, os_row, CostSide(s).price("bench", s.market)))
 
     for index, s in enumerate(BASES):
         assert rows(replace(s, rng_seed=s.rng_seed + 1)) == rows(s), index
