@@ -10,7 +10,6 @@ from .costs import (
 )
 from .failure import (
     MaintenancePlan,
-    aging_factor,
     brute_force_pm_count,
     expected_failures,
     internal_rate_series,
@@ -35,7 +34,6 @@ from .pricing import (
     InfeasiblePriceError,
     LfSolution,
     PricingSolution,
-    disutility,
     optimal_price,
     optimize_lf,
     price_bounds,

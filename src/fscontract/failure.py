@@ -28,8 +28,8 @@ negative, the floor never binds and the sum is the series.  Otherwise the
 run-in rates are that sum floored at zero, and the remaining rates a second
 running sum that starts from the last run-in rate.  A running sum adds its
 terms left to right, in the order of the period-by-period recursion, so
-either way the rates are those of the recursion to the bit;
-:func:`aging_factor` is the scalar reference.
+either way the rates are those of the recursion to the bit; the tests'
+scalar oracle, ``aging_factor`` in ``tests/conftest.py``, checks it.
 
 The optimal maintenance count minimizes expected repair plus maintenance
 cost.  Only the within-period growth depends on M, so the trade-off is
@@ -80,24 +80,12 @@ class MaintenancePlan(NamedTuple):
     objective_value: float
 
 
-def aging_factor(j: int, f: FailureParams, grid: PeriodGrid) -> float:
-    """Aging slope g_j for period j (1-based).
+def _aging_slopes(f: FailureParams, z: int) -> np.ndarray:
+    """The Z aging slopes g_j (j = 1..Z) as one array.
 
     Run-in (j <= z1): -(k1/m) (j/m)^(k1-1); useful life (z1 < j <= z2): 0;
-    wear-out (z2 < j <= z3): +(k2/m) ((j-z2)/m)^(k2-1).
+    wear-out (z2 < j): +(k2/m) ((j-z2)/m)^(k2-1).
     """
-    z1, z2, z3 = f.stage_bounds
-    if not 1 <= j <= grid.z_periods:
-        raise ValueError(f"period index {j} outside 1..{grid.z_periods}")
-    if j <= z1:
-        return -(f.k1 / f.m) * (j / f.m) ** (f.k1 - 1.0)
-    if j <= z2:
-        return 0.0
-    return (f.k2 / f.m) * ((j - z2) / f.m) ** (f.k2 - 1.0)
-
-
-def _aging_slopes(f: FailureParams, z: int) -> np.ndarray:
-    """The Z aging slopes of :func:`aging_factor` as one array."""
     z1, z2, _ = f.stage_bounds
     g = np.zeros(z)
     run_in = min(max(z1, 0), z)

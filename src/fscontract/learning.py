@@ -61,7 +61,6 @@ bisects whenever a step would leave it.  Both clamp lf* to the interval
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -149,7 +148,6 @@ def learning_effect(t_r: float, t_eff: float, lp: LearningParams) -> float:
     return t_r ** -lp.alpha_auto * t_eff ** -lp.alpha_indu
 
 
-@dataclass(frozen=True)
 class LfProblem:
     """Total contract cost as a scalar function of lf, for one maintenance
     count and one pair of rate series (see the module docstring).
@@ -158,31 +156,34 @@ class LfProblem:
     with no training.  ``short_period`` is the first period (1-based) that
     has no surplus time left for training, or 0 if every period has some.
 
-    The scalar constants of the cost are computed once, on construction,
-    and so again by :func:`dataclasses.replace`: T = R - S - Q - U, the
-    simple model's forgetting S + Q + U, the rework exponent 1 - 2 eps and
-    the training slope l T.  B K (:attr:`_repair_scale`) is computed on
-    first use, as Q^(-alpha_auto) raises where Q is not positive.
+    The scalar constants of the cost are computed once, on construction:
+    T = R - S - Q - U, the simple model's forgetting S + Q + U, the rework
+    exponent 1 - 2 eps and the training slope l T.  B K
+    (:attr:`_repair_scale`) is computed on first use, as Q^(-alpha_auto)
+    raises where Q is not positive.
     """
 
-    terms: ReducedTerms
-    base: CostBreakdown
-    learning: LearningParams
-    short_period: int = 0
-
-    def __post_init__(self):
-        terms, lp = self.terms, self.learning
-        net = terms.net
-        object.__setattr__(self, "_net", net)
-        object.__setattr__(self, "_interrupted", terms.s + terms.q + terms.u)
-        object.__setattr__(self, "_p", 1.0 - 2.0 * lp.epsilon)
-        object.__setattr__(self, "_training_slope", lp.unit_training_cost * net)
+    def __init__(self, terms: ReducedTerms, base: CostBreakdown, learning: LearningParams,
+                 short_period: int = 0):
+        self.terms = terms
+        self.base = base
+        self.learning = learning
+        self.short_period = short_period
+        self._net = net = terms.net
+        self._interrupted = terms.s + terms.q + terms.u
+        self._p = 1.0 - 2.0 * learning.epsilon
+        self._training_slope = learning.unit_training_cost * net
 
     def state(self, lf: float) -> LearningState:
         """The time budget and efficiency multiplier at lf: the repair time
         t_r = Q, the training time t_l = T lf, the forgetting t_f (S + Q + U,
-        or S + V lf^(1-2 eps)) and their difference E."""
-        self._check(lf)
+        or S + V lf^(1-2 eps)) and their difference E.  Raises where lf is
+        outside (0, 1) or a period has no surplus time."""
+        if not 0.0 < lf < 1.0:
+            raise ValueError("lf must lie in (0, 1)")
+        if self.short_period:
+            raise InfeasibleTrainingError(
+                f"no surplus time left for training in period {self.short_period}")
         t_l, t_f, t_eff, _, _ = self._budget(lf)
         t_r = self.terms.q
         return LearningState(t_r, t_l, t_f, t_eff, learning_effect(t_r, t_eff, self.learning),
@@ -204,14 +205,6 @@ class LfProblem:
         """Analytic d(cost)/d(lf); see :func:`fs_cost_lf_derivative`."""
         self.state(lf)  # raises where lf is infeasible
         return self._slopes(lf)[0]
-
-    def _check(self, lf: float) -> None:
-        """Raise where lf is outside (0, 1) or a period has no surplus time."""
-        if not 0.0 < lf < 1.0:
-            raise ValueError("lf must lie in (0, 1)")
-        if self.short_period:
-            raise InfeasibleTrainingError(
-                f"no surplus time left for training in period {self.short_period}")
 
     def _slopes(self, lf: float) -> tuple[float, float]:
         """c'(lf) and c''(lf) at a feasible lf, unchecked.
@@ -348,11 +341,10 @@ class LfProblem:
         aggregates.  E(lf) depends on the learning parameters only through
         the rework exponent and the forgetting model: where both stay, the
         new problem shares this one's feasible interval, if it is known."""
-        other = replace(self, learning=learning)
-        if ("_edges" in vars(self) and learning.epsilon == self.learning.epsilon
+        other = LfProblem(self.terms, self.base, learning, self.short_period)
+        if ("_edges" in self.__dict__ and learning.epsilon == self.learning.epsilon
                 and learning.forgetting_model == self.learning.forgetting_model):
-            # where :class:`_kept` keeps it
-            vars(other)["_edges"] = self._edges
+            other._edges = self._edges
         return other
 
     @_kept

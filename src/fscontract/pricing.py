@@ -133,23 +133,6 @@ def optimize_lf(m: int, s: Scenario, internal: PeriodValues, external: PeriodVal
     return problem.solve()
 
 
-def disutility(choice: str, alpha_i: float, price: float, osm: OsCostMoments,
-               beta: float) -> float:
-    """Customer disutility of one contract choice ('FS' or 'OS').
-
-    A fixed-price contract costs its price; pay-per-repair costs the marked-
-    up expected bill plus the variance penalty weighted by alpha_i.
-    """
-    if alpha_i < 0:
-        raise ValueError("risk aversion must be >= 0")
-    if choice == "FS":
-        return price
-    if choice == "OS":
-        up = 1.0 + beta
-        return up * osm.mean + alpha_i * (up * up) * osm.variance / 2.0
-    raise ValueError(f"unknown contract choice {choice!r}")
-
-
 class MarketSide(NamedTuple):
     """The market side of one cost breakdown at each mark-up: arrays over an
     array of mark-ups, floats at one.  Monetary fields are in thousands of

@@ -41,7 +41,6 @@ import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,8 +51,7 @@ DOLLARS_PER_REPORT_UNIT = 1000.0
 #: Packaged internal failure-rate table: ten bathtub-shaped series (one per
 #: column, header phi1..phi10) over a 20-period horizon.  See
 #: :func:`load_internal_table`.
-INTERNAL_RATE_TABLE_PATH = Path(
-    str(resources.files("fscontract").joinpath("assets/internal_rate_table.csv")))
+INTERNAL_RATE_TABLE_PATH = Path(__file__).with_name("assets") / "internal_rate_table.csv"
 
 #: Calibrated baseline internal failure-rate series (failures/hour, per
 #: period).  Bathtub-shaped: run-in decline over periods 1-4, a flat useful

@@ -13,6 +13,7 @@ from fscontract import (
     FailureParams,
     LearningParams,
     MarketParams,
+    OsCostMoments,
     PeriodGrid,
     Scenario,
     default_scenario,
@@ -123,6 +124,42 @@ def count_calls(monkeypatch, *functions) -> dict[str, list]:
                     if value is fn:
                         monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def aging_factor(j: int, f: FailureParams, grid: PeriodGrid) -> float:
+    """Aging slope g_j for period j (1-based), one period at a time: the
+    scalar oracle of the aging slopes and of the rate recursion in
+    :mod:`fscontract.failure`.
+
+    Run-in (j <= z1): -(k1/m) (j/m)^(k1-1); useful life (z1 < j <= z2): 0;
+    wear-out (z2 < j <= z3): +(k2/m) ((j-z2)/m)^(k2-1).
+    """
+    z1, z2, z3 = f.stage_bounds
+    if not 1 <= j <= grid.z_periods:
+        raise ValueError(f"period index {j} outside 1..{grid.z_periods}")
+    if j <= z1:
+        return -(f.k1 / f.m) * (j / f.m) ** (f.k1 - 1.0)
+    if j <= z2:
+        return 0.0
+    return (f.k2 / f.m) * ((j - z2) / f.m) ** (f.k2 - 1.0)
+
+
+def disutility(choice: str, alpha_i: float, price: float, osm: OsCostMoments,
+               beta: float) -> float:
+    """Customer disutility of one contract choice ('FS' or 'OS'), as the
+    :mod:`fscontract.pricing` docstring states it.
+
+    A fixed-price contract costs its price; pay-per-repair costs the marked-
+    up expected bill plus the variance penalty weighted by alpha_i.
+    """
+    if alpha_i < 0:
+        raise ValueError("risk aversion must be >= 0")
+    if choice == "FS":
+        return price
+    if choice == "OS":
+        up = 1.0 + beta
+        return up * osm.mean + alpha_i * (up * up) * osm.variance / 2.0
+    raise ValueError(f"unknown contract choice {choice!r}")
 
 
 def market_side_oracle(fs_cost, osm, mk, beta: float) -> tuple[float, ...]:

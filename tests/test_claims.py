@@ -1,5 +1,6 @@
-"""The abstract's sensitivity claims on the generated bases with Z <= 300 of
-seeds 1-3 (72 bases), on the grids where they hold on every base.
+"""The abstract's claims on the generated bases with Z <= 300 of seeds 1-3
+(72 bases): its two headline advantages of the full model, and its
+sensitivity claims on the grids where they hold on every base.
 
 Criteria 09 and 10 of the acceptance suite check the claims on the
 baseline.  Wider grids break them on some bases: over 0.6-6x the base
@@ -61,3 +62,30 @@ def test_lf_gives_an_interior_price_minimum_and_flat_profit(cost_sides):
             spread = max(profits) - min(profits)
             assert spread <= 8 * math.ulp(max(map(abs, profits))), index
     assert flat == 35
+
+
+def test_full_model_repairs_cheaper_and_earns_more(cost_sides):
+    # "could prominently improve repair efficiency" and "help OEMs gain
+    # better profits compared to the original FS model and the sole OS
+    # maintenance".  Both variants share M* and the rule passes each one's
+    # cost through one-for-one, so their margins agree: where every
+    # customer signs both contracts and no price sits at the ceiling the
+    # profits tie (to 4 ulps at most on the 22 such bases), and the full
+    # model's edge is the market share it keeps where `auto` loses some.
+    ties = gains = 0
+    for index, cost_side in enumerate(cost_sides):
+        mk = cost_side.scenario.market
+        full = cost_side.price("full", mk)
+        auto = cost_side.price("auto", mk)
+        assert full.breakdown.repair < auto.breakdown.repair, index
+        assert full.breakdown.total < auto.breakdown.total, index
+        assert full.profit > mk.d_customers * mk.beta * cost_side.os_moments.mean, index
+        if auto.fs_share < 1.0:
+            gains += 1
+            assert full.profit > auto.profit, index
+        elif (full.fs_share == 1.0 and full.price < full.upper_bound
+              and auto.price < auto.upper_bound):
+            ties += 1
+            scale = max(abs(full.profit), abs(auto.profit))
+            assert abs(full.profit - auto.profit) <= 8 * math.ulp(scale), index
+    assert (ties, gains) == (22, 50)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fscontract import (
     FailureParams,
     PeriodGrid,
-    aging_factor,
     brute_force_pm_count,
     expected_failures,
     internal_rate_series,
@@ -19,7 +18,7 @@ from fscontract import (
 
 from fscontract.failure import FailureCounts, _aging_slopes
 
-from conftest import generated_scenarios, make_scenario, random_rate_scenario
+from conftest import aging_factor, generated_scenarios, make_scenario, random_rate_scenario
 
 
 def bathtub_params(**kw):

@@ -24,7 +24,6 @@ from fscontract import (
     PricingSolution,
     ReducedTerms,
     Violation,
-    disutility,
     fs_cost_lf_derivative,
     default_scenario,
     expected_failures,
@@ -41,7 +40,13 @@ from fscontract import (
 from fscontract.failure import rate_increments
 from fscontract.pricing import VARIANTS, market_side
 
-from conftest import count_calls, generated_scenarios, golden_section, market_side_oracle
+from conftest import (
+    count_calls,
+    disutility,
+    generated_scenarios,
+    golden_section,
+    market_side_oracle,
+)
 
 
 def market(beta=0.5, alpha_max=1e-3, d=50, ceiling=1e9):
@@ -58,7 +63,8 @@ def generated_problems():
         for factor in (1.0, 10.0, 100.0):
             learning = replace(s.learning,
                                unit_training_cost=factor * s.learning.unit_training_cost)
-            problems.append(replace(problem, learning=learning))
+            problems.append(LfProblem(problem.terms, problem.base, learning,
+                                      problem.short_period))
     return problems
 
 
@@ -163,7 +169,8 @@ class TestOptimizeLf:
         internal, external = baseline_rates
         problem = lf_problem(3, baseline, internal, external)
         for bad in (float("nan"), float("inf")):
-            broken = replace(problem, base=problem.base._replace(repair=bad))
+            broken = LfProblem(problem.terms, problem.base._replace(repair=bad),
+                               problem.learning, problem.short_period)
             with pytest.raises(ConvergenceError):
                 broken.solve()
 
@@ -245,8 +252,8 @@ class TestLfSolverOracle:
         internal, external = baseline_rates
         problem = lf_problem(3, baseline, internal, external)
         for change, edge in (({"alpha_indu": 0.0}, 0), ({"unit_training_cost": 0.0}, 1)):
-            edged = replace(problem, learning=replace(problem.learning, forgetting_model=model,
-                                                      **change))
+            learning = replace(problem.learning, forgetting_model=model, **change)
+            edged = LfProblem(problem.terms, problem.base, learning, problem.short_period)
             sol = edged.solve()
             lo_edge, hi = sol.feasible_range
             assert sol.lf_star == (lo_edge * (1.0 + 1e-9) + 1e-15, hi)[edge]

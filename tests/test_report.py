@@ -1,6 +1,7 @@
 import copy
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,33 @@ class TestCompareModels:
         cost_side = CostSide(baseline)
         assert comparison[0].price == cost_side.price("full", baseline.market).price
         assert comparison[1].price == cost_side.price("auto", baseline.market).price
+
+    def test_readme_baseline_table(self, comparison):
+        # the README's table prints each KPI of compare_models(default_scenario())
+        # at the digits it shows: price and cost to 0.1 k$, profit to 1 k$
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| variant | price (k$) | cost (k$) | profit (k$) | FS share |") + 2
+        table = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            name, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+            table[{"pay-per-repair": "os"}.get(name, name)] = cells
+
+        def printed(value, cell):
+            digits = len(cell.partition(".")[2])
+            return f"{value:.{digits}f}"
+
+        assert list(table) == [r.variant for r in comparison]
+        for row in comparison:
+            price, cost, profit, share = table[row.variant]
+            assert [printed(row.price, price), printed(row.cost, cost),
+                    printed(row.profit, profit)] == [price, cost, profit], row.variant
+            if share == "n/a":
+                assert math.isnan(row.fs_share)
+            else:
+                assert printed(100.0 * row.fs_share, share[:-1]) + "%" == share, row.variant
 
     def test_variants_collapse_without_learning(self, baseline):
         s = replace(baseline,

@@ -3,11 +3,19 @@ at once and needs no reference.  They run on the baseline and the generated
 bases of seeds 1-3, exactly where the arithmetic is exact and within stated
 relative tolerances where it rounds."""
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
-from fscontract import CostSide, PeriodValues, compare_models, default_scenario
+from fscontract import (
+    CostSide,
+    PeriodValues,
+    SweepSpec,
+    compare_models,
+    default_scenario,
+    sweep,
+)
 from fscontract.pricing import VARIANTS
 
 from conftest import generated_scenarios
@@ -93,3 +101,25 @@ def test_seed_moves_only_the_full_model():
 
     for index, s in enumerate(BASES):
         assert rows(replace(s, rng_seed=s.rng_seed + 1)) == rows(s), index
+
+
+def test_threads_do_not_matter():
+    # the README: scenarios and sweep points can be evaluated concurrently.
+    # A comparison, a beta sweep and a training-cost sweep of each seed-1
+    # base with Z <= 300, on a pool of four threads, as on one
+    bases = [s for s in generated_scenarios((1,)) if s.grid.z_periods <= 300]
+    assert len(bases) == 24
+    jobs = []
+    for s in bases:
+        cost = s.learning.unit_training_cost
+        jobs += [(compare_models, s),
+                 (sweep, SweepSpec("beta", (0.3, 0.5, 0.7, 0.9)), s),
+                 (sweep, SweepSpec("unit_training_cost", (0.5 * cost, cost, 4.0 * cost)), s)]
+
+    def run(job):
+        fn, *args = job
+        return repr(fn(*args))
+
+    serial = [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(run, jobs)) == serial
