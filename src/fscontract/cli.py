@@ -46,7 +46,7 @@ def _load(args) -> Scenario:
 
 def _cmd_price(args) -> int:
     cost_side = _validated(_load(args))
-    sol = cost_side.price(args.variant, cost_side.scenario.market)
+    sol = cost_side.price(args.variant)
     print(f"variant = {sol.variant}")
     print(f"price = {sol.price:.6f}")
     print(f"interior_price = {sol.interior_price:.6f}")

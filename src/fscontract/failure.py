@@ -134,18 +134,15 @@ def internal_rate_series(f: FailureParams, grid: PeriodGrid,
     return PeriodValues._taking(rates)
 
 
-def scaled_to_mean(s: Scenario, target_mean: float,
-                   series: PeriodValues | None = None) -> Scenario:
+def scaled_to_mean(s: Scenario, target_mean: float, series: PeriodValues) -> Scenario:
     """Rescale the internal failure-rate series to a target mean.
 
     The realised series (override or parametric) is scaled linearly together
     with the installation rate, preserving the bathtub shape; everything
     else stays at the scenario values.  A series of mean zero has no shape
     to scale: :class:`ScenarioValidationError`.  ``series`` is the
-    scenario's internal series where the caller holds it.
+    scenario's internal series (:func:`internal_rate_series`).
     """
-    if series is None:
-        series = internal_rate_series(s.failure, s.grid)
     current = series.mean
     if current <= 0:
         raise ScenarioValidationError([Violation(

@@ -61,6 +61,7 @@ bisects whenever a step would leave it.  Both clamp lf* to the interval
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -160,7 +161,8 @@ class LfProblem:
     T = R - S - Q - U, the simple model's forgetting S + Q + U, the rework
     exponent 1 - 2 eps and the training slope l T.  B K
     (:attr:`_repair_scale`) is computed on first use, as Q^(-alpha_auto)
-    raises where Q is not positive.
+    raises where Q is not positive.  :meth:`with_training_cost` gives the
+    problem at another training cost l, on the same aggregates.
     """
 
     def __init__(self, terms: ReducedTerms, base: CostBreakdown, learning: LearningParams,
@@ -274,8 +276,6 @@ class LfProblem:
             return hi, 0, slope
         lp = self.learning
         a = lp.alpha_indu
-        if a == 0.0:
-            return lo, 0, self._slopes(lo)[0]
         # the simple model's optimum effective training time E*, and the lf
         # that reaches it with forgetting as at the feasible edge: lf* under
         # simple forgetting, the Newton start under revised forgetting
@@ -336,14 +336,13 @@ class LfProblem:
         """
         return self._edges
 
-    def with_learning(self, learning: LearningParams) -> "LfProblem":
-        """This problem under other learning parameters, with the same
-        aggregates.  E(lf) depends on the learning parameters only through
-        the rework exponent and the forgetting model: where both stay, the
-        new problem shares this one's feasible interval, if it is known."""
-        other = LfProblem(self.terms, self.base, learning, self.short_period)
-        if ("_edges" in self.__dict__ and learning.epsilon == self.learning.epsilon
-                and learning.forgetting_model == self.learning.forgetting_model):
+    def with_training_cost(self, cost: float) -> "LfProblem":
+        """This problem at the hourly training cost ``cost``, with the same
+        aggregates.  E(lf) does not depend on the training cost, so the new
+        problem shares this one's feasible interval, if it is known."""
+        other = LfProblem(self.terms, self.base,
+                          replace(self.learning, unit_training_cost=cost), self.short_period)
+        if "_edges" in self.__dict__:
             other._edges = self._edges
         return other
 

@@ -228,7 +228,8 @@ class CostSide:
     are the external rates where they are given.  The external draw, the
     failure counts, maintenance plan, cost moments, lf problem and lf search
     are computed on first use and then kept.  Nothing outlives the object.
-    It does not check its scenario; :func:`_validated` does.
+    It does not check its scenario; :func:`_validated` does.  It prices in
+    its scenario's own market: a checked cost side prices what was checked.
     """
 
     def __init__(self, s: Scenario, internal: PeriodValues | None = None,
@@ -327,24 +328,20 @@ class CostSide:
             return [_PREMIUM_OVERFLOWS]
         return []
 
-    def with_learning(self, s: Scenario) -> "CostSide":
-        """The cost side of ``s``, a scenario that differs from this one's
-        only in learning parameters that stay out of the lf problem's
-        aggregates (the training cost, the learning exponents; not the hours
-        per repair or per maintenance visit, nor the rework exponent).
-
-        The rates, failure counts, maintenance plan, bills and cost moments
-        are shared, the lf problem keeps its aggregates and its feasible
-        interval and takes the new parameters
-        (:meth:`~fscontract.learning.LfProblem.with_learning`), and lf* and
-        the variant costs are computed afresh.
-        """
-        other = CostSide(s, self.internal, self.external)
+    def with_training_cost(self, cost: float) -> "CostSide":
+        """This cost side at the hourly training cost ``cost``, unchecked.
+        The rates, counts, plan, bills and cost moments are shared, the lf
+        problem keeps its aggregates and feasible interval
+        (:meth:`~fscontract.learning.LfProblem.with_training_cost`), and lf*
+        is solved afresh."""
+        problem = self.problem.with_training_cost(cost)
+        other = CostSide(replace(self.scenario, learning=problem.learning), self.internal,
+                         self.external)
         other.counts = self.counts
         other.plan = self.plan
         other.base = self.base
         other.os_moments = self.os_moments
-        other.problem = self.problem.with_learning(s.learning)
+        other.problem = problem
         return other
 
     def variant_cost(self, variant: str,
@@ -375,10 +372,12 @@ class CostSide:
             breakdown = self.problem.evaluate(lf_star).breakdown
         return breakdown.scaled(1.0 / DOLLARS_PER_REPORT_UNIT), m, lf_star
 
-    def price(self, variant: str, mk: MarketParams, lf: float | None = None) -> PricingSolution:
-        """The market side: price one variant's cost in the market ``mk``
-        (the one-mark-up case of :func:`market_side`)."""
+    def price(self, variant: str, lf: float | None = None) -> PricingSolution:
+        """The market side: price one variant's cost in this scenario's own
+        market, the one :meth:`violations` checks (the one-mark-up case of
+        :func:`market_side`)."""
         breakdown, m, lf_star = self.variant_cost(variant, lf)
+        mk = self.scenario.market
         sides = market_side(breakdown, self.os_moments, mk, mk.beta)
         lower, upper = float(sides.lower), float(sides.upper)
         if lower > upper:
@@ -441,4 +440,4 @@ def optimal_price(s: Scenario, variant: str = "full") -> PricingSolution:
 
     Does not check ``s``; call :func:`~fscontract.scenario.validate_scenario`
     first."""
-    return CostSide(s).price(variant, s.market)
+    return CostSide(s).price(variant)

@@ -14,19 +14,19 @@ warnings come only once the check passes.  A comparison prices every row
 on that one checked :class:`~fscontract.pricing.CostSide`, so the rates,
 maintenance plan, cost moments and lf search are computed once.
 
-A sweep checks the base at its own values, and each point only against
-the rules that read the config keys its parameter changes.  The mark-up
-``beta`` and a fixed ``lf`` leave the base's cost side whole, and only the
-market side reruns.  A ``beta`` sweep checks and prices its whole array of
-mark-ups at once: the ``market.beta`` rules and the risk premium on the
-array, then one call of the market-side kernel.  ``unit_training_cost``
-enters only the lf problem: each point shares the base's rates,
-maintenance plan and cost moments and the previous point's feasible lf
-interval, and reruns the lf search and the market side.  ``phi_int_mean``
-rescales the rates: each point builds one cost side on the base's internal
-series, scaled, and the base's external draw (a point changes neither the
-seed, the horizon nor the external moments), checks the optimizer's
-assumptions on it and prices on it.
+A sweep prices the full model.  It checks the base at its own values, and
+each point only against the rules that read the config keys its parameter
+changes.  The mark-up ``beta`` and a fixed ``lf`` leave the base's cost
+side whole, and only the market side reruns.  A ``beta`` sweep checks and
+prices its whole array of mark-ups at once: the ``market.beta`` rules and
+the risk premium on the array, then one call of the market-side kernel.
+``unit_training_cost`` enters only the lf problem: each point shares the
+base's rates, maintenance plan and cost moments and the previous point's
+feasible lf interval, and reruns the lf search and the market side.
+``phi_int_mean`` rescales the rates: each point builds one cost side on the
+base's internal series, scaled, and the base's external draw (a point
+changes neither the seed, the horizon nor the external moments), checks the
+optimizer's assumptions on it and prices on it.
 """
 
 from __future__ import annotations
@@ -77,11 +77,10 @@ class KpiRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep axis: which parameter, which values, which model variant."""
+    """A sweep axis: which parameter and which values; sweeps price ``full``."""
 
     param: str
     values: tuple[float, ...]
-    variant: str = "full"
 
     def __post_init__(self):
         if self.param not in SWEEP_PARAMS:
@@ -114,8 +113,8 @@ def compare_models(s: Scenario) -> list[KpiRecord]:
     :class:`ScenarioValidationError`.
     """
     cost_side = _validated(s)
-    full = cost_side.price("full", s.market)
-    auto = cost_side.price("auto", s.market)
+    full = cost_side.price("full")
+    auto = cost_side.price("auto")
     osm = cost_side.os_moments
     beta = s.market.beta
     profit = s.market.d_customers * beta * osm.mean
@@ -135,18 +134,8 @@ def compare_models(s: Scenario) -> list[KpiRecord]:
     return [_record(full, None, float("nan")), _record(auto, None, float("nan")), os_row]
 
 
-def _swept_scenario(s: Scenario, param: str, value: float, internal) -> Scenario:
-    """``s`` with the swept parameter at ``value``; ``internal`` is the
-    internal series of ``s`` that a ``phi_int_mean`` point scales."""
-    if param == "phi_int_mean":
-        return scaled_to_mean(s, value, internal)
-    if param == "lf":
-        return replace(s, learning=replace(s.learning, lf=value))
-    return replace(s, learning=replace(s.learning, unit_training_cost=value))
-
-
 def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
-    """Evaluate the KPI set at each swept value, everything else held fixed.
+    """The full model's KPI set at each swept value, all else held fixed.
 
     ``s`` is checked first, at its own values (see the module docstring).
     An lf sweep prices the full model at the given training frequency
@@ -161,7 +150,14 @@ def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
     records = []
     cost_side = base
     for value in spec.values:
-        scenario = _swept_scenario(s, spec.param, value, base.internal)
+        if spec.param == "phi_int_mean":
+            scenario = scaled_to_mean(s, value, base.internal)
+        elif spec.param == "lf":
+            scenario = replace(s, learning=replace(s.learning, lf=value))
+        else:
+            # from the point before, whose lf search found the feasible interval
+            cost_side = cost_side.with_training_cost(value)
+            scenario = cost_side.scenario
         # only rules that read a swept key can fail; a fixed lf keeps the
         # cost side whole (see the module docstring)
         _raise_on(_field_violations(scenario, SWEEP_PARAMS[spec.param][1]))
@@ -169,21 +165,17 @@ def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
             # new rates; the seed, horizon and external moments stay
             cost_side = CostSide(scenario, external=base.external)
             _raise_on(cost_side.violations())
-        elif spec.param == "unit_training_cost":
-            # from the point before, whose lf search found the feasible interval
-            cost_side = cost_side.with_learning(scenario)
-        lf = value if spec.param == "lf" and spec.variant == "full" else None
+        lf = value if spec.param == "lf" else None
         try:
-            sol = cost_side.price(spec.variant, scenario.market, lf)
-            records.append(_record(sol, spec.param, value))
+            records.append(_record(cost_side.price("full", lf), spec.param, value))
         except (InfeasibleTrainingError, InfeasiblePriceError):
-            records.append(_infeasible(spec, value))
+            records.append(_infeasible(spec.param, value))
     return records
 
 
-def _infeasible(spec: SweepSpec, value: float) -> KpiRecord:
+def _infeasible(param: str, value: float) -> KpiRecord:
     nan = float("nan")
-    return KpiRecord(spec.variant, spec.param, value, nan, nan, nan, nan, feasible=False)
+    return KpiRecord("full", param, value, nan, nan, nan, nan, feasible=False)
 
 
 def _beta_sweep(spec: SweepSpec, cost_side: CostSide) -> list[KpiRecord]:
@@ -194,13 +186,13 @@ def _beta_sweep(spec: SweepSpec, cost_side: CostSide) -> list[KpiRecord]:
     betas = np.array(spec.values, dtype=float)
     _raise_on(_swept_beta_violations(s, betas, osm.variance))
     try:
-        breakdown = cost_side.variant_cost(spec.variant)[0]
+        breakdown = cost_side.variant_cost("full")[0]
     except InfeasibleTrainingError:
-        return [_infeasible(spec, value) for value in spec.values]
+        return [_infeasible("beta", value) for value in spec.values]
     sides = market_side(breakdown, osm, s.market, betas)
     cost = breakdown.total
-    return [_infeasible(spec, value) if infeasible
-            else KpiRecord(spec.variant, "beta", value, price, cost, profit, share)
+    return [_infeasible("beta", value) if infeasible
+            else KpiRecord("full", "beta", value, price, cost, profit, share)
             for value, infeasible, price, profit, share in zip(
                 spec.values, (sides.lower > sides.upper).tolist(), sides.price.tolist(),
                 sides.profit.tolist(), sides.fs_share.tolist())]

@@ -289,7 +289,7 @@ def test_criterion_11_training_cost_break_even():
                          "break-even flips full vs auto"):
         s = default_scenario()
         cost_side = CostSide(s)
-        sols = {v: cost_side.price(v, s.market) for v in ("full", "auto", "bench")}
+        sols = {v: cost_side.price(v) for v in ("full", "auto", "bench")}
         assert sols["full"].price < sols["auto"].price < sols["bench"].price
 
         auto_price = sols["auto"].price

@@ -75,8 +75,8 @@ def test_full_model_repairs_cheaper_and_earns_more(cost_sides):
     ties = gains = 0
     for index, cost_side in enumerate(cost_sides):
         mk = cost_side.scenario.market
-        full = cost_side.price("full", mk)
-        auto = cost_side.price("auto", mk)
+        full = cost_side.price("full")
+        auto = cost_side.price("auto")
         assert full.breakdown.repair < auto.breakdown.repair, index
         assert full.breakdown.total < auto.breakdown.total, index
         assert full.profit > mk.d_customers * mk.beta * cost_side.os_moments.mean, index

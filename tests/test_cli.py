@@ -513,10 +513,11 @@ def test_phi_int_sweep_scales_the_held_internal_series(monkeypatch):
     # the rescaled scenario on its own does
     d = default_scenario()
     s = replace(d, failure=replace(d.failure, internal_series_override=None))
-    mean = internal_rate_series(s.failure, s.grid).mean
+    series = internal_rate_series(s.failure, s.grid)
+    mean = series.mean
     spec = SweepSpec(param="phi_int_mean",
                      values=tuple(mean * k for k in (0.6, 0.8, 1.0, 1.2, 1.4)))
-    want = [optimal_price(scaled_to_mean(s, value)) for value in spec.values]
+    want = [optimal_price(scaled_to_mean(s, value, series)) for value in spec.values]
     calls = count_calls(monkeypatch, _aging_slopes)
     records = sweep(spec, s)
     assert len(calls["_aging_slopes"]) == 1

@@ -138,8 +138,9 @@ class TestOsCostMoments:
     def test_variance_monotone_in_rates(self, baseline):
         from fscontract import scaled_to_mean
 
-        lo = scaled_to_mean(baseline, 0.002)
-        hi = scaled_to_mean(baseline, 0.004)
+        series = internal_rate_series(baseline.failure, baseline.grid)
+        lo = scaled_to_mean(baseline, 0.002, series)
+        hi = scaled_to_mean(baseline, 0.004, series)
         v_lo = os_cost_moments(lo, internal_rate_series(lo.failure, lo.grid)).variance
         v_hi = os_cost_moments(hi, internal_rate_series(hi.failure, hi.grid)).variance
         assert v_lo < v_hi

@@ -457,7 +457,7 @@ class TestCostSideWork:
                             simulate_external_rates)
         cost_side = CostSide(baseline)
         for variant in ("full", "auto", "bench"):
-            cost_side.price(variant, baseline.market)
+            cost_side.price(variant)
         cost_side.os_moments
         # M* = 3 and m0_os = 10: one count array each
         assert {name: len(c) for name, c in calls.items()} == {
@@ -480,23 +480,22 @@ class TestCostSideWork:
         assert cost_side.problem.base.repair == counts.repair_bill(m_star)
         assert cost_side.os_moments.repair_mean == counts.repair_bill(m0) / 1000.0
         assert counts(m_star) is counts(m_star)
-        other = cost_side.with_learning(replace(baseline, learning=replace(
-            baseline.learning, unit_training_cost=80.0)))
+        other = cost_side.with_training_cost(80.0)
         assert other.counts is counts
 
     @pytest.mark.parametrize("model", ["simple", "revised"])
-    def test_with_learning_solves_as_a_fresh_lf_problem(self, baseline, model):
-        # the lf problem's constants that depend on learning are computed
-        # again for the new parameters
+    def test_with_training_cost_solves_as_a_fresh_lf_problem(self, baseline, model):
+        # the lf problem's constants that depend on the training cost are
+        # computed again for the new cost, on the held feasible interval
         for base in [baseline] + generated_scenarios((2,))[::9]:
             s = replace(base, learning=replace(base.learning, forgetting_model=model))
             cost_side = CostSide(s)
             cost_side.lf_solution
-            for c, alpha_auto, alpha_indu in ((1.0, 0.1, 0.1), (80.0, 0.3, 0.05),
-                                              (5000.0, 0.0, 0.2)):
-                s2 = replace(s, learning=replace(s.learning, unit_training_cost=c,
-                                                 alpha_auto=alpha_auto, alpha_indu=alpha_indu))
-                held = cost_side.with_learning(s2).problem.solve()
+            for c in (1.0, 80.0, 5000.0):
+                s2 = replace(s, learning=replace(s.learning, unit_training_cost=c))
+                other = cost_side.with_training_cost(c)
+                assert other.scenario == s2
+                held = other.problem.solve()
                 fresh = lf_problem(cost_side.plan.m_count, s2, cost_side.internal,
                                    cost_side.external).solve()
                 for name in LfSolution._fields:
@@ -534,7 +533,7 @@ class TestOptimalPrice:
     def test_sandwich_on_baseline_variants(self, baseline):
         cost_side = CostSide(baseline)
         for variant in VARIANTS:
-            sol = cost_side.price(variant, baseline.market)
+            sol = cost_side.price(variant)
             assert sol.lower_bound <= sol.price <= sol.upper_bound
 
     def test_interior_matches_profit_argmax_benchmark_regime(self, baseline):
@@ -573,7 +572,7 @@ class TestPriceVariants:
                     learning=replace(baseline.learning, alpha_auto=0.0, alpha_indu=0.0,
                                      unit_training_cost=0.0))
         cost_side = CostSide(s)
-        sols = {v: cost_side.price(v, s.market) for v in VARIANTS}
+        sols = {v: cost_side.price(v) for v in VARIANTS}
         # with both exponents and the training bill zeroed, and matching
         # maintenance plans, the three prices collapse (up to the training
         # hours carried at zero cost)
@@ -582,12 +581,12 @@ class TestPriceVariants:
 
     def test_baseline_ordering(self, baseline):
         cost_side = CostSide(baseline)
-        sols = {v: cost_side.price(v, baseline.market) for v in VARIANTS}
+        sols = {v: cost_side.price(v) for v in VARIANTS}
         assert sols["full"].price < sols["auto"].price < sols["bench"].price
 
     def test_full_records_lf_star(self, baseline):
         cost_side = CostSide(baseline)
-        sols = {v: cost_side.price(v, baseline.market) for v in VARIANTS}
+        sols = {v: cost_side.price(v) for v in VARIANTS}
         assert sols["full"].lf_star is not None
         assert sols["auto"].lf_star is None
         assert sols["bench"].m_count == baseline.cost.m0_os
@@ -602,7 +601,7 @@ class TestPriceVariants:
         expensive = replace(baseline,
                             learning=replace(baseline.learning, unit_training_cost=5000.0))
         cost_side = CostSide(expensive)
-        sols = {v: cost_side.price(v, expensive.market) for v in ("full", "auto")}
+        sols = {v: cost_side.price(v) for v in ("full", "auto")}
         assert sols["full"].price > sols["auto"].price
 
 

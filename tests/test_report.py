@@ -1,6 +1,6 @@
 import copy
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from fscontract import (
     CostSide,
     InfeasiblePriceError,
+    InfeasibleTrainingError,
     KpiRecord,
     LfProblem,
     Scenario,
@@ -17,6 +18,7 @@ from fscontract import (
     compare_models,
     emit_report,
     expected_failures,
+    internal_rate_series,
     lf_problem,
     optimal_pm_count,
     optimal_price,
@@ -62,6 +64,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(param="beta", values=(0.6, 0.5))
 
+    def test_names_only_the_axis(self):
+        # every sweep prices the full model: the spec has no variant
+        assert [f.name for f in fields(SweepSpec)] == ["param", "values"]
+
 
 class TestCompareModels:
     def test_three_rows(self, comparison):
@@ -76,8 +82,8 @@ class TestCompareModels:
 
     def test_matches_pricing_layer(self, baseline, comparison):
         cost_side = CostSide(baseline)
-        assert comparison[0].price == cost_side.price("full", baseline.market).price
-        assert comparison[1].price == cost_side.price("auto", baseline.market).price
+        assert comparison[0].price == cost_side.price("full").price
+        assert comparison[1].price == cost_side.price("auto").price
 
     def test_readme_baseline_table(self, comparison):
         # the README's table prints each KPI of compare_models(default_scenario())
@@ -122,6 +128,18 @@ class TestSweep:
         assert all(r.swept_param == "beta" for r in beta_sweep)
         assert all(r.feasible for r in beta_sweep)
 
+    @pytest.mark.parametrize("param, values", [
+        ("beta", (0.5, 100.0)),
+        ("lf", (1e-300, 0.005)),
+        ("unit_training_cost", (50.0, 100000.0)),
+        ("phi_int_mean", (0.0034, 0.05)),
+    ])
+    def test_every_row_prices_the_full_model(self, baseline, param, values):
+        # one value of each axis is infeasible on the baseline
+        records = sweep(SweepSpec(param=param, values=values), baseline)
+        assert [r.variant for r in records] == ["full", "full"]
+        assert sorted(r.feasible for r in records) == [False, True]
+
     def test_lf_sweep_prices_at_given_lf(self, baseline):
         records = sweep(SweepSpec(param="lf", values=(0.004, 0.0250)), baseline)
         # far from the optimum the cost must exceed the near-optimal one
@@ -152,23 +170,12 @@ class TestSweep:
     def test_profit_premium_shrinks_with_the_training_cost(self, baseline):
         # the full model's profit over the old model's, per unit training cost
         cost_side = CostSide(baseline)
-        auto_profit = cost_side.price("auto", baseline.market).profit
+        auto_profit = cost_side.price("auto").profit
         premiums = []
         for value in (50.0, 100.0, 5000.0):
-            s = replace(baseline, learning=replace(baseline.learning, unit_training_cost=value))
-            premiums.append(cost_side.with_learning(s).price("full", s.market).profit
+            premiums.append(cost_side.with_training_cost(value).price("full").profit
                             - auto_profit)
         assert premiums[0] > premiums[2]
-
-    def test_sweep_other_variant(self, baseline):
-        records = sweep(SweepSpec(param="beta", values=(0.5, 0.9), variant="auto"), baseline)
-        assert [r.variant for r in records] == ["auto", "auto"]
-        assert records[0].price < records[1].price
-        # training never enters the autonomous-only model, so lf sweeps
-        # leave its cost untouched
-        lf_records = sweep(SweepSpec(param="lf", values=(0.004, 0.02), variant="auto"),
-                           baseline)
-        assert lf_records[0].cost == lf_records[1].cost
 
 
 class TestSweepChecks:
@@ -291,19 +298,18 @@ class TestCostSideReuse:
         assert len(calls["market_side"]) == 1
         assert priced == []
 
-    @pytest.mark.parametrize("variant", ["full", "auto", "bench"])
-    def test_beta_sweep_equals_pricing_each_point(self, baseline, variant):
+    def test_beta_sweep_equals_pricing_each_point(self, baseline):
         # the ceiling makes the last points infeasible
         values = self.BETAS + (10.0, 100.0)
-        cost_side = CostSide(baseline)
         want = []
         for value in values:
             try:
-                sol = cost_side.price(variant, replace(baseline.market, beta=value))
+                s = replace(baseline, market=replace(baseline.market, beta=value))
+                sol = CostSide(s).price("full")
                 want.append((True, sol.price, sol.breakdown.total, sol.profit, sol.fs_share))
             except InfeasiblePriceError:
                 want.append((False,))
-        records = sweep(SweepSpec(param="beta", values=values, variant=variant), baseline)
+        records = sweep(SweepSpec(param="beta", values=values), baseline)
         assert [r.swept_value for r in records] == list(values)
         assert [(r.feasible, r.price, r.cost, r.profit, r.fs_share) if r.feasible
                 else (r.feasible,) for r in records] == want
@@ -350,9 +356,9 @@ class TestCostSideReuse:
         calls = count_calls(monkeypatch, optimize_lf, simulate_external_rates,
                             optimal_pm_count)
         cost_side = CostSide(baseline)
-        auto_profit = cost_side.price("auto", baseline.market).profit
-        assert [cost_side.with_learning(s).price("full", s.market).profit - auto_profit
-                for s in scenarios] == alone
+        auto_profit = cost_side.price("auto").profit
+        assert [cost_side.with_training_cost(s.learning.unit_training_cost).price("full").profit
+                - auto_profit for s in scenarios] == alone
         assert {name: len(c) for name, c in calls.items()} == {
             "optimize_lf": 3, "simulate_external_rates": 1, "optimal_pm_count": 1}
 
@@ -397,19 +403,40 @@ class TestCostSideReuse:
         ("phi_int_mean", (0.0025, 0.0034, 0.0046)),
     ])
     def test_rows_equal_pricing_each_point_alone(self, baseline, param, values):
-        records = sweep(SweepSpec(param=param, values=values), baseline)
-        for r in records:
-            if param == "beta":
-                s = replace(baseline, market=replace(baseline.market, beta=r.swept_value))
-            elif param == "phi_int_mean":
-                s = scaled_to_mean(baseline, r.swept_value)
-            else:
-                s = replace(baseline, learning=replace(baseline.learning,
-                                                       **{param: r.swept_value}))
-            sol = CostSide(s).price("full", s.market,
-                                    r.swept_value if param == "lf" else None)
-            assert (r.price, r.cost, r.profit, r.fs_share) == (
-                sol.price, sol.breakdown.total, sol.profit, sol.fs_share)
+        # the baseline at the given values, and each seed-1 base with
+        # Z <= 300 at half, one and two times its own value; a flagged row
+        # is one that pricing alone finds infeasible
+        assert len(SEED_1_BASES) == 24
+        cases = [(baseline, values)] + [
+            (s, tuple(k * _own_value(s, param) for k in (0.5, 1.0, 2.0))) for s in SEED_1_BASES]
+        for s, values in cases:
+            series = internal_rate_series(s.failure, s.grid)
+            for r in sweep(SweepSpec(param=param, values=values), s):
+                if param == "beta":
+                    point = replace(s, market=replace(s.market, beta=r.swept_value))
+                elif param == "phi_int_mean":
+                    point = scaled_to_mean(s, r.swept_value, series)
+                else:
+                    point = replace(s, learning=replace(s.learning, **{param: r.swept_value}))
+                try:
+                    sol = CostSide(point).price("full", r.swept_value if param == "lf" else None)
+                except (InfeasibleTrainingError, InfeasiblePriceError):
+                    assert not r.feasible
+                    continue
+                assert (r.price, r.cost, r.profit, r.fs_share) == (
+                    sol.price, sol.breakdown.total, sol.profit, sol.fs_share)
+
+
+SEED_1_BASES = [s for s in generated_scenarios((1,)) if s.grid.z_periods <= 300]
+
+
+def _own_value(s: Scenario, param: str) -> float:
+    """The value of the swept parameter in ``s``."""
+    if param == "beta":
+        return s.market.beta
+    if param == "phi_int_mean":
+        return internal_rate_series(s.failure, s.grid).mean
+    return getattr(s.learning, param)
 
 
 class TestEmission:

@@ -481,7 +481,8 @@ class TestExternalRates:
 class TestScaledToMean:
     def test_hits_target_mean(self, baseline):
         for target in (0.0019, 0.0046):
-            scaled = scaled_to_mean(baseline, target)
+            scaled = scaled_to_mean(baseline, target,
+                                    internal_rate_series(baseline.failure, baseline.grid))
             series = internal_rate_series(scaled.failure, scaled.grid)
             assert series.mean == pytest.approx(target, rel=1e-12)
 
@@ -490,10 +491,11 @@ class TestScaledToMean:
                                                  internal_series_override=(0.0,) * 20))
         with pytest.raises(ScenarioValidationError, match="failure.internal_series: a series "
                                                           "of mean 0 cannot be rescaled"):
-            scaled_to_mean(zero, 0.003)
+            scaled_to_mean(zero, 0.003, internal_rate_series(zero.failure, zero.grid))
 
     def test_shape_preserved(self, baseline):
-        scaled = scaled_to_mean(baseline, 0.0046)
+        scaled = scaled_to_mean(baseline, 0.0046,
+                                internal_rate_series(baseline.failure, baseline.grid))
         factor = 0.0046 / 0.0034
         expected = np.asarray(BASELINE_INTERNAL_SERIES) * factor
         np.testing.assert_allclose(

@@ -26,7 +26,7 @@ BASES = [default_scenario()] + generated_scenarios((1, 2, 3))
 def variant_prices(s):
     """Every variant's price, on one cost side of ``s``."""
     cost_side = CostSide(s)
-    return {v: cost_side.price(v, s.market) for v in VARIANTS}
+    return {v: cost_side.price(v) for v in VARIANTS}
 
 
 def in_money_units(s, k: float):
@@ -97,7 +97,7 @@ def test_seed_moves_only_the_full_model():
     # only the full model prices with the external draw
     def rows(s):
         _, auto, os_row = compare_models(s)
-        return repr((auto, os_row, CostSide(s).price("bench", s.market)))
+        return repr((auto, os_row, CostSide(s).price("bench")))
 
     for index, s in enumerate(BASES):
         assert rows(replace(s, rng_seed=s.rng_seed + 1)) == rows(s), index
