@@ -23,7 +23,8 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .pricing import ConvergenceError, InfeasiblePriceError, InfeasibleTrainingError, _validated
+from .pricing import (VARIANTS, ConvergenceError, InfeasiblePriceError, InfeasibleTrainingError,
+                      _validated)
 from .report import FORMATS, SWEEP_PARAMS, SweepSpec, compare_models, emit_report, sweep
 from .scenario import ConfigError, Scenario, ScenarioValidationError, _read_scenario
 
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price", help="price one model variant")
     common(p)
-    p.add_argument("--variant", choices=("full", "auto", "bench"), default="full")
+    p.add_argument("--variant", choices=VARIANTS, default="full")
     p.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("optimize-lf", help="optimize the training frequency")

@@ -76,7 +76,6 @@ class MaintenancePlan(NamedTuple):
     """A maintenance count with its expected repair+maintenance cost."""
 
     m_count: int
-    is_optimal: bool
     objective_value: float
 
 
@@ -243,9 +242,9 @@ def maintenance_cost(m: int, c_bar: float) -> float:
     return c_bar * (m - 1)
 
 
-def _plan(m: int, is_optimal: bool, s: Scenario, counts: FailureCounts) -> MaintenancePlan:
+def _plan(m: int, s: Scenario, counts: FailureCounts) -> MaintenancePlan:
     """m actions with their expected repair plus maintenance cost."""
-    return MaintenancePlan(m, is_optimal, counts.repair_bill(m)
+    return MaintenancePlan(m, counts.repair_bill(m)
                            + maintenance_cost(m, s.cost.avg_maintenance_cost))
 
 
@@ -277,7 +276,7 @@ def optimal_pm_count(s: Scenario, internal: PeriodValues,
         if not math.isfinite(root):
             raise OverflowError(f"the optimal maintenance count overflows (K / c_M = {radicand})")
         m_star = max(1, math.ceil(root))
-    return _plan(m_star, True, s, counts)
+    return _plan(m_star, s, counts)
 
 
 def brute_force_pm_count(s: Scenario, internal: PeriodValues, m_max: int) -> MaintenancePlan:
@@ -289,9 +288,9 @@ def brute_force_pm_count(s: Scenario, internal: PeriodValues, m_max: int) -> Mai
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     counts = FailureCounts(s, internal)
-    best = MaintenancePlan(1, False, math.inf)
+    best = MaintenancePlan(1, math.inf)
     for m in range(1, m_max + 1):
-        plan = _plan(m, False, s, counts)
+        plan = _plan(m, s, counts)
         if plan.objective_value < best.objective_value:
             best = plan
     return best

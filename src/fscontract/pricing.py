@@ -86,7 +86,7 @@ from .scenario import (
     simulate_external_rates,
 )
 
-VARIANTS = ("bench", "auto", "full")
+VARIANTS = ("full", "auto", "bench")
 
 
 class InfeasiblePriceError(ValueError):

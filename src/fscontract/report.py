@@ -48,7 +48,7 @@ from .pricing import (
     _validated,
     market_side,
 )
-from .scenario import Scenario, ScenarioValidationError, Violation, _field_violations, _raise_on
+from .scenario import Scenario, _field_violations, _raise_on
 
 #: One row per sweep parameter: its command-line flag, and the config keys
 #: whose values its points change.
@@ -108,27 +108,24 @@ def compare_models(s: Scenario) -> list[KpiRecord]:
 
     ``s`` is checked first (see the module docstring).  The pay-per-repair
     row prices at cost plus mark-up; its market share is not applicable and
-    reported as NaN.  Its profit, d_customers beta E, is bounded only
-    through the mark-up: one that overflows raises
-    :class:`ScenarioValidationError`.
+    reported as NaN.  Its profit, d_customers (beta E), is finite: once
+    ``full`` has priced, its floor (a total cost of at least 0, plus beta E)
+    is at most the price ceiling, so beta E is too, and the
+    ``market.d_customers`` rule keeps d_customers times the ceiling below
+    half the largest float.
     """
     cost_side = _validated(s)
     full = cost_side.price("full")
     auto = cost_side.price("auto")
     osm = cost_side.os_moments
     beta = s.market.beta
-    profit = s.market.d_customers * beta * osm.mean
-    if not math.isfinite(profit):
-        raise ScenarioValidationError([Violation(
-            "market.d_customers",
-            "the pay-per-repair profit d_customers * beta * E must be finite (it overflows)")])
     os_row = KpiRecord(
         variant="os",
         swept_param=None,
         swept_value=float("nan"),
         price=(1.0 + beta) * osm.mean,
         cost=osm.mean,
-        profit=profit,
+        profit=s.market.d_customers * (beta * osm.mean),
         fs_share=float("nan"),
     )
     return [_record(full, None, float("nan")), _record(auto, None, float("nan")), os_row]
@@ -140,9 +137,9 @@ def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
     ``s`` is checked first, at its own values (see the module docstring).
     An lf sweep prices the full model at the given training frequency
     instead of re-optimizing it.  A swept value that breaks a scenario
-    invariant raises :class:`ScenarioValidationError`; a value that is
-    merely infeasible (training exhausted, empty price interval) yields a
-    flagged NaN record and the sweep continues.
+    invariant raises :class:`~fscontract.scenario.ScenarioValidationError`;
+    a value that is merely infeasible (training exhausted, empty price
+    interval) yields a flagged NaN record and the sweep continues.
     """
     base = _validated(s)
     if spec.param == "beta":

@@ -406,9 +406,10 @@ def simulate_external_rates(s: Scenario) -> PeriodValues:
 
     Z normal draws (mean ``ext_mean``, sd ``ext_sd``) truncated below at
     zero, seeded from ``rng_seed``: identical seeds give identical series.
+    An sd of ``-0.0``, which the rules accept, draws as ``0.0``.
     """
     rng = np.random.default_rng(s.rng_seed)
-    draws = rng.normal(s.failure.ext_mean, s.failure.ext_sd, s.grid.z_periods)
+    draws = rng.normal(s.failure.ext_mean, abs(s.failure.ext_sd), s.grid.z_periods)
     return PeriodValues._taking(np.maximum(draws, 0.0, out=draws))
 
 

@@ -24,6 +24,13 @@ from fscontract.scenario import parse_config, scenario_from_overrides
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Config text: free repairs, maintenance, delays and training under a
+#: mark-up of 1e10 in a market of 10^300 customers.  Every bill is 0, and
+#: (d_customers * beta) * E is inf times 0.
+FREE_BILLS = (f"market.d_customers = {10**300}\nmarket.beta = 1e10\n"
+              "cost.unit_repair_cost = 0\ncost.avg_maintenance_cost = 0\n"
+              "cost.unit_delay_cost = 0\nlearning.unit_training_cost = 0\n")
+
 
 @pytest.fixture(scope="session")
 def baseline():

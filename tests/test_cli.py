@@ -28,7 +28,7 @@ from fscontract.cli import main
 from fscontract.failure import _aging_slopes
 from fscontract.scenario import _read_scenario
 
-from conftest import count_calls
+from conftest import FREE_BILLS, count_calls
 
 
 @pytest.fixture(scope="module")
@@ -396,21 +396,22 @@ def test_beta_sweep_in_the_largest_market_keeps_profits_finite(capsys, tmp_path)
     assert max(float(row[5]) for row in feasible) > 1e306
 
 
-def test_overflowing_pay_per_repair_profit_is_validation_error(capsys, tmp_path):
-    # free repairs under a huge mark-up: the fixed-price rows are finite, the
-    # pay-per-repair row's d_customers * beta * E came out NaN (inf times 0)
+def test_pay_per_repair_profit_of_free_bills_is_finite(capsys, tmp_path):
+    # free repairs under a huge mark-up: compare prices what price prices,
+    # and the pay-per-repair profit d_customers * (beta * E) is 0, not inf * 0
     path = tmp_path / "market.cfg"
-    path.write_text(f"market.d_customers = {10**300}\nmarket.beta = 1e10\n"
-                    "cost.unit_repair_cost = 0\ncost.avg_maintenance_cost = 0\n"
-                    "cost.unit_delay_cost = 0\nlearning.unit_training_cost = 0\n")
+    path.write_text(FREE_BILLS)
     code, out, _ = run(capsys, "price", "--config", str(path))
     assert code == 0
     assert all(math.isfinite(float(line.split(" = ")[1])) for line in out.splitlines()[1:])
     code, out, err = run(capsys, "compare", "--config", str(path), "--out", str(tmp_path))
-    assert code == 1
-    assert out == ""
-    assert err == ("validation error: market.d_customers: the pay-per-repair profit "
-                   "d_customers * beta * E must be finite (it overflows)\n")
+    assert code == 0
+    assert err == ""
+    rows = [line.split(",") for line in
+            (tmp_path / "compare.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["full", "auto", "os"]
+    assert all(math.isfinite(float(x)) for row in rows for x in row[3:6])
+    assert rows[2][5] == "0.000000"
 
 
 def test_floored_rates_of_an_invalid_config_print_no_warning(capsys, tmp_path):

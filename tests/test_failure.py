@@ -259,7 +259,6 @@ class TestMaintenanceOptimum:
         internal, _ = baseline_rates
         plan = optimal_pm_count(baseline, internal)
         assert plan.m_count == 3
-        assert plan.is_optimal
         assert brute_force_pm_count(baseline, internal, 50).m_count == 3
 
     def test_objective_value_matches_brute_force_at_same_m(self, baseline, baseline_rates):

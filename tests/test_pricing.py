@@ -616,7 +616,7 @@ class TestResultRecords:
         (FsCostResult, ("breakdown", "state"), {}),
         (LfSolution, ("lf_star", "cost_at_star", "vertex_hint", "iterations",
                       "feasible_range", "residual"), {}),
-        (MaintenancePlan, ("m_count", "is_optimal", "objective_value"), {}),
+        (MaintenancePlan, ("m_count", "objective_value"), {}),
         (PricingSolution, ("price", "lower_bound", "upper_bound", "interior_price", "fs_share",
                            "profit", "breakdown", "variant", "m_count", "lf_star"),
          {"lf_star": None}),

@@ -36,8 +36,9 @@ from fscontract import report as report_module
 from fscontract import scenario as scenario_module
 from fscontract.failure import rate_increments
 from fscontract.pricing import market_side
+from fscontract.scenario import parse_config, scenario_from_overrides
 
-from conftest import count_calls, generated_scenarios
+from conftest import FREE_BILLS, count_calls, generated_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,13 @@ class TestCompareModels:
                 assert math.isnan(row.fs_share)
             else:
                 assert printed(100.0 * row.fs_share, share[:-1]) + "%" == share, row.variant
+
+    def test_pay_per_repair_profit_of_free_bills(self):
+        # d_customers * (beta * E) is 0 here, where (d_customers * beta) * E is inf * 0
+        rows = compare_models(scenario_from_overrides(parse_config(FREE_BILLS)))
+        assert all(math.isfinite(x) for row in rows[:2]
+                   for x in (row.price, row.cost, row.profit, row.fs_share))
+        assert rows[2].profit == 0.0
 
     def test_variants_collapse_without_learning(self, baseline):
         s = replace(baseline,

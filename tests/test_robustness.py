@@ -1,9 +1,12 @@
 """Robustness property: every config either prices to finite KPIs with exit 0
 or exits with its documented code (1 validation, 2 infeasible) and one line
-on stderr, never with a traceback.  The one warning a run may print is the
-model's floored-rate warning, at most once per text, and only for a config
-that passed its checks: a config that fails them prints its one validation
-error alone.
+on stderr, never with a traceback.  One judge decides validity: on a config
+that parses, ``price``, ``compare`` and ``optimize-lf`` exit 1 exactly when
+``validate_scenario`` returns violations, and a sweep exits 1 on those too
+(and on a swept point that breaks a rule).  The one warning a run may print
+is the model's floored-rate warning, at most once per text, and only for a
+config that passed its checks: a config that fails them prints its one
+validation error alone.
 
 Each example takes a base config (the shipped baseline or a generated
 benchmark base) and sets one to three fields to an extreme value or to a
@@ -28,12 +31,12 @@ from hypothesis import strategies as st
 
 from fscontract import default_scenario, save_scenario, validate_scenario
 from fscontract.cli import main
-from fscontract.scenario import _FIELDS, _floats, _read_scenario
+from fscontract.scenario import _FIELDS, ConfigError, _floats, _read_scenario
 
-from conftest import generated_scenarios
+from conftest import FREE_BILLS, generated_scenarios
 
 #: The extremes every float field is tried at.
-EXTREMES = (math.nan, math.inf, -math.inf, 0.0, 1e308, -1e308, 5e-324, 1e-308)
+EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, 1e-308)
 #: Values next to the float rules' bounds (0, 1/2 and 1).
 NEAR_BOUNDS = (-5e-324, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
                math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
@@ -148,12 +151,19 @@ def _run(tmp_path_factory, base: int, changes: dict, argv) -> None:
     messages = [str(w.message) for w in caught]
     assert all(m.startswith("internal rate undershoots zero") for m in messages), messages
     assert len(set(messages)) == len(messages), messages
-    if code == 1 and caught:
-        # only once the config passed its checks, and a sweep point or the
-        # comparison's pay-per-repair row failed after them
+    try:
+        scenario = _read_scenario(path)
+    except ConfigError:
+        assert code == 1 and not caught, (code, messages)
+    else:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert validate_scenario(_read_scenario(path)) == []
+            violations = validate_scenario(scenario)
+        # only a sweep may also reject a config that passes, at a swept point
+        if violations or argv[0] != "sweep":
+            assert (code == 1) == bool(violations), (code, violations)
+        # the warning comes only once the config passed its checks
+        assert not (violations and caught), messages
     err = stderr.getvalue().splitlines()
     if code == 0:
         assert err == []
@@ -182,6 +192,11 @@ def _run(tmp_path_factory, base: int, changes: dict, argv) -> None:
 @example(edit=(3, {"market.d_customers": str(10**309)}), argv=COMMANDS[5])
 # a floored parametric series whose config then fails its checks
 @example(edit=(2, {"failure.m": "1e-308"}), argv=COMMANDS[0])
+# an sd of -0.0 passes the sd >= 0 rule, and numpy refused it as a scale
+@example(edit=(0, {"failure.ext_sd": "-0.0"}), argv=COMMANDS[0])
+# free bills under a huge mark-up: the pay-per-repair profit was inf times 0
+@example(edit=(0, dict(line.split(" = ") for line in FREE_BILLS.splitlines())),
+         argv=COMMANDS[4])
 def test_finite_kpis_or_a_documented_exit(tmp_path_factory, edit, argv):
     base, changes = edit
     _run(tmp_path_factory, base, changes, argv)

@@ -448,6 +448,14 @@ class TestExternalRates:
         series = simulate_external_rates(s)
         assert set(series.values) == {baseline.failure.ext_mean}
 
+    def test_negative_zero_sd_draws_as_zero(self, baseline):
+        # the sd >= 0 rule accepts -0.0, which numpy's scale < 0 check refused
+        s, zero = (replace(baseline, failure=replace(baseline.failure, ext_sd=sd))
+                   for sd in (-0.0, 0.0))
+        assert validate_scenario(s) == []
+        draw = simulate_external_rates(s).as_array()
+        assert draw.tobytes() == simulate_external_rates(zero).as_array().tobytes()
+
     def test_determinism(self, baseline):
         a = simulate_external_rates(baseline)
         b = simulate_external_rates(baseline)
