@@ -17,7 +17,6 @@ from .failure import (
     scaled_to_mean,
 )
 from .learning import (
-    FsCostResult,
     InfeasibleTrainingError,
     LearningState,
     LfProblem,

@@ -6,7 +6,8 @@
     fscontract sweep --config scenario.cfg --param beta|phi-int|lf|unit-training-cost \
         --values 0.5,0.6,0.7 --out DIR --format csv|plotdata|svg
 
-Exit codes: 0 success, 1 validation error, 2 infeasible model, 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 infeasible model (a sweep writes
+a point the model cannot price as an ``NA`` row), 3 I/O error.
 argparse also exits 2 on a usage error (a missing or unknown option, an
 option with no value).  A ``--values`` list that starts with a minus sign
 reads as an option: give negative sweep values as ``--values=-1,0.5``.
@@ -23,8 +24,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .pricing import (VARIANTS, ConvergenceError, InfeasiblePriceError, InfeasibleTrainingError,
-                      _validated)
+from .pricing import INFEASIBLE, VARIANTS, _validated
 from .report import FORMATS, SWEEP_PARAMS, SweepSpec, compare_models, emit_report, sweep
 from .scenario import ConfigError, Scenario, ScenarioValidationError, _read_scenario
 
@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ScenarioValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InfeasibleTrainingError, InfeasiblePriceError, ConvergenceError) as exc:
+    except INFEASIBLE as exc:
         print(f"infeasible model: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except OSError as exc:

@@ -111,13 +111,6 @@ class LearningState(NamedTuple):
     training_cost: float
 
 
-class FsCostResult(NamedTuple):
-    """Total contract cost with its learning state."""
-
-    breakdown: CostBreakdown
-    state: LearningState
-
-
 class LfSolution(NamedTuple):
     """Optimized training frequency and how the solve went.
 
@@ -191,17 +184,16 @@ class LfProblem:
         return LearningState(t_r, t_l, t_f, t_eff, learning_effect(t_r, t_eff, self.learning),
                              self.learning.unit_training_cost * t_l)
 
-    def evaluate(self, lf: float) -> FsCostResult:
-        """Cost breakdown (dollars) and learning state at lf."""
+    def evaluate(self, lf: float) -> CostBreakdown:
+        """Cost breakdown (dollars) at lf, from the learning state :meth:`state`."""
         state = self.state(lf)
         base = self.base
-        breakdown = CostBreakdown(base.repair * state.a_factor, base.maintenance, base.delay,
-                                  state.training_cost)
-        return FsCostResult(breakdown, state)
+        return CostBreakdown(base.repair * state.a_factor, base.maintenance, base.delay,
+                             state.training_cost)
 
     def cost(self, lf: float) -> float:
         """Total contract cost in dollars at lf: the optimizer's objective."""
-        return self.evaluate(lf).breakdown.total
+        return self.evaluate(lf).total
 
     def derivative(self, lf: float) -> float:
         """Analytic d(cost)/d(lf); see :func:`fs_cost_lf_derivative`."""
@@ -408,8 +400,8 @@ def reduced_terms(m: int, s: Scenario, internal: PeriodValues,
 
 
 def total_fs_cost(lf: float, m: int, s: Scenario, internal: PeriodValues,
-                  external: PeriodValues) -> FsCostResult:
-    """Total full-service contract cost (dollars) at training frequency lf."""
+                  external: PeriodValues) -> CostBreakdown:
+    """Full-service contract cost breakdown (dollars) at training frequency lf."""
     return lf_problem(m, s, internal, external).evaluate(lf)
 
 

@@ -98,6 +98,12 @@ class InfeasiblePriceError(ValueError):
         super().__init__(f"price floor {lower:.3f} exceeds ceiling {upper:.3f}")
 
 
+#: What pricing a checked scenario raises where the model cannot price it:
+#: no feasible training, an empty price interval, or an lf solve that fails.
+#: The CLI exits 2 on these, and a sweep flags the point instead.
+INFEASIBLE = (InfeasibleTrainingError, InfeasiblePriceError, ConvergenceError)
+
+
 class PricingSolution(NamedTuple):
     """Posted price with bounds, market share, profit and cost breakdown.
 
@@ -369,7 +375,7 @@ class CostSide:
         else:
             m = self.plan.m_count
             lf_star = self.lf_solution.lf_star if lf is None else lf
-            breakdown = self.problem.evaluate(lf_star).breakdown
+            breakdown = self.problem.evaluate(lf_star)
         return breakdown.scaled(1.0 / DOLLARS_PER_REPORT_UNIT), m, lf_star
 
     def price(self, variant: str, lf: float | None = None) -> PricingSolution:

@@ -27,6 +27,9 @@ feasible lf interval, and reruns the lf search and the market side.
 base's internal series, scaled, and the base's external draw (a point
 changes neither the seed, the horizon nor the external moments), checks the
 optimizer's assumptions on it and prices on it.
+A point the model cannot price (:data:`~fscontract.pricing.INFEASIBLE`)
+is a flagged row of NaN KPIs, whatever the cause; so is every row of a
+``beta`` sweep whose base's ``full`` cost cannot be solved.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ import numpy as np
 
 from .failure import scaled_to_mean
 from .pricing import (
+    INFEASIBLE,
     CostSide,
-    InfeasiblePriceError,
-    InfeasibleTrainingError,
     PricingSolution,
     _swept_beta_violations,
     _validated,
@@ -138,8 +140,8 @@ def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
     An lf sweep prices the full model at the given training frequency
     instead of re-optimizing it.  A swept value that breaks a scenario
     invariant raises :class:`~fscontract.scenario.ScenarioValidationError`;
-    a value that is merely infeasible (training exhausted, empty price
-    interval) yields a flagged NaN record and the sweep continues.
+    a value that the model cannot price (see the module docstring) yields a
+    flagged NaN record and the sweep continues.
     """
     base = _validated(s)
     if spec.param == "beta":
@@ -165,7 +167,7 @@ def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
         lf = value if spec.param == "lf" else None
         try:
             records.append(_record(cost_side.price("full", lf), spec.param, value))
-        except (InfeasibleTrainingError, InfeasiblePriceError):
+        except INFEASIBLE:
             records.append(_infeasible(spec.param, value))
     return records
 
@@ -184,7 +186,7 @@ def _beta_sweep(spec: SweepSpec, cost_side: CostSide) -> list[KpiRecord]:
     _raise_on(_swept_beta_violations(s, betas, osm.variance))
     try:
         breakdown = cost_side.variant_cost("full")[0]
-    except InfeasibleTrainingError:
+    except INFEASIBLE:
         return [_infeasible("beta", value) for value in spec.values]
     sides = market_side(breakdown, osm, s.market, betas)
     cost = breakdown.total

@@ -406,7 +406,7 @@ def simulate_external_rates(s: Scenario) -> PeriodValues:
 
     Z normal draws (mean ``ext_mean``, sd ``ext_sd``) truncated below at
     zero, seeded from ``rng_seed``: identical seeds give identical series.
-    An sd of ``-0.0``, which the rules accept, draws as ``0.0``.
+    An sd of ``-0.0`` (a config reads it as ``0.0``) draws as ``0.0``.
     """
     rng = np.random.default_rng(s.rng_seed)
     draws = rng.normal(s.failure.ext_mean, abs(s.failure.ext_sd), s.grid.z_periods)
@@ -722,7 +722,7 @@ def load_internal_table(path: str | Path, column: str | int) -> tuple[float, ...
 def parse_config(text: str) -> dict:
     """Parse ``dotted.key = value`` lines into a key/value mapping.
 
-    A key given twice is an error, not last-wins.
+    A key given twice is an error, not last-wins, and ``-0.0`` reads as ``0.0``.
     """
     out: dict = {}
     first_line: dict[str, int] = {}
@@ -739,13 +739,15 @@ def parse_config(text: str) -> dict:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} (first given on line {first_line[key]})")
         first_line[key] = lineno
-        if key == "failure.internal_series" and raw == "none":
-            out[key] = None
-            continue
+        cleared = key == "failure.internal_series" and raw == "none"
         try:
-            out[key] = _PARSERS[key](raw)
+            value = None if cleared else _PARSERS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: non-numeric value for {key}: {raw!r}") from exc
+        # -0.0, alone or in a list, reads as 0.0: adding 0.0 changes no other float
+        if isinstance(value, tuple) and isinstance(value[0], float):
+            value = tuple(x + 0.0 for x in value)
+        out[key] = value + 0.0 if isinstance(value, float) else value
     return out
 
 

@@ -1,14 +1,18 @@
 """Print every number of the README's "Where the abstract's claims hold",
 on the 72 generated bases with Z <= 300 of seeds 1-3: the full model
 against ``auto``, M* against the full cost's own argmin, the ``lf`` and
-``phi-int`` sweep census, and the profit argmax on a price grid.
+``phi-int`` sweep census, and the profit argmax on a price grid.  Exits 1
+where a number it prints is missing from that section of the README.
 
 Run from the root of a checkout: ``PYTHONPATH=src python tests/census.py``.
 pytest does not collect it.
 """
 
 import math
+import re
 import statistics
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +30,8 @@ from conftest import generated_scenarios
 
 #: Points of the price grid between floor and ceiling.
 GRID_POINTS = 200_001
+README = Path(__file__).resolve().parent.parent / "README.md"
+SECTION = "## Where the abstract's claims hold"
 
 
 def full_cost_by_m(cost_side: CostSide) -> dict[int, float]:
@@ -105,7 +111,14 @@ def percent(x: float, digits: int = 1) -> str:
     return f"{100 * x:.{digits}f}%"
 
 
-def main() -> None:
+def numbers(text: str) -> set[str]:
+    """The numbers written in ``text``, with the digit groups that a space
+    splits joined ("200 001" is 200001)."""
+    return set(re.findall(r"\d+(?:\.\d+)?", re.sub(r"(?<=\d) (?=\d{3}(?!\d))", "", text)))
+
+
+def census() -> list[str]:
+    """The lines the script prints."""
     bases = [s for s in generated_scenarios((1, 2, 3)) if s.grid.z_periods <= 300]
     n = len(bases)
     ties, below, gaps, spreads = [], [], [], []
@@ -135,32 +148,47 @@ def main() -> None:
     def count(census: list[dict[str, bool]], key: str) -> int:
         return sum(c[key] for c in census)
 
-    print(f"full and auto tie on {len(ties)} of {n} bases (both shares 1, no price "
-          f"at the ceiling; profits {max(ties):.0f} ulps apart at most); auto's share is "
-          f"below 1 on {len(below)}, and full earns more on {sum(below)} of them")
-    print(f"M* is not the argmin over M of the full cost on {len(gaps)} of {n} "
-          f"bases (lower there by a median {percent(statistics.median(gaps), 2)}, "
-          f"{percent(max(gaps), 2)} at most); baseline: M = {best} costs {percent(gap, 2)} "
-          f"less than M* = {baseline.plan.m_count}")
-    print(f"lf sweep: profit within 1% on {sum(x <= 0.01 for x in spreads)} of {n} bases; "
-          f"median spread {percent(statistics.median(spreads))}, largest "
-          f"{percent(max(spreads))}")
-    print(f"phi-int sweep over 0.6-6x: price nondecreasing on {count(wide, 'price rises')}, "
-          f"reaches the ceiling on {count(wide, 'reaches the ceiling')}; infeasible points "
-          f"on {n - count(wide, 'all feasible')}; profit nondecreasing on "
-          f"{count(wide, 'profit rises')}, up to the first ceiling point on "
-          f"{count(wide, 'profit rises to the ceiling')}, falls after the ceiling binds on "
-          f"{count(wide, 'profit falls after the ceiling')}")
+    lines = [
+        f"full and auto tie on {len(ties)} of {n} bases (both shares 1, no price at the "
+        f"ceiling; profits {max(ties):.0f} ulps apart at most); auto's share is below 1 on "
+        f"{len(below)}, and full earns more on {sum(below)} of them",
+        f"M* is not the argmin over M of the full cost on {len(gaps)} of {n} bases (lower "
+        f"there by a median {percent(statistics.median(gaps), 2)}, {percent(max(gaps), 2)} "
+        f"at most); baseline: M = {best} costs {percent(gap, 2)} less than "
+        f"M* = {baseline.plan.m_count}",
+        f"lf sweep: profit within 1% on {sum(x <= 0.01 for x in spreads)} of {n} bases; "
+        f"median spread {percent(statistics.median(spreads))}, largest "
+        f"{percent(max(spreads))}",
+        f"phi-int sweep over 0.6-6x: price nondecreasing on {count(wide, 'price rises')}, "
+        f"reaches the ceiling on {count(wide, 'reaches the ceiling')}; infeasible points "
+        f"on {n - count(wide, 'all feasible')}; profit nondecreasing on "
+        f"{count(wide, 'profit rises')}, up to the first ceiling point on "
+        f"{count(wide, 'profit rises to the ceiling')}, falls after the ceiling binds on "
+        f"{count(wide, 'profit falls after the ceiling')}",
+    ]
     both = sum(c["all feasible"] and c["price rises"] and c["profit rises"] for c in narrow)
-    print(f"phi-int sweep over 0.6-1.5x: price and profit rise on {both} of {n} bases")
+    lines.append(f"phi-int sweep over 0.6-1.5x: price and profit rise on {both} of {n} bases")
     for variant, found in gains.items():
         beaten = [g for g in found if g > 0.0]
         line = f"{GRID_POINTS}-point price grid, {variant}: beats the rule on {len(beaten)} of {n}"
         if beaten:
             line += (f" bases, by a median {percent(statistics.median(found))} of the rule's "
                      f"profit ({percent(max(found))} at most)")
-        print(line)
+        lines.append(line)
+    return lines
+
+
+def main() -> int:
+    lines = census()
+    print("\n".join(lines))
+    section = README.read_text(encoding="utf-8").split(SECTION, 1)[1].split("\n## ", 1)[0]
+    missing = numbers("\n".join(lines)) - numbers(section)
+    if missing:
+        print(f"README.md, {SECTION[3:]!r}, lacks: {', '.join(sorted(missing, key=float))}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -109,7 +109,7 @@ def test_criterion_03_training_frequency_optimum():
         m = optimal_pm_count(s, internal).m_count
 
         def cost(lf: float) -> float:
-            return total_fs_cost(lf, m, s, internal, external).breakdown.total
+            return total_fs_cost(lf, m, s, internal, external).total
 
         solution = optimize_lf(m, s, internal, external)
         lo, hi = solution.feasible_range

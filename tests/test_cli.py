@@ -26,7 +26,7 @@ from fscontract import (
 )
 from fscontract.cli import main
 from fscontract.failure import _aging_slopes
-from fscontract.scenario import _read_scenario
+from fscontract.scenario import _FIELDS, _floats, _read_scenario
 
 from conftest import FREE_BILLS, count_calls
 
@@ -51,6 +51,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
 class TestPriceCommand:
@@ -618,3 +622,73 @@ class TestSweepCommand:
         cost_a = dict(l.split(" = ") for l in out_a.strip().splitlines())["cost_training"]
         cost_b = dict(l.split(" = ") for l in out_b.strip().splitlines())["cost_training"]
         assert cost_a != cost_b
+
+    def test_point_the_model_cannot_price_is_a_flagged_row(self, capsys, config_path, tmp_path):
+        # at a training cost of 1e308 the lf solve meets a non-finite cost
+        code, _, err = run(capsys, "sweep", "--config", str(config_path),
+                           "--param", "unit-training-cost", "--values", "50,1e308",
+                           "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        priced, flagged = _csv_rows(tmp_path / "sweep_unit_training_cost.csv")
+        assert all(math.isfinite(float(x)) for x in priced[3:])
+        assert flagged[3:] == ["NA"] * 4
+
+
+@pytest.fixture(scope="module")
+def costly_training_path(tmp_path_factory):
+    # the baseline whose lf solve meets a non-finite cost: the model cannot
+    # price its full variant
+    path = tmp_path_factory.mktemp("cli") / "costly.cfg"
+    path.write_text("learning.unit_training_cost = 1e308\n")
+    return path
+
+
+@pytest.mark.parametrize("param, values", [
+    ("beta", "0.1,0.2"), ("phi-int", "0.002,0.004"), ("lf", "0.004,0.3")])
+def test_sweep_of_a_base_the_model_cannot_price_flags_every_row(capsys, costly_training_path,
+                                                                tmp_path, param, values):
+    code, _, err = run(capsys, "sweep", "--config", str(costly_training_path),
+                       "--param", param, "--values", values, "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    rows = _csv_rows(next(tmp_path.glob("*.csv")))
+    assert len(rows) == 2
+    assert all(row[3:] == ["NA"] * 4 for row in rows)
+
+
+def test_base_the_model_cannot_price_is_infeasible(capsys, costly_training_path, tmp_path):
+    errors = []
+    for argv in (("price",), ("compare", "--out", str(tmp_path))):
+        code, out, err = run(capsys, *argv, "--config", str(costly_training_path))
+        assert (code, out) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("infeasible model: non-finite cost or derivative at lf = ")
+    assert errors[0].count("\n") == 1
+
+
+#: The config keys whose parser reads floats.
+FLOAT_KEYS = [key for key, _, name, parse in _FIELDS if name and parse in (float, _floats)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_negative_zero_prints_as_zero(capsys, tmp_path, key):
+    base = tmp_path / "base.cfg"
+    save_scenario(default_scenario(), base)
+    lines = dict(line.split(" = ", 1) for line in base.read_text().splitlines()[1:])
+    if key in ("market.tco", "market.c_lease", "market.c_ops"):
+        # the price ceiling and the TCO triple exclude each other
+        lines.pop("market.price_ceiling")
+    config, out = tmp_path / "c.cfg", tmp_path / "out"
+
+    def outcomes(value: str) -> list:
+        lines[key] = value
+        config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        found = []
+        for argv in (("price",), ("compare", "--out", str(out))):
+            found.append(run(capsys, *argv, "--config", str(config)))
+            written = out / "compare.csv"
+            found.append(written.read_bytes() if written.exists() else None)
+            written.unlink(missing_ok=True)
+        return found
+
+    assert outcomes("-0.0") == outcomes("0.0")

@@ -187,27 +187,26 @@ class TestTotalFsCost:
                     cost=replace(baseline.cost, delay_probability=0.0),
                     learning=replace(baseline.learning, alpha_auto=0.0, alpha_indu=0.0,
                                      unit_training_cost=0.0))
-        result = total_fs_cost(1e-3, 3, s, internal, external)
+        breakdown = total_fs_cost(1e-3, 3, s, internal, external)
         plain = FailureCounts(s, internal).repair_bill(3) + maintenance_cost(3, 300.0)
-        assert result.breakdown.total == pytest.approx(plain, rel=1e-9)
-        assert result.state.a_factor == 1.0
+        assert breakdown.total == pytest.approx(plain, rel=1e-9)
+        assert lf_problem(3, s, internal, external).state(1e-3).a_factor == 1.0
 
     def test_learning_lowers_repair_component(self, baseline, baseline_rates):
         internal, external = baseline_rates
-        result = total_fs_cost(0.005, 3, baseline, internal, external)
-        assert result.breakdown.repair < FailureCounts(baseline, internal).repair_bill(3)
+        breakdown = total_fs_cost(0.005, 3, baseline, internal, external)
+        assert breakdown.repair < FailureCounts(baseline, internal).repair_bill(3)
 
     def test_total_is_component_sum(self, baseline, baseline_rates):
         internal, external = baseline_rates
-        b = total_fs_cost(0.005, 3, baseline, internal, external).breakdown
+        b = total_fs_cost(0.005, 3, baseline, internal, external)
         assert b.total == b.repair + b.maintenance + b.delay + b.training
         assert min(b.repair, b.maintenance, b.delay, b.training) >= 0.0
 
     def test_unimodal_in_lf(self, baseline, baseline_rates):
         internal, external = baseline_rates
         grid = np.geomspace(0.001, 0.5, 120)
-        costs = [total_fs_cost(lf, 3, baseline, internal, external).breakdown.total
-                 for lf in grid]
+        costs = [total_fs_cost(lf, 3, baseline, internal, external).total for lf in grid]
         rising = np.diff(costs) > 0
         first_rise = int(np.argmax(rising))
         assert 0 < first_rise < len(rising) - 1
@@ -227,7 +226,7 @@ class TestTotalFsCost:
 
     def test_continuity_near_baseline_optimum(self, baseline, baseline_rates):
         internal, external = baseline_rates
-        costs = [total_fs_cost(lf, 3, baseline, internal, external).breakdown.total
+        costs = [total_fs_cost(lf, 3, baseline, internal, external).total
                  for lf in (0.0049, 0.0050, 0.0051)]
         spread = max(costs) - min(costs)
         assert spread < 0.01 * min(costs)
@@ -236,8 +235,8 @@ class TestTotalFsCost:
 class TestDerivative:
     def central_difference(self, s, internal, external, lf):
         h = 1e-6 * lf
-        up = total_fs_cost(lf + h, 3, s, internal, external).breakdown.total
-        down = total_fs_cost(lf - h, 3, s, internal, external).breakdown.total
+        up = total_fs_cost(lf + h, 3, s, internal, external).total
+        down = total_fs_cost(lf - h, 3, s, internal, external).total
         return (up - down) / (2 * h)
 
     def test_matches_finite_differences(self, baseline, baseline_rates):
@@ -281,9 +280,9 @@ class TestLfProblem:
         internal, external = baseline_rates
         problem = lf_problem(3, baseline, internal, external)
         lf = 0.005
-        assert problem.cost(lf) == total_fs_cost(lf, 3, baseline, internal, external).breakdown.total
-        assert problem.evaluate(lf).breakdown.total == problem.cost(lf)
-        assert problem.state(lf) == total_fs_cost(lf, 3, baseline, internal, external).state
+        assert problem.cost(lf) == total_fs_cost(lf, 3, baseline, internal, external).total
+        assert problem.evaluate(lf).total == problem.cost(lf)
+        assert problem.state(lf) == lf_problem(3, baseline, internal, external).state(lf)
         assert problem.derivative(lf) == fs_cost_lf_derivative(lf, 3, baseline, internal,
                                                                 external)
 

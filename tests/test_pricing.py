@@ -10,7 +10,6 @@ from fscontract import (
     ConvergenceError,
     CostBreakdown,
     CostSide,
-    FsCostResult,
     InfeasiblePriceError,
     InfeasibleTrainingError,
     KpiRecord,
@@ -106,8 +105,7 @@ class TestOptimizeLf:
         sol = optimize_lf(3, baseline, internal, external)
         lo, hi = sol.feasible_range
         grid = np.arange(lo + 1e-4, 1.0, 1e-4)
-        costs = [total_fs_cost(lf, 3, baseline, internal, external).breakdown.total
-                 for lf in grid]
+        costs = [total_fs_cost(lf, 3, baseline, internal, external).total for lf in grid]
         best = int(np.argmin(costs))
         assert abs(sol.lf_star - grid[best]) <= 1e-4 + 1e-9
         assert sol.cost_at_star <= costs[best] * (1 + 1e-6)
@@ -117,7 +115,7 @@ class TestOptimizeLf:
         sol = optimize_lf(3, baseline, internal, external)
         lo, hi = sol.feasible_range
         for probe in (lo * 1.2, 0.9):
-            cost = total_fs_cost(probe, 3, baseline, internal, external).breakdown.total
+            cost = total_fs_cost(probe, 3, baseline, internal, external).total
             assert sol.cost_at_star <= cost
 
     def test_pure_cost_training_pushes_to_lower_edge(self, baseline, baseline_rates):
@@ -127,7 +125,7 @@ class TestOptimizeLf:
         sol = optimize_lf(3, s, internal, external)
         lo, _ = sol.feasible_range
         grid_low = lo + 1e-4
-        cost_low = total_fs_cost(grid_low, 3, s, internal, external).breakdown.total
+        cost_low = total_fs_cost(grid_low, 3, s, internal, external).total
         assert sol.lf_star <= grid_low + 1e-4
         assert sol.cost_at_star <= cost_low * (1 + 1e-6)
 
@@ -203,7 +201,7 @@ class TestOptimizeLf:
         lo, _ = sol.feasible_range
         assert sol.vertex_hint < lo
         grid = np.arange(lo + 1e-5, 0.05, 1e-5)
-        costs = [total_fs_cost(lf, m, s, internal, external).breakdown.total for lf in grid]
+        costs = [total_fs_cost(lf, m, s, internal, external).total for lf in grid]
         best = int(np.argmin(costs))
         assert grid[best] == pytest.approx(0.006045, abs=2e-5)
         assert abs(sol.lf_star - grid[best]) <= 1e-4
@@ -613,7 +611,6 @@ class TestResultRecords:
         (OsCostMoments, ("repair_mean", "maintenance", "variance"), {}),
         (LearningState, ("t_repair", "t_training", "t_forgetting", "effective_training",
                          "a_factor", "training_cost"), {}),
-        (FsCostResult, ("breakdown", "state"), {}),
         (LfSolution, ("lf_star", "cost_at_star", "vertex_hint", "iterations",
                       "feasible_range", "residual"), {}),
         (MaintenancePlan, ("m_count", "objective_value"), {}),

@@ -1,20 +1,23 @@
 """Robustness property: every config either prices to finite KPIs with exit 0
 or exits with its documented code (1 validation, 2 infeasible) and one line
-on stderr, never with a traceback.  One judge decides validity: on a config
-that parses, ``price``, ``compare`` and ``optimize-lf`` exit 1 exactly when
+on stderr, never with a traceback.  A sweep that argparse accepts exits 0
+or 1, never 2: a point that the model cannot price is a flagged row of
+``NA`` KPIs.  One judge decides validity: on a config that parses,
+``price``, ``compare`` and ``optimize-lf`` exit 1 exactly when
 ``validate_scenario`` returns violations, and a sweep exits 1 on those too
-(and on a swept point that breaks a rule).  The one warning a run may print
-is the model's floored-rate warning, at most once per text, and only for a
-config that passed its checks: a config that fails them prints its one
-validation error alone.
+(and on a swept point that breaks a rule).  A sweep rejects a swept point exactly when
+``validate_scenario`` rejects that point's scenario, with the same
+message.  The one warning a run may print is the model's floored-rate
+warning, at most once per text, and only for a config that passed its
+checks: a config that fails them prints its one validation error alone.
 
 Each example takes a base config (the shipped baseline or a generated
 benchmark base) and sets one to three fields to an extreme value or to a
 value next to the bound of a field rule, then runs one CLI command in
 process.  Horizons stay small: a horizon that fits an index is allocated.
 Two more properties draw the swept values of a sweep from the same kind of
-extremes, and edit the command line into an argparse usage error, which
-exits 2 with argparse's usage text.
+extremes, in the CLI and in the library, and one edits the command line into
+an argparse usage error, which exits 2 with argparse's usage text.
 """
 
 import contextlib
@@ -29,9 +32,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fscontract import default_scenario, save_scenario, validate_scenario
+from fscontract import (
+    ScenarioValidationError,
+    SweepSpec,
+    default_scenario,
+    internal_rate_series,
+    save_scenario,
+    scaled_to_mean,
+    sweep,
+    validate_scenario,
+)
 from fscontract.cli import main
-from fscontract.scenario import _FIELDS, ConfigError, _floats, _read_scenario
+from fscontract.report import SWEEP_PARAMS
+from fscontract.scenario import (
+    _FIELDS,
+    ConfigError,
+    _floats,
+    _read_scenario,
+    parse_config,
+    scenario_from_overrides,
+)
 
 from conftest import FREE_BILLS, generated_scenarios
 
@@ -169,7 +189,8 @@ def _run(tmp_path_factory, base: int, changes: dict, argv) -> None:
         assert err == []
         assert _finite_kpis(argv, stdout.getvalue(), work / "out"), stdout.getvalue()
     else:
-        assert code in (1, 2), err
+        # a sweep flags a point that the model cannot price
+        assert code in ((1,) if argv[0] == "sweep" else (1, 2)), err
         assert len(err) == 1, err
         assert err[0].startswith(("validation error:", "error:", "infeasible model:")), err
 
@@ -197,6 +218,8 @@ def _run(tmp_path_factory, base: int, changes: dict, argv) -> None:
 # free bills under a huge mark-up: the pay-per-repair profit was inf times 0
 @example(edit=(0, dict(line.split(" = ") for line in FREE_BILLS.splitlines())),
          argv=COMMANDS[4])
+# the lf solve of the base meets a non-finite cost: a sweep flags every row
+@example(edit=(0, {"learning.unit_training_cost": "1e+308"}), argv=COMMANDS[5])
 def test_finite_kpis_or_a_documented_exit(tmp_path_factory, edit, argv):
     base, changes = edit
     _run(tmp_path_factory, base, changes, argv)
@@ -231,9 +254,45 @@ def swept_values(draw):
        values=swept_values())
 # lf^2 underflows to zero: the revised model's E'' divided by it
 @example(base=0, param="lf", values="5e-324,nan")
+# the lf solve at this training cost meets a non-finite cost
+@example(base=0, param="unit-training-cost", values="1.0,1e+308")
 def test_swept_values_give_finite_kpis_or_a_documented_exit(tmp_path_factory, base, param,
                                                             values):
     _run(tmp_path_factory, base, {}, ("sweep", "--param", param, f"--values={values}"))
+
+
+#: The scenarios of the bases.
+_BASE_SCENARIOS = [scenario_from_overrides(parse_config(
+    "".join(f"{k} = {v}\n" for k, v in lines.items()))) for lines in BASES]
+
+
+def _point(s, param: str, value: float):
+    """The scenario of one swept point, built as the ``report`` module
+    docstring says."""
+    if param == "phi_int_mean":
+        return scaled_to_mean(s, value, internal_rate_series(s.failure, s.grid))
+    section = "market" if param == "beta" else "learning"
+    return replace(s, **{section: replace(getattr(s, section), **{param: value})})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(base=st.integers(0, len(BASES) - 1), param=st.sampled_from(tuple(SWEEP_PARAMS)),
+       value=st.sampled_from(SWEPT))
+def test_a_sweep_rejects_a_point_exactly_when_validate_scenario_does(base, param, value):
+    s = _BASE_SCENARIOS[base]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            point = _point(s, param, value)
+        except ScenarioValidationError:
+            return
+        violations = validate_scenario(point)
+        try:
+            sweep(SweepSpec(param, (value,)), s)
+        except ScenarioValidationError as exc:
+            assert violations and str(exc) == "; ".join(map(str, violations)), (exc, violations)
+        else:
+            assert violations == []
 
 
 @st.composite

@@ -200,6 +200,14 @@ class TestConfigIO:
         with pytest.raises(ConfigError):
             load_scenario(cfg)
 
+    def test_negative_zero_reads_as_zero(self):
+        values = parse_config("market.beta = -0.0\ncost.unit_repair_cost = 900,-0.0\n"
+                              "grid.z_periods = -0\n")
+        assert values == {"market.beta": 0.0, "cost.unit_repair_cost": (900.0, 0.0),
+                          "grid.z_periods": 0}
+        assert math.copysign(1.0, values["market.beta"]) == 1.0
+        assert math.copysign(1.0, values["cost.unit_repair_cost"][1]) == 1.0
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("# comment\n\nmarket.beta = 0.6  # inline\n")
