@@ -63,8 +63,8 @@ from .scenario import (
     PeriodGrid,
     PeriodValues,
     Scenario,
-    ScenarioValidationError,
     Violation,
+    _raise_on,
 )
 
 #: Internal rates are floored at zero; undershoot beyond this tolerance is
@@ -144,7 +144,7 @@ def scaled_to_mean(s: Scenario, target_mean: float, series: PeriodValues) -> Sce
     """
     current = series.mean
     if current <= 0:
-        raise ScenarioValidationError([Violation(
+        _raise_on([Violation(
             "failure.internal_series", "a series of mean 0 cannot be rescaled to a target mean")])
     factor = target_mean / current
     f = replace(s.failure, phi0_int=s.failure.phi0_int * factor,

@@ -4,7 +4,8 @@ KPI tables compare the full model ("new"), the autonomous-learning-only
 model ("old") and pure pay-per-repair service, or trace one KPI set along a
 swept parameter.  Emitters produce CSV, markdown, plain x/y plot data and a
 dependency-free SVG line chart; all outputs are byte-deterministic for
-identical inputs.
+identical inputs.  Each text row is the swept value, exactly (its ``repr``),
+then the KPI columns (``_KPIS``) to 6 decimals, ``NA`` where not priced.
 
 A comparison and a sweep check the scenario they are given with the CLI's
 check (:func:`~fscontract.pricing._validated`): what
@@ -61,7 +62,10 @@ SWEEP_PARAMS = {
     "unit_training_cost": ("unit-training-cost", ("learning.unit_training_cost",)),
 }
 
-CSV_HEADER = "variant,param,value,price,cost,profit,fs_share"
+#: The KPI columns of every report, in order; each names a field of
+#: :class:`KpiRecord`.
+_KPIS = ("price", "cost", "profit", "fs_share")
+CSV_HEADER = ",".join(("variant", "param", "value") + _KPIS)
 
 
 class KpiRecord(NamedTuple):
@@ -74,7 +78,11 @@ class KpiRecord(NamedTuple):
     cost: float
     profit: float
     fs_share: float
-    feasible: bool = True
+
+    @property
+    def feasible(self) -> bool:
+        """Whether the model priced this row: a flagged row's KPIs are NaN."""
+        return not math.isnan(self.price)
 
 
 @dataclass(frozen=True)
@@ -173,8 +181,7 @@ def sweep(spec: SweepSpec, s: Scenario) -> list[KpiRecord]:
 
 
 def _infeasible(param: str, value: float) -> KpiRecord:
-    nan = float("nan")
-    return KpiRecord("full", param, value, nan, nan, nan, nan, feasible=False)
+    return KpiRecord("full", param, value, *[math.nan] * len(_KPIS))
 
 
 def _beta_sweep(spec: SweepSpec, cost_side: CostSide) -> list[KpiRecord]:
@@ -205,14 +212,16 @@ def _num(x: float) -> str:
     return "NA" if math.isnan(x) else f"{x:.6f}"
 
 
+def _cells(r: KpiRecord, no_value: str) -> list[str]:
+    """A row's swept-value cell, exact (``repr``) or ``no_value`` where the
+    row has none, then its KPI cells."""
+    value = no_value if math.isnan(r.swept_value) else repr(float(r.swept_value))
+    return [value] + [_num(getattr(r, kpi)) for kpi in _KPIS]
+
+
 def _csv_lines(records: list[KpiRecord]) -> list[str]:
-    lines = [CSV_HEADER]
-    for r in records:
-        param = r.swept_param or ""
-        value = "" if math.isnan(r.swept_value) else f"{r.swept_value:.6f}"
-        lines.append(",".join([r.variant, param, value, _num(r.price), _num(r.cost),
-                               _num(r.profit), _num(r.fs_share)]))
-    return lines
+    return [CSV_HEADER] + [",".join([r.variant, r.swept_param or ""] + _cells(r, ""))
+                           for r in records]
 
 
 def _markdown_lines(records: list[KpiRecord]) -> list[str]:
@@ -225,15 +234,9 @@ def _markdown_lines(records: list[KpiRecord]) -> list[str]:
 
 
 def _plotdata_lines(records: list[KpiRecord]) -> list[str]:
-    lines = ["# value price cost profit fs_share"]
-    for r in records:
-        x = "nan" if math.isnan(r.swept_value) else f"{r.swept_value:.6f}"
-        lines.append(" ".join([x, _num(r.price), _num(r.cost), _num(r.profit),
-                               _num(r.fs_share)]))
-    return lines
+    return [" ".join(("# value",) + _KPIS)] + [" ".join(_cells(r, "nan")) for r in records]
 
 
-_SVG_KPIS = ("price", "cost", "profit", "fs_share")
 _PANEL_W, _PANEL_H, _MARGIN = 480, 120, 46
 
 
@@ -246,7 +249,7 @@ def _svg_lines(records: list[KpiRecord]) -> list[str]:
     xs = [r.swept_value for r in records]
     if any(math.isnan(x) for x in xs):
         xs = list(range(1, len(records) + 1))
-    height = _MARGIN + len(_SVG_KPIS) * (_PANEL_H + _MARGIN)
+    height = _MARGIN + len(_KPIS) * (_PANEL_H + _MARGIN)
     width = _PANEL_W + 2 * _MARGIN
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -256,7 +259,7 @@ def _svg_lines(records: list[KpiRecord]) -> list[str]:
     ]
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
-    for i, kpi in enumerate(_SVG_KPIS):
+    for i, kpi in enumerate(_KPIS):
         ys = [getattr(r, kpi) for r in records]
         clean = [y for y in ys if not math.isnan(y)]
         y_lo = min(clean) if clean else 0.0
@@ -314,19 +317,8 @@ def read_kpi_csv(path: str | Path) -> list[KpiRecord]:
         raise ValueError(f"{path}: not a KPI csv")
     records = []
     for line in lines[1:]:
-        variant, param, value, price, cost, profit, share = line.split(",")
-
-        def num(cell: str) -> float:
-            return float("nan") if cell in ("NA", "") else float(cell)
-
-        records.append(KpiRecord(
-            variant=variant,
-            swept_param=param or None,
-            swept_value=num(value),
-            price=num(price),
-            cost=num(cost),
-            profit=num(profit),
-            fs_share=num(share),
-            feasible=not math.isnan(num(price)),
-        ))
+        variant, param, *cells = line.split(",")
+        value, *kpis = (float("nan") if c in ("NA", "") else float(c) for c in cells)
+        records.append(KpiRecord(variant, param or None, value,
+                                 **dict(zip(_KPIS, kpis, strict=True))))
     return records

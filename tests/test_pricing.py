@@ -258,6 +258,28 @@ class TestLfSolverOracle:
             assert sol.residual == 0.0
             assert_matches_golden_section(edged)
 
+    def test_newton_safeguards(self):
+        # a revised-forgetting problem whose Newton start lies outside the
+        # bracket, so the search starts at its midpoint, and whose Newton
+        # steps leave it, so the search bisects; lf* sits a relative 1e-9
+        # above the feasible edge
+        terms = ReducedTerms(q=0.5697330592702717, r=93435.08668197475, s=0.11013461381696243,
+                             u=0.13170027142272644, v=81826.76401881277)
+        problem = LfProblem(
+            terms=terms,
+            base=CostBreakdown(68.95063681553226, 0.0, 0.0, 0.0),
+            learning=LearningParams(alpha_auto=0.2524802475415053,
+                                    alpha_indu=0.09203182240066791,
+                                    epsilon=0.18442595761914224, lf=0.005,
+                                    unit_training_cost=282625.1300454329),
+        )
+        sol = problem.solve()
+        lo_edge, hi = sol.feasible_range
+        assert lo_edge < sol.lf_star < hi
+        assert sol.iterations > 0
+        below = max(sol.lf_star * (1.0 - 1e-6), lo_edge * (1.0 + 1e-9) + 1e-15)
+        assert problem.derivative(below) < 0.0 < problem.derivative(sol.lf_star * (1.0 + 1e-6))
+
 
 class TestDisutility:
     def test_fs_is_price(self):
@@ -618,7 +640,7 @@ class TestResultRecords:
                            "profit", "breakdown", "variant", "m_count", "lf_star"),
          {"lf_star": None}),
         (KpiRecord, ("variant", "swept_param", "swept_value", "price", "cost", "profit",
-                     "fs_share", "feasible"), {"feasible": True}),
+                     "fs_share"), {}),
         (Violation, ("key", "rule"), {}),
     ])
     def test_fields_defaults_and_repr(self, cls, fields, defaults):
@@ -640,3 +662,9 @@ class TestResultRecords:
         assert osm.mean == 3.0
         assert osm.scaled(0.5) == OsCostMoments(0.5, 1.0, 1.0)
         assert str(Violation("market.beta", "must be >= 0")) == "market.beta: must be >= 0"
+        nan = float("nan")
+        assert KpiRecord("full", None, nan, 1.0, 1.0, 1.0, nan).feasible
+        flagged = KpiRecord("full", "lf", 0.5, nan, nan, nan, nan)
+        assert not flagged.feasible
+        with pytest.raises(AttributeError):
+            flagged.feasible = True

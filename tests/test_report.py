@@ -494,6 +494,27 @@ class TestEmission:
             emit_report(loaded, "csv", again)
             assert again.read_bytes() == path.read_bytes()
 
+    def test_close_swept_values_get_distinct_cells(self, tmp_path, baseline):
+        # both points below the feasible edge 7.5e-4 differ only in the 7th decimal
+        records = sweep(SweepSpec(param="lf", values=(0.0006001, 0.0006002, 0.004)), baseline)
+        for fmt, cells in (("csv", lambda ln: ln.split(",")[2]),
+                           ("markdown", lambda ln: ln.split(" | ")[2]),
+                           ("plotdata", lambda ln: ln.split()[0])):
+            path = tmp_path / f"lf.{fmt}"
+            emit_report(records, fmt, path)
+            rows = path.read_text().splitlines()[-3:]
+            assert [cells(row) for row in rows] == ["0.0006001", "0.0006002", "0.004"], fmt
+
+    @pytest.mark.parametrize("param, values", [
+        ("lf", (5e-324, 1e-7, 0.5)),
+        ("unit_training_cost", (5e-324, 1e-7, 1e308)),
+        ("beta", (5e-324, 1e-7, 0.5)),
+    ])
+    def test_swept_values_read_back_exactly(self, tmp_path, baseline, param, values):
+        path = tmp_path / "sweep.csv"
+        emit_report(sweep(SweepSpec(param=param, values=values), baseline), "csv", path)
+        assert [r.swept_value for r in read_kpi_csv(path)] == list(values)
+
     def test_plotdata_rows(self, tmp_path, beta_sweep):
         path = tmp_path / "sweep.dat"
         emit_report(beta_sweep, "plotdata", path)
@@ -520,3 +541,47 @@ class TestEmission:
         assert root.tag.endswith("svg")
         polylines = root.iter("{http://www.w3.org/2000/svg}polyline")
         assert len(list(polylines)) == 4
+
+    def test_svg_draws_only_priced_points(self, tmp_path, baseline):
+        import xml.etree.ElementTree as ET
+
+        values = (0.0006, 0.004, 0.006, 0.01)
+        records = sweep(SweepSpec(param="lf", values=values), baseline)
+        assert [r.feasible for r in records] == [False, True, True, True]
+        path = tmp_path / "sweep.svg"
+        emit_report(records, "svg", path)
+        text = path.read_text()
+        assert "nan" not in text.lower()
+        span = values[-1] - values[0]
+        want = [f"{(x - values[0]) / span * 480:.2f}" for x in values[1:]]
+        for line in ET.fromstring(text).iter("{http://www.w3.org/2000/svg}polyline"):
+            assert [p.split(",")[0] for p in line.get("points").split()] == want
+
+    def test_svg_of_a_comparison_places_rows_at_1_to_n(self, tmp_path, comparison):
+        import xml.etree.ElementTree as ET
+
+        path = tmp_path / "cmp.svg"
+        emit_report(comparison, "svg", path)
+        lines = list(ET.fromstring(path.read_text()).iter("{http://www.w3.org/2000/svg}polyline"))
+        xs = [[p.split(",")[0] for p in line.get("points").split()] for line in lines]
+        # the pay-per-repair row has no share
+        assert xs == [["0.00", "240.00", "480.00"]] * 3 + [["0.00", "240.00"]]
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "variant,param,value,price,cost,profit\nfull,,,1.0,1.0,1.0\n",
+        "variant,param,value,cost,price,profit,fs_share\n",
+        "full,,,1.0,1.0,1.0,1.0\n",
+    ])
+    def test_read_rejects_another_header(self, tmp_path, text):
+        path = tmp_path / "other.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a KPI csv"):
+            read_kpi_csv(path)
+
+    @pytest.mark.parametrize("row", ["full,,,1.0,1.0,1.0", "full,,,1.0,1.0,1.0,1.0,1.0"])
+    def test_read_rejects_a_row_of_another_width(self, tmp_path, row):
+        path = tmp_path / "short.csv"
+        path.write_text(f"variant,param,value,price,cost,profit,fs_share\n{row}\n")
+        with pytest.raises(ValueError):
+            read_kpi_csv(path)
