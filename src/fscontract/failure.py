@@ -39,8 +39,9 @@ exact integer argmin is the closed form
 
     M* = ceil((sqrt(1 + 4 K / c_M) - 1) / 2),
 
-clamped to at least one (ties go to the smaller count).  A brute-force
-integer search over the same objective acts as the oracle.
+clamped to at least one (ties go to the smaller count).  Free maintenance
+(c_M = 0) leaves K/M no minimum: it gets one action per period, M* = Z (one
+where K <= 0).  A brute-force search over the same objective is the oracle.
 
 A cost side needs the expected failure counts at two maintenance counts
 (M* and the pay-per-repair count), each for several bills.
@@ -130,7 +131,7 @@ def internal_rate_series(f: FailureParams, grid: PeriodGrid,
         run_in = np.maximum(run_in, 0.0)
         rest = np.add.accumulate(np.concatenate((run_in[-1:], steps[n:])))[1:]
         rates = np.concatenate((run_in, rest))
-    return PeriodValues._taking(rates)
+    return PeriodValues(rates)
 
 
 def scaled_to_mean(s: Scenario, target_mean: float, series: PeriodValues) -> Scenario:
@@ -256,10 +257,10 @@ def optimal_pm_count(s: Scenario, internal: PeriodValues,
     K = rho/2 * sum_j c_rj g_j t_j^2, clamped to >= 1: the exact integer
     argmin of K/M + c_M (M - 1) (see the module docstring).  A nonpositive
     radicand (net-declining rate over the horizon) clamps to a single
-    action.  A radicand that overflows (or is NaN) raises
-    :class:`OverflowError`.  ``counts`` are the failure counts of these
-    inputs where the caller holds them; the objective is taken from the
-    counts at M*.
+    action.  Free maintenance (c_M = 0) gets one action per period, Z.  A
+    radicand that overflows (or is NaN) raises :class:`OverflowError`.
+    ``counts`` are the failure counts of these inputs where the caller holds
+    them; the objective is taken from the counts at M*.
     """
     if counts is None:
         counts = FailureCounts(s, internal)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
@@ -95,45 +95,34 @@ class Violation(NamedTuple):
         return f"{self.key}: {self.rule}"
 
 
+@dataclass(frozen=True, eq=False)
 class PeriodValues:
     """One float per period of the contract horizon.
 
     The config values given per period (operating and calendar hours, repair
     costs, an internal-rate override) are held as this type, and so is every
     rate series of the model, internal and external alike.  The floats are
-    held as one read-only float array, copied from ``values`` (any sequence
-    of floats or a numpy array), which the model computes on directly
-    (:meth:`as_array`); a series that the model builds takes its own array
-    without a copy (:meth:`_taking`).  Values are immutable and compare by
-    value; they hash as the tuple of their floats (:attr:`values`), which is
-    built only when asked for.
+    held as one read-only float array, copied from the given values (any
+    sequence of floats or a numpy array), which the model computes on
+    directly (:meth:`as_array`).  Values are immutable and compare by value;
+    they hash as the tuple of their floats (:attr:`values`), which is built
+    only when asked for.
     """
 
-    __slots__ = ("_array",)
+    _array: np.ndarray
 
-    def __init__(self, values):
-        object.__setattr__(self, "_array", _read_only(values))
+    def __post_init__(self):
+        array = np.array(self._array, dtype=float)
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
 
     @classmethod
     def of(cls, values) -> "PeriodValues":
         """``values`` as per-period values: itself if it already is one."""
         return values if isinstance(values, PeriodValues) else cls(values)
 
-    @classmethod
-    def _taking(cls, array: np.ndarray) -> "PeriodValues":
-        """Values that take ``array``, a float array that nothing else writes
-        to, as their own: made read-only, not copied."""
-        array.flags.writeable = False
-        values = object.__new__(cls)
-        object.__setattr__(values, "_array", array)
-        return values
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
+    # a copy or an unpickled value is built by the constructor, so its array
+    # is read-only too
     def __reduce__(self):
         return type(self), (self._array,)
 
@@ -184,12 +173,6 @@ class _kept:
             return self
         value = instance.__dict__[self.name] = self.method(instance)
         return value
-
-
-def _read_only(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)
@@ -410,7 +393,7 @@ def simulate_external_rates(s: Scenario) -> PeriodValues:
     """
     rng = np.random.default_rng(s.rng_seed)
     draws = rng.normal(s.failure.ext_mean, abs(s.failure.ext_sd), s.grid.z_periods)
-    return PeriodValues._taking(np.maximum(draws, 0.0, out=draws))
+    return PeriodValues(np.maximum(draws, 0.0))
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:

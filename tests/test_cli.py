@@ -132,6 +132,14 @@ class TestPriceCommand:
         assert code == 2
         assert "infeasible" in err
 
+    def test_forgetting_that_outpaces_training_is_infeasible(self, capsys, tmp_path):
+        # the config passes its checks, but under simple forgetting no lf in
+        # (0, 1) trains more than is forgotten
+        bad = tmp_path / "forgetful.cfg"
+        bad.write_text("learning.forgetting_model = simple\nlearning.maintenance_hours = 4800\n")
+        assert run(capsys, "price", "--config", str(bad)) == (
+            2, "", "infeasible model: forgetting exceeds training for every lf in (0, 1)\n")
+
 
 @pytest.mark.parametrize("argv", [
     ("price",), ("optimize-lf",), ("compare", "--out", "{out}"), ("price", "--variant", "auto"),
@@ -169,6 +177,19 @@ def test_file_that_is_not_utf8_is_a_validation_error(capsys, tmp_path, via_table
         config.write_text("failure.internal_table = bin.cfg:1\n")
     assert run(capsys, "price", "--config", str(config)) == (
         1, "", f"validation error: {binary}: not UTF-8 text (byte 0)\n")
+
+
+@pytest.mark.parametrize("table, problem", [
+    ("", "empty internal-rate table"),
+    ("phi1,phi2\nabc,0.003\n", "bad row 'abc,0.003'"),
+], ids=["empty", "not-a-number"])
+def test_bad_rate_table_is_validation_error(capsys, tmp_path, table, problem):
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    config = tmp_path / "table.cfg"
+    config.write_text("failure.internal_table = table.csv:1\n")
+    assert run(capsys, "price", "--config", str(config)) == (
+        1, "", f"validation error: {path}: {problem}\n")
 
 
 class TestOptimizeLfCommand:
@@ -253,6 +274,8 @@ _BETA_OVERFLOWS = "market.beta: (1 + beta)^2 must be finite (it overflows)"
     # indexable, but numpy refuses to allocate the hours before it tries
     (f"grid.z_periods = {sys.maxsize}\n", "grid.z_periods: too long to hold one value per period"),
     (f"grid.z_periods = {2**62}\n", "grid.z_periods: too long to hold one value per period"),
+    ("failure.internal_table = bad.csv\n",
+     "failure.internal_table must be '<path>:<column>'"),
 ])
 def test_extreme_config_is_validation_error(capsys, tmp_path, text, message):
     path = tmp_path / "extreme.cfg"
@@ -611,6 +634,13 @@ class TestSweepCommand:
                            "--out", str(tmp_path))
         assert code == 1
         assert "increasing" in err
+
+    @pytest.mark.parametrize("values", ["abc", "0.5,,0.6", "0.5;0.6"])
+    def test_values_that_are_not_numbers_rejected(self, capsys, config_path, tmp_path, values):
+        assert run(capsys, "sweep", "--config", str(config_path), "--param", "beta",
+                   "--values", values, "--out", str(tmp_path)) == (
+            1, "", "error: --values must be a comma-separated list of numbers\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_override_changes_training_costs(self, capsys, config_path):
         code, out_a, _ = run(capsys, "price", "--config", str(config_path),

@@ -275,6 +275,18 @@ class TestMaintenanceOptimum:
         internal = internal_rate_series(s.failure, s.grid)
         assert optimal_pm_count(s, internal).m_count == 1
 
+    def test_free_maintenance_gets_one_action_per_period(self, baseline, baseline_rates):
+        # at c_M = 0 the objective K/M has no minimum: brute force takes its
+        # largest candidate, and the closed form one action per period
+        internal, _ = baseline_rates
+        free = replace(baseline, cost=replace(baseline.cost, avg_maintenance_cost=0.0))
+        assert optimal_pm_count(free, internal).m_count == free.grid.z_periods == 20
+        assert brute_force_pm_count(free, internal, 60).m_count == 60
+        declining = make_scenario(z=5, t=1000.0, phi0=0.006, c_m=0.0,
+                                  series=(0.005, 0.004, 0.003, 0.002, 0.001))
+        assert optimal_pm_count(declining, internal_rate_series(
+            declining.failure, declining.grid)).m_count == 1
+
     def test_overflowing_count_raises_overflow_error(self, baseline, baseline_rates):
         internal, _ = baseline_rates
         tiny = replace(baseline, cost=replace(baseline.cost, avg_maintenance_cost=1e-308))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +21,11 @@ from fscontract import (
     MaintenancePlan,
     MarketParams,
     OsCostMoments,
+    PeriodValues,
     PricingSolution,
     ReducedTerms,
     Violation,
+    brute_force_pm_count,
     fs_cost_lf_derivative,
     default_scenario,
     expected_failures,
@@ -279,6 +282,43 @@ class TestLfSolverOracle:
         assert sol.iterations > 0
         below = max(sol.lf_star * (1.0 - 1e-6), lo_edge * (1.0 + 1e-9) + 1e-15)
         assert problem.derivative(below) < 0.0 < problem.derivative(sol.lf_star * (1.0 + 1e-6))
+
+    @pytest.mark.parametrize("edit, message", [
+        # Q^(-alpha_auto) overflows
+        (lambda p: LfProblem(p.terms._replace(q=5e-324), p.base,
+                             replace(p.learning, alpha_auto=0.99), p.short_period),
+         "lf solve overflowed: "),
+        # an infinite training cost against a repair bill of 1e308: c' is
+        # not finite at the lower probe
+        (lambda p: LfProblem(p.terms, p.base._replace(repair=1e308),
+                             replace(p.learning, unit_training_cost=math.inf), p.short_period),
+         "non-finite derivative at lf = {lo!r}"),
+    ], ids=["overflow", "lower-probe"])
+    def test_guards_raise_convergence_error(self, baseline, baseline_rates, edit, message):
+        internal, external = baseline_rates
+        problem = edit(lf_problem(3, baseline, internal, external))
+        lo = problem.feasible_range()[0] * (1.0 + 1e-9) + 1e-15
+        with pytest.raises(ConvergenceError) as raised:
+            problem.solve()
+        assert str(raised.value).startswith(message.format(lo=lo))
+
+
+@pytest.mark.parametrize("guard, message", [
+    (lambda s, internal: PeriodValues((1.0,)) == (1.0,), None),
+    (lambda s, internal: MarketParams(0.5, 1e-3, 50, price_ceiling=None).resolved_ceiling(),
+     "market: need price_ceiling or the"),
+    (lambda s, internal: brute_force_pm_count(s, internal, 0), "m_max must be >= 1"),
+    (lambda s, internal: CostSide(s).variant_cost("x"), "unknown variant 'x'"),
+], ids=["values-against-a-tuple", "no-price-ceiling", "no-candidate-count", "unknown-variant"])
+def test_library_guard(baseline, baseline_rates, guard, message):
+    # inputs that no config reaches: per-period values are unequal to any
+    # other type, and the rest raise ValueError
+    internal, _ = baseline_rates
+    if message is None:
+        assert guard(baseline, internal) is False
+    else:
+        with pytest.raises(ValueError, match=message):
+            guard(baseline, internal)
 
 
 class TestDisutility:

@@ -418,7 +418,7 @@ class TestRateSeries:
             assert series.as_array().tobytes() == np.array(want).tobytes()
 
     def test_model_series_are_read_only_and_each_draw_is_its_own(self, baseline):
-        # the model's series take the arrays they build without copying them
+        # the model's series hold read-only copies of the arrays they build
         parametric = replace(baseline, failure=replace(
             baseline.failure, internal_series_override=None))
         series = [internal_rate_series(s.failure, s.grid) for s in (baseline, parametric)]
