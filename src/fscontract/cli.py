@@ -6,6 +6,8 @@
     fscontract sweep --config scenario.cfg --param beta|phi-int|lf|unit-training-cost \
         --values 0.5,0.6,0.7 --out DIR --format csv|plotdata|svg
 
+``optimize-lf`` prints ``cost_at_star`` in dollars; every KPI is in k$.
+
 Exit codes: 0 success, 1 validation error, 2 infeasible model (a sweep writes
 a point the model cannot price as an ``NA`` row), 3 I/O error.
 argparse also exits 2 on a usage error (a missing or unknown option, an
@@ -87,7 +89,8 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     s = _load(args)
     try:
-        values = tuple(float(x) for x in args.values.split(","))
+        # -0.0 reads as 0.0, as in a config
+        values = tuple(float(x) + 0.0 for x in args.values.split(","))
     except ValueError:
         print("error: --values must be a comma-separated list of numbers", file=sys.stderr)
         return EXIT_VALIDATION

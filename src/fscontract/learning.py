@@ -114,8 +114,9 @@ class LearningState(NamedTuple):
 class LfSolution(NamedTuple):
     """Optimized training frequency and how the solve went.
 
-    ``iterations`` counts Newton (or bisection) steps; it is 0 where lf*
-    is closed form or sits on an edge of the interval.  ``residual`` is
+    ``cost_at_star`` is the total cost at lf* in dollars, the cost-side
+    unit.  ``iterations`` counts Newton (or bisection) steps; it is 0 where
+    lf* is closed form or sits on an edge of the interval.  ``residual`` is
     |c'(lf*)| lf* / c(lf*), the derivative scaled to a relative cost
     change; it is 0 where lf* sits on an edge that the derivative points
     out of.
@@ -154,8 +155,10 @@ class LfProblem:
     T = R - S - Q - U, the simple model's forgetting S + Q + U, the rework
     exponent 1 - 2 eps and the training slope l T.  B K
     (:attr:`_repair_scale`) is computed on first use, as Q^(-alpha_auto)
-    raises where Q is not positive.  :meth:`with_training_cost` gives the
-    problem at another training cost l, on the same aggregates.
+    raises where Q is not positive, and so is the feasible interval
+    :attr:`feasible_range`, the pair that :attr:`LfSolution.feasible_range`
+    reports.  :meth:`with_training_cost` gives the problem at another
+    training cost l, on the same aggregates and interval.
     """
 
     def __init__(self, terms: ReducedTerms, base: CostBreakdown, learning: LearningParams,
@@ -239,7 +242,7 @@ class LfProblem:
         Raises :class:`InfeasibleTrainingError` where no lf is feasible and
         :class:`ConvergenceError` where the derivative is not finite.
         """
-        lo_edge, hi = self.feasible_range()
+        lo_edge, hi = self.feasible_range
         lo = lo_edge * (1.0 + 1e-9) + 1e-15
         try:
             lf, iterations, slope = self._root(lo_edge, lo, hi)
@@ -313,6 +316,17 @@ class LfProblem:
                 x = 0.5 * (x_lo + x_hi)
             iterations += 1
 
+    def with_training_cost(self, cost: float) -> "LfProblem":
+        """This problem at the hourly training cost ``cost``, with the same
+        aggregates.  E(lf) does not depend on the training cost, so the new
+        problem shares this one's feasible interval, if it is known."""
+        other = LfProblem(self.terms, self.base,
+                          replace(self.learning, unit_training_cost=cost), self.short_period)
+        if "feasible_range" in self.__dict__:
+            other.feasible_range = self.feasible_range
+        return other
+
+    @_kept
     def feasible_range(self) -> tuple[float, float]:
         """Open interval of lf values with positive effective training time.
 
@@ -326,21 +340,6 @@ class LfProblem:
         forgetting exceeds training everywhere.  Computed on first use and
         kept.
         """
-        return self._edges
-
-    def with_training_cost(self, cost: float) -> "LfProblem":
-        """This problem at the hourly training cost ``cost``, with the same
-        aggregates.  E(lf) does not depend on the training cost, so the new
-        problem shares this one's feasible interval, if it is known."""
-        other = LfProblem(self.terms, self.base,
-                          replace(self.learning, unit_training_cost=cost), self.short_period)
-        if "_edges" in self.__dict__:
-            other._edges = self._edges
-        return other
-
-    @_kept
-    def _edges(self) -> tuple[float, float]:
-        """:meth:`feasible_range`, computed."""
         hi = 1.0 - 1e-12
         _, _, eff, d_eff, _ = self._budget(hi)
         if self._net <= 0.0 or eff <= 0.0:

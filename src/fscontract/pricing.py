@@ -43,13 +43,14 @@ bill at each maintenance count (at M*, shared by the plan objective and the
 bills before learning that ``auto`` and the lf problem share; at the
 pay-per-repair count, shared by the cost moments and the ``bench`` bills).
 
-The market side is one kernel over an array of
-mark-ups (:func:`market_side`): numpy expressions that turn one cost
-breakdown and the cost moments into the interior price, the floor, the
-ceiling, the clamped price, the market share and the profit at every
-mark-up at once.  Every formula above lives there and nowhere else.
-:meth:`CostSide.price` is its one-mark-up case, and a sweep over the
-mark-up prices all its points in one call.
+The market side is one kernel over an array of mark-ups
+(:func:`market_side`): numpy expressions that turn one cost breakdown and
+the cost moments into the interior price, the floor, the ceiling, the
+clamped price, the market share and the profit at every mark-up at once.
+Every formula above lives there; only the pay-per-repair row of
+:func:`~fscontract.report.compare_models` prices itself, at (1 + beta) E
+with profit d_customers (beta E).  :meth:`CostSide.price` is the
+one-mark-up case, and a mark-up sweep prices all its points in one call.
 
 This module works in report units (thousands of dollars); cost-side inputs
 are converted once on entry.
@@ -91,11 +92,6 @@ VARIANTS = ("full", "auto", "bench")
 
 class InfeasiblePriceError(ValueError):
     """No admissible price: the floor exceeds the ceiling."""
-
-    def __init__(self, lower: float, upper: float):
-        self.lower = lower
-        self.upper = upper
-        super().__init__(f"price floor {lower:.3f} exceeds ceiling {upper:.3f}")
 
 
 #: What pricing a checked scenario raises where the model cannot price it:
@@ -385,13 +381,12 @@ class CostSide:
         breakdown, m, lf_star = self.variant_cost(variant, lf)
         mk = self.scenario.market
         sides = market_side(breakdown, self.os_moments, mk, mk.beta)
-        lower, upper = float(sides.lower), float(sides.upper)
-        if lower > upper:
-            raise InfeasiblePriceError(lower, upper)
+        if sides.lower > sides.upper:
+            raise InfeasiblePriceError(
+                f"price floor {sides.lower:.3f} exceeds ceiling {sides.upper:.3f}")
         # positional: a NamedTuple takes keywords at twice the cost
-        return PricingSolution(float(sides.price), lower, upper, float(sides.interior),
-                               float(sides.fs_share), float(sides.profit), breakdown, variant,
-                               m, lf_star)
+        return PricingSolution(sides.price, sides.lower, sides.upper, sides.interior,
+                               sides.fs_share, sides.profit, breakdown, variant, m, lf_star)
 
 
 #: R-S-Q-U must be at least this many times the external interruption time S.

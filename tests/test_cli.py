@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -208,6 +209,16 @@ class TestOptimizeLfCommand:
         sol = CostSide(default_scenario()).lf_solution
         assert values["lf_star"] == f"{sol.lf_star:.8f}"
         assert values["iterations"] == str(sol.iterations)
+
+    def test_cost_at_star_is_in_dollars(self, capsys, config_path):
+        # the lf solve's cost-side unit, where price prints its total in k$
+        found = []
+        for argv in (("optimize-lf",), ("price", "--variant", "full")):
+            code, out, _ = run(capsys, *argv, "--config", str(config_path))
+            assert code == 0
+            found.append(dict(line.split(" = ") for line in out.strip().splitlines()))
+        lf_values, price_values = found
+        assert f"{float(lf_values['cost_at_star']) / 1000:.6f}" == price_values["cost_total"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -503,6 +514,22 @@ def test_floored_rates_of_a_valid_config_still_warn(capsys, tmp_path):
         f"internal rate undershoots zero in period {j}" for j in (1, 2, 3, 4)]
 
 
+def test_floored_valid_config_prints_one_warning_line_per_period_in_a_process(tmp_path):
+    # the module's entry point, and each warning as one ``warning:`` line
+    path = tmp_path / "floored.cfg"
+    path.write_text("failure.internal_series = none\nfailure.m = 1e8\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fscontract.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fscontract.cli", "price",
+                           "--config", str(path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0
+    assert re.search(r"^price = ", proc.stdout, re.MULTILINE)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 4
+    assert all(re.fullmatch(r"warning: internal rate undershoots zero in period [1-4] "
+                            r"\(.+\); floored", line) for line in lines)
+
+
 def test_floored_invalid_config_prints_one_stderr_line_in_a_process(tmp_path):
     path = tmp_path / "floored.cfg"
     path.write_text("failure.internal_series = none\nfailure.m = 1e-308\n")
@@ -722,3 +749,24 @@ def test_negative_zero_prints_as_zero(capsys, tmp_path, key):
         return found
 
     assert outcomes("-0.0") == outcomes("0.0")
+
+
+@pytest.mark.parametrize("param", ["beta", "unit-training-cost", "lf", "phi-int"])
+def test_negative_zero_in_values_reads_as_zero(capsys, config_path, tmp_path, param):
+    # as in a config: the same exit code, output and file as 0.0
+    def outcome(values: str) -> tuple:
+        result = run(capsys, "sweep", "--config", str(config_path), "--param", param,
+                     f"--values={values}", "--out", str(tmp_path))
+        written = []
+        for f in tmp_path.iterdir():
+            written.append((f.name, f.read_bytes()))
+            f.unlink()
+        return result, written
+
+    (code, out, err), written = got = outcome("-0.0,0.5")
+    assert got == outcome("0.0,0.5")
+    if param in ("lf", "phi-int"):
+        assert (code, out, written) == (1, "", [])
+        assert err.startswith("validation error: ")
+    else:
+        assert (code, err, len(written)) == (0, "", 1)

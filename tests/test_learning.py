@@ -289,7 +289,7 @@ class TestLfProblem:
     def test_feasible_edge_is_the_root_of_effective_training(self, baseline, baseline_rates):
         internal, external = baseline_rates
         problem = lf_problem(3, baseline, internal, external)
-        lo, hi = problem.feasible_range()
+        lo, hi = problem.feasible_range
         assert problem.state(lo).effective_training > 0.0
         below = lo * (1 - 1e-9)
         with pytest.raises(InfeasibleTrainingError, match="exhausted"):

@@ -242,7 +242,7 @@ class TestLfSolverOracle:
                                     forgetting_model=model),
         )
         try:
-            problem.feasible_range()
+            problem.feasible_range
         except InfeasibleTrainingError:
             return
         assert_matches_golden_section(problem)
@@ -297,7 +297,7 @@ class TestLfSolverOracle:
     def test_guards_raise_convergence_error(self, baseline, baseline_rates, edit, message):
         internal, external = baseline_rates
         problem = edit(lf_problem(3, baseline, internal, external))
-        lo = problem.feasible_range()[0] * (1.0 + 1e-9) + 1e-15
+        lo = problem.feasible_range[0] * (1.0 + 1e-9) + 1e-15
         with pytest.raises(ConvergenceError) as raised:
             problem.solve()
         assert str(raised.value).startswith(message.format(lo=lo))

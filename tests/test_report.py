@@ -344,15 +344,15 @@ class TestCostSideReuse:
         # each point's lf problem takes the feasible interval that the lf
         # search of the point before it found
         found = []
-        edges = LfProblem._edges.method
+        edges = LfProblem.feasible_range.method
 
         def counted(problem):
             found.append(problem.learning.unit_training_cost)
             return edges(problem)
 
         kept = scenario_module._kept(counted)
-        kept.name = "_edges"
-        monkeypatch.setattr(LfProblem, "_edges", kept)
+        kept.name = "feasible_range"
+        monkeypatch.setattr(LfProblem, "feasible_range", kept)
         sweep(SweepSpec(param="unit_training_cost", values=(20.0, 50.0, 500.0)), baseline)
         assert found == [20.0]
 
